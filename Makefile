@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet docs test race bench cover repro repro-csv fuzz examples clean
+.PHONY: all build vet docs test race flake bench cover repro repro-csv fuzz examples clean
 
 all: build vet test
 
@@ -55,6 +55,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# flake repeats the schedule-sensitive suites 20 times to expose flaky
+# tests: both soaks and the race-enabled internal/core and
+# internal/cluster suites. It is not part of `make test`.
+flake:
+	$(GO) test -race -count=20 -run 'TestSoakChaosFullyDistributed|TestSoakJoinChurnElastic' .
+	$(GO) test -race -count=20 ./internal/core ./internal/cluster
 
 # Coverage gate: atomic-mode coverage across the repository into
 # cover.out, failing if internal/dispatch — the sharded admission path —
@@ -112,8 +119,10 @@ repro:
 repro-csv:
 	$(GO) run ./cmd/dolbie-bench -fig all -csv out/
 
-# Short fuzzing pass over the numerical kernels and the wire codecs
-# (one go test invocation per target: -fuzz only accepts a single match).
+# Short fuzzing pass over the numerical kernels, the wire codecs, the
+# dispatcher's admission path, and the policies' UnmarshalText/String
+# round trips (one go test invocation per target: -fuzz only accepts a
+# single match).
 fuzz:
 	$(GO) test -fuzz=FuzzInverse -fuzztime=10s ./internal/costfn/
 	$(GO) test -fuzz=FuzzProject -fuzztime=10s ./internal/simplex/
@@ -122,7 +131,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeFrameJSON -fuzztime=10s ./internal/wire/
 	$(GO) test -fuzz=FuzzDispatcherAdmission -fuzztime=10s ./internal/dispatch/
 	$(GO) test -race -fuzz=FuzzCompletionRing -fuzztime=10s ./internal/dispatch/
-	$(GO) test -fuzz=FuzzParsePolicies -fuzztime=10s ./internal/dispatch/
+	$(GO) test -run='^$$' -fuzz=FuzzParsePolicies -fuzztime=10s ./internal/dispatch/
 	$(GO) test -fuzz=FuzzTenantConfig -fuzztime=10s ./internal/dispatch/
 	$(GO) test -fuzz=FuzzGeoConfig -fuzztime=10s ./internal/geo/
 

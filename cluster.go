@@ -37,17 +37,16 @@ type (
 	CostSource = cluster.CostSource
 	// FuncSource adapts a plain function to a CostSource.
 	FuncSource = cluster.FuncSource
-	// MasterResult summarizes a completed master run of Algorithm 1.
+	// MasterConfig parameterizes RunMaster's fail-stop handling (round
+	// deadline, where zero waits forever, and minimum live worker count).
+	MasterConfig = cluster.MasterConfig
+	// MasterResult summarizes a completed master run of Algorithm 1,
+	// including the workers declared crashed and the survivors.
 	MasterResult = cluster.MasterResult
 	// WorkerResult summarizes a completed worker run of Algorithm 1.
 	WorkerResult = cluster.WorkerResult
 	// PeerResult summarizes a completed peer run of Algorithm 2.
 	PeerResult = cluster.PeerResult
-	// ResilientConfig parameterizes RunResilientMaster (round deadline,
-	// minimum live worker count, step-size tuning, metrics registry).
-	ResilientConfig = cluster.ResilientConfig
-	// ResilientResult summarizes a fail-stop-tolerant master run.
-	ResilientResult = cluster.ResilientResult
 	// TrafficStats is a node's protocol traffic snapshot (messages and
 	// bytes in both directions).
 	TrafficStats = cluster.TrafficStats
@@ -83,12 +82,6 @@ type (
 	ChaosCrash = cluster.ChaosCrash
 	// ChaosStats counts the faults a Chaos layer actually injected.
 	ChaosStats = cluster.ChaosStats
-	// ResilientPeerConfig parameterizes RunResilientPeer (collection
-	// deadline, minimum survivor count, metrics registry).
-	ResilientPeerConfig = cluster.ResilientPeerConfig
-	// ResilientPeerResult summarizes a fail-stop-tolerant peer run of
-	// Algorithm 2, including the evictions it applied.
-	ResilientPeerResult = cluster.ResilientPeerResult
 	// Topology selects the per-round communication pattern of an elastic
 	// Algorithm 2 deployment: TopologyFlat is the paper's all-to-all
 	// exchange (O(N^2) messages per round), TopologyTree aggregates the
@@ -105,13 +98,14 @@ type (
 	// the roster version it produced and the round it took effect.
 	RosterEvent = cluster.RosterEvent
 	// ElasticPeerConfig parameterizes RunElasticPeer and JoinElasticPeer:
-	// collection deadline, minimum survivor count, aggregation topology
-	// and fanout, join admission rate, and metrics registry.
+	// collection deadline (zero waits forever), minimum survivor count,
+	// aggregation topology and fanout, and join admission rate. Its zero
+	// value is the paper's Algorithm 2.
 	ElasticPeerConfig = cluster.ElasticPeerConfig
-	// ElasticPeerResult extends ResilientPeerResult with membership
-	// outcomes: the rounds joiners were admitted, the final roster
-	// version, the ordered roster event log, and the aggregation tree
-	// depth.
+	// ElasticPeerResult summarizes one peer's run of Algorithm 2: its
+	// played shares and costs, how it ended (completed, crashed or
+	// evicted), the evictions and admissions it applied, the final roster
+	// version and event log, and the aggregation tree depth.
 	ElasticPeerResult = cluster.ElasticPeerResult
 	// ElasticJoin schedules one joiner in an ElasticDeployment: its id,
 	// contact member, arrival round, and cost source.
@@ -127,8 +121,8 @@ var (
 	// ErrChaosCrashed is returned by a chaos-wrapped transport after its
 	// scheduled fail-stop crash fired.
 	ErrChaosCrashed = cluster.ErrChaosCrashed
-	// ErrTooFewPeers aborts a resilient peer when evictions push the
-	// survivor count below ResilientPeerConfig.MinPeers.
+	// ErrTooFewPeers aborts a fail-stop peer when evictions push the
+	// survivor count below ElasticPeerConfig.MinPeers.
 	ErrTooFewPeers = cluster.ErrTooFewPeers
 	// ErrJoinDenied is returned by JoinElasticPeer when the coordinator
 	// rejects the join — an evicted identity can never rejoin.
@@ -238,34 +232,24 @@ func MasterWorkerDeployment(ctx context.Context, transports []Transport, x0 []fl
 
 // FullyDistributedDeployment runs a complete Algorithm 2 deployment:
 // peer i on transports[i], each in its own goroutine, with no master
-// and no shared cost functions.
+// and no shared cost functions. It runs RunElasticPeer with the zero
+// ElasticPeerConfig and cancels every peer when one fails.
 func FullyDistributedDeployment(ctx context.Context, transports []Transport, x0 []float64, rounds int, sources []CostSource, opts ...Option) ([]PeerResult, error) {
 	return cluster.FullyDistributedDeployment(ctx, transports, x0, rounds, sources, opts...)
 }
 
 // RunMaster executes only the master side of Algorithm 1 over the
 // transport (for multi-process deployments where workers run
-// elsewhere).
-func RunMaster(ctx context.Context, tr Transport, x0 []float64, rounds int, opts ...Option) (MasterResult, error) {
-	return cluster.RunMaster(ctx, tr, x0, rounds, opts...)
+// elsewhere). A positive mc.RoundTimeout adds fail-stop crash handling:
+// workers that miss a collection deadline are declared crashed and
+// their workload folds back into the balancing loop.
+func RunMaster(ctx context.Context, tr Transport, x0 []float64, rounds int, mc MasterConfig, opts ...Option) (MasterResult, error) {
+	return cluster.RunMaster(ctx, tr, x0, rounds, mc, opts...)
 }
 
 // RunWorker executes worker id of an n-worker Algorithm 1 deployment.
 func RunWorker(ctx context.Context, tr Transport, id, n int, x0 float64, rounds int, src CostSource, opts ...Option) (WorkerResult, error) {
 	return cluster.RunWorker(ctx, tr, id, n, x0, rounds, src, opts...)
-}
-
-// RunPeer executes peer id of an Algorithm 2 deployment.
-func RunPeer(ctx context.Context, tr Transport, id int, x0 []float64, rounds int, src CostSource, opts ...Option) (PeerResult, error) {
-	return cluster.RunPeer(ctx, tr, id, x0, rounds, src, opts...)
-}
-
-// RunResilientMaster executes the master side of Algorithm 1 with
-// fail-stop crash handling: workers that miss the round deadline are
-// declared crashed and their workload folds back into the balancing
-// loop.
-func RunResilientMaster(ctx context.Context, tr Transport, x0 []float64, rounds int, rc ResilientConfig) (ResilientResult, error) {
-	return cluster.RunResilientMaster(ctx, tr, x0, rounds, rc)
 }
 
 // NewChaos builds a deterministic fault-injection layer from cfg. Wrap
@@ -284,30 +268,16 @@ func WithChaos(cfg ChaosConfig, transports []Transport) ([]Transport, *Chaos) {
 	return chaos.WrapAll(transports), chaos
 }
 
-// RunResilientPeer executes peer id of an Algorithm 2 deployment with
-// fail-stop crash handling: peers that miss the collection deadline are
+// RunElasticPeer executes incumbent peer id of an Algorithm 2
+// deployment, the only fully-distributed peer loop. The zero
+// ElasticPeerConfig runs the paper's protocol. A positive RoundTimeout
+// adds fail-stop handling: peers that miss the collection deadline are
 // declared crashed, announced to the whole deployment, and their frozen
-// workload share folds back into the straggler's remainder.
-func RunResilientPeer(ctx context.Context, tr Transport, id int, x0 []float64, rounds int, src CostSource, rc ResilientPeerConfig, opts ...Option) (ResilientPeerResult, error) {
-	return cluster.RunResilientPeer(ctx, tr, id, x0, rounds, src, rc, opts...)
-}
-
-// ResilientFullyDistributedDeployment runs a complete fail-stop-tolerant
-// Algorithm 2 deployment: peer i on transports[i], each in its own
-// goroutine, every peer imposing the rc collection deadline on its
-// neighbours. Unlike FullyDistributedDeployment, one peer's death does
-// not cancel the others — survivors evict it and finish the run.
-func ResilientFullyDistributedDeployment(ctx context.Context, transports []Transport, x0 []float64, rounds int, sources []CostSource, rc ResilientPeerConfig, opts ...Option) ([]ResilientPeerResult, error) {
-	return cluster.ResilientFullyDistributedDeployment(ctx, transports, x0, rounds, sources, rc, opts...)
-}
-
-// RunElasticPeer executes incumbent peer id of an elastic Algorithm 2
-// deployment: fail-stop eviction as in RunResilientPeer, plus versioned
-// membership (joins admitted by the coordinator, the lowest live id)
-// and, under TopologyTree, hierarchical round aggregation that reduces
-// the per-round message cost from O(N^2) to ~3N with bit-identical
-// consensus. With a flat topology and no joiners it is message-for-
-// message identical to RunResilientPeer.
+// workload share folds back into the straggler's remainder. The
+// membership fields add versioned joins (admitted by the coordinator,
+// the lowest live id) and, under TopologyTree, hierarchical round
+// aggregation that reduces the per-round message cost from O(N^2) to
+// ~3N with bit-identical consensus.
 func RunElasticPeer(ctx context.Context, tr Transport, id int, x0 []float64, rounds int, src CostSource, ec ElasticPeerConfig, opts ...Option) (ElasticPeerResult, error) {
 	return cluster.RunElasticPeer(ctx, tr, id, x0, rounds, src, ec, opts...)
 }
@@ -324,8 +294,9 @@ func JoinElasticPeer(ctx context.Context, tr Transport, id, contact, rounds int,
 // ElasticDeployment runs a complete elastic Algorithm 2 deployment:
 // incumbent i on transports[i] and each scheduled joiner on its own
 // transport, every node in its own goroutine. Joiner k must use id
-// len(X0)+k. Crashed and self-evicted peers are reported in their
-// results while the survivors keep balancing.
+// len(X0)+k. Unlike FullyDistributedDeployment, one peer's death does
+// not cancel the others: crashed and self-evicted peers are reported in
+// their results while the survivors keep balancing.
 func ElasticDeployment(ctx context.Context, transports []Transport, dc ElasticDeploymentConfig, opts ...Option) ([]ElasticPeerResult, error) {
 	return cluster.ElasticDeployment(ctx, transports, dc, opts...)
 }

@@ -97,7 +97,7 @@ func runChaosBench(outPath string, out io.Writer) error {
 	}
 	type scenario struct {
 		name string
-		run  func([]cluster.ResilientPeerResult) (chaosScenarioStats, error)
+		run  func([]cluster.ElasticPeerResult) (chaosScenarioStats, error)
 	}
 	for _, sc := range []scenario{
 		{"loss", chaosLossScenario},
@@ -123,9 +123,9 @@ func runChaosBench(outPath string, out io.Writer) error {
 	return nil
 }
 
-// chaosBaseline is the fault-free reference run of the resilient
+// chaosBaseline is the fault-free reference run of the fail-stop
 // deployment, against which the latency penalties are measured.
-func chaosBaseline() ([]cluster.ResilientPeerResult, error) {
+func chaosBaseline() ([]cluster.ElasticPeerResult, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	net := cluster.NewMemNet()
@@ -134,16 +134,25 @@ func chaosBaseline() ([]cluster.ResilientPeerResult, error) {
 		transports[i] = net.Node(i)
 	}
 	defer closeTransports(transports)
-	rc := cluster.ResilientPeerConfig{RoundTimeout: 2 * time.Second}
-	return cluster.ResilientFullyDistributedDeployment(ctx, transports,
-		simplex.Uniform(chaosPeers), chaosRounds, chaosSources(chaosPeers), rc)
+	return chaosDeploy(ctx, transports, 2*time.Second)
+}
+
+// chaosDeploy runs the fail-stop fully-distributed deployment with one
+// detection deadline for every peer.
+func chaosDeploy(ctx context.Context, transports []cluster.Transport, timeout time.Duration) ([]cluster.ElasticPeerResult, error) {
+	return cluster.ElasticDeployment(ctx, transports, cluster.ElasticDeploymentConfig{
+		X0:      simplex.Uniform(chaosPeers),
+		Rounds:  chaosRounds,
+		Sources: chaosSources(chaosPeers),
+		Peer:    cluster.ElasticPeerConfig{RoundTimeout: timeout},
+	})
 }
 
 // chaosLossScenario runs drops, duplication, and reordering under the
 // reliability layer: no peer is lost, so the measurement is that the
 // trajectory stays exactly the fault-free one (zero penalty) while the
 // chaos layer injects real faults underneath.
-func chaosLossScenario(baseline []cluster.ResilientPeerResult) (chaosScenarioStats, error) {
+func chaosLossScenario(baseline []cluster.ElasticPeerResult) (chaosScenarioStats, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	chaos := cluster.NewChaos(cluster.ChaosConfig{
@@ -159,9 +168,7 @@ func chaosLossScenario(baseline []cluster.ResilientPeerResult) (chaosScenarioSta
 		transports[i] = cluster.NewReliable(i, chaos.Wrap(i, net.Node(i)), 5*time.Millisecond)
 	}
 	defer closeTransports(transports)
-	rc := cluster.ResilientPeerConfig{RoundTimeout: 5 * time.Second}
-	res, err := cluster.ResilientFullyDistributedDeployment(ctx, transports,
-		simplex.Uniform(chaosPeers), chaosRounds, chaosSources(chaosPeers), rc)
+	res, err := chaosDeploy(ctx, transports, 5*time.Second)
 	if err != nil {
 		return chaosScenarioStats{}, err
 	}
@@ -170,7 +177,7 @@ func chaosLossScenario(baseline []cluster.ResilientPeerResult) (chaosScenarioSta
 
 // chaosCrashScenario fail-stops peer 1 at round 10 and measures how the
 // three survivors detect, evict, and reabsorb its workload share.
-func chaosCrashScenario(baseline []cluster.ResilientPeerResult) (chaosScenarioStats, error) {
+func chaosCrashScenario(baseline []cluster.ElasticPeerResult) (chaosScenarioStats, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	chaos := cluster.NewChaos(cluster.ChaosConfig{
@@ -183,9 +190,7 @@ func chaosCrashScenario(baseline []cluster.ResilientPeerResult) (chaosScenarioSt
 		transports[i] = chaos.Wrap(i, net.Node(i))
 	}
 	defer closeTransports(transports)
-	rc := cluster.ResilientPeerConfig{RoundTimeout: 150 * time.Millisecond}
-	res, err := cluster.ResilientFullyDistributedDeployment(ctx, transports,
-		simplex.Uniform(chaosPeers), chaosRounds, chaosSources(chaosPeers), rc)
+	res, err := chaosDeploy(ctx, transports, 150*time.Millisecond)
 	if err != nil {
 		return chaosScenarioStats{}, err
 	}
@@ -197,7 +202,7 @@ func chaosCrashScenario(baseline []cluster.ResilientPeerResult) (chaosScenarioSt
 // detection timeout than the rest — the staggered-deadline deployment
 // pattern from the operations runbook — so it wins the detection race,
 // evicts peer 0, and the notice fail-stops the still-living victim.
-func chaosPartitionScenario(baseline []cluster.ResilientPeerResult) (chaosScenarioStats, error) {
+func chaosPartitionScenario(baseline []cluster.ElasticPeerResult) (chaosScenarioStats, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	chaos := cluster.NewChaos(cluster.ChaosConfig{
@@ -213,19 +218,19 @@ func chaosPartitionScenario(baseline []cluster.ResilientPeerResult) (chaosScenar
 	defer closeTransports(transports)
 	x0 := simplex.Uniform(chaosPeers)
 	sources := chaosSources(chaosPeers)
-	res := make([]cluster.ResilientPeerResult, chaosPeers)
+	res := make([]cluster.ElasticPeerResult, chaosPeers)
 	errs := make([]error, chaosPeers)
 	var wg sync.WaitGroup
 	for i := 0; i < chaosPeers; i++ {
-		rc := cluster.ResilientPeerConfig{RoundTimeout: 700 * time.Millisecond}
+		ec := cluster.ElasticPeerConfig{RoundTimeout: 700 * time.Millisecond}
 		if i == 1 {
-			rc.RoundTimeout = 250 * time.Millisecond
+			ec.RoundTimeout = 250 * time.Millisecond
 		}
 		wg.Add(1)
-		go func(i int, rc cluster.ResilientPeerConfig) {
+		go func(i int, ec cluster.ElasticPeerConfig) {
 			defer wg.Done()
-			res[i], errs[i] = cluster.RunResilientPeer(ctx, transports[i], i, x0, chaosRounds, sources[i], rc)
-		}(i, rc)
+			res[i], errs[i] = cluster.RunElasticPeer(ctx, transports[i], i, x0, chaosRounds, sources[i], ec)
+		}(i, ec)
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -239,7 +244,7 @@ func chaosPartitionScenario(baseline []cluster.ResilientPeerResult) (chaosScenar
 // chaosStatsFor derives the scenario measurements from the deployment
 // results: the detection round comes from the survivors' eviction
 // records, reabsorption from their played shares.
-func chaosStatsFor(res, baseline []cluster.ResilientPeerResult, injected cluster.ChaosStats) (chaosScenarioStats, error) {
+func chaosStatsFor(res, baseline []cluster.ElasticPeerResult, injected cluster.ChaosStats) (chaosScenarioStats, error) {
 	stats := chaosScenarioStats{injected: injected}
 	evicted := make(map[int]bool)
 	for _, r := range res {
@@ -309,8 +314,8 @@ func chaosStatsFor(res, baseline []cluster.ResilientPeerResult, injected cluster
 // chaosLatencyPenalty compares the mean per-round maximum realized cost
 // (the min-max objective) from `from` onward against the fault-free
 // baseline over the same window.
-func chaosLatencyPenalty(res, baseline []cluster.ResilientPeerResult, from int) float64 {
-	meanMax := func(rs []cluster.ResilientPeerResult) float64 {
+func chaosLatencyPenalty(res, baseline []cluster.ElasticPeerResult, from int) float64 {
+	meanMax := func(rs []cluster.ElasticPeerResult) float64 {
 		var total float64
 		var rounds int
 		for r := from; r <= chaosRounds; r++ {

@@ -117,7 +117,7 @@ func run() error {
 		ascii        = flag.Bool("ascii", false, "render figures as ASCII charts instead of tables")
 		metricsAddr  = flag.String("metrics-addr", "", "serve process gauges on /metrics plus /debug/pprof on this address while the experiments run (empty disables)")
 		wireBench    = flag.Bool("wire", false, "run the wire-codec benchmark (TCP deployments per codec) instead of a figure")
-		chaosBench   = flag.Bool("chaos", false, "run the fault-tolerance benchmark (resilient deployments under the chaos transport) instead of a figure")
+		chaosBench   = flag.Bool("chaos", false, "run the fault-tolerance benchmark (fail-stop deployments under the chaos transport) instead of a figure")
 		serveBench   = flag.Bool("serve", false, "run the data-plane serving benchmark (DOLBIE vs WRR vs JSQ dispatch) instead of a figure")
 		dispBench    = flag.Bool("dispatch", false, "run the admission-path benchmark (single-lock vs sharded dispatcher) instead of a figure")
 		scaleBench   = flag.Bool("scale", false, "run the scaling benchmark (flat vs tree aggregation across deployment sizes) instead of a figure")

@@ -64,14 +64,15 @@ func TestRunServesMetrics(t *testing.T) {
 }
 
 // TestRunResilientMetrics covers the fault-tolerance counters through
-// the command path: a crashed worker surfaces on /metrics.
+// the command path: a worker crashed under -round-timeout surfaces on
+// /metrics.
 func TestRunResilientMetrics(t *testing.T) {
 	var expo string
 	testHookScrape = func(addr string) { expo = get(t, "http://"+addr+"/metrics") }
 	defer func() { testHookScrape = nil }()
 
 	var buf strings.Builder
-	args := []string{"-mode", "resilient", "-n", "3", "-rounds", "5",
+	args := []string{"-mode", "mw", "-n", "3", "-rounds", "5", "-round-timeout", "300ms",
 		"-crash-worker", "1", "-crash-round", "3", "-metrics-addr", "127.0.0.1:0"}
 	if err := run(args, &buf); err != nil {
 		t.Fatalf("run(%v): %v\noutput:\n%s", args, err, buf.String())
@@ -87,6 +88,44 @@ func TestRunResilientMetrics(t *testing.T) {
 	}
 }
 
+// TestRunModes drives both architectures with and without a round
+// deadline: without one, a healthy run completes and reports no fault
+// section; with one, a crashed node is evicted and the survivors finish.
+func TestRunModes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want []string
+		not  []string
+	}{
+		{"mw", []string{"-mode", "mw", "-n", "4", "-rounds", "6"},
+			[]string{"master-worker deployment: 4 workers, 6 rounds"}, []string{"survivors:", "crashed workers"}},
+		{"mw deadline", []string{"-mode", "mw", "-n", "4", "-rounds", "8", "-round-timeout", "300ms", "-crash-worker", "2", "-crash-round", "4"},
+			[]string{"master-worker deployment: 4 workers, 8 rounds", "crashed workers (detected and removed): [2]", "survivors: [0 1 3]"}, nil},
+		{"fd", []string{"-mode", "fd", "-n", "4", "-rounds", "6"},
+			[]string{"fully-distributed deployment: 4 peers, 6 rounds", "total traffic: 90 msgs"}, []string{"survivors:", "evicted"}},
+		{"fd deadline", []string{"-mode", "fd", "-n", "4", "-rounds", "12", "-round-timeout", "150ms", "-crash-worker", "1", "-crash-round", "5"},
+			[]string{"peer 1 evicted in round 5", "peer 1 crashed after 4 rounds", "survivors: [0 2 3]"}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf strings.Builder
+			if err := run(tc.args, &buf); err != nil {
+				t.Fatalf("run(%v): %v\noutput:\n%s", tc.args, err, buf.String())
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(buf.String(), w) {
+					t.Errorf("output lacks %q:\n%s", w, buf.String())
+				}
+			}
+			for _, w := range tc.not {
+				if strings.Contains(buf.String(), w) {
+					t.Errorf("output has %q:\n%s", w, buf.String())
+				}
+			}
+		})
+	}
+}
+
 // TestRunRejectsBadFlags keeps the flag validation observable through
 // the testable run() entry point.
 func TestRunRejectsBadFlags(t *testing.T) {
@@ -94,7 +133,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-n", "1"},
 		{"-rounds", "0"},
 		{"-mode", "bogus"},
+		{"-mode", "resilient"},
+		{"-mode", "rfd"},
+		{"-round-timeout", "-1s"},
 		{"-drop", "0.5", "-tcp"},
+		{"-mode", "fd", "-chaos-partition", "0:4:1:2", "-n", "4"},
+		{"-crash-worker", "9", "-crash-round", "2"},
 	} {
 		if err := run(args, io.Discard); err == nil {
 			t.Errorf("run(%v) = nil error, want failure", args)

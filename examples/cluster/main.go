@@ -75,7 +75,6 @@ func main() {
 				RoundTimeout: 10 * time.Second,
 				Topology:     topology,
 				Fanout:       2,
-				Metrics:      reg,
 			},
 		},
 		dolbie.WithInitialAlpha(0.05), dolbie.WithMetrics(reg))

@@ -34,7 +34,7 @@ var ErrChaosCrashed = errors.New("cluster: node crashed (chaos-injected)")
 // later frames overtake it. Recovery is therefore the fail-stop
 // protocol's job — the receiving side's collection deadline expires, the
 // silent peer is evicted, and the survivors continue (see
-// RunResilientPeer). This mirrors how a real outage longer than a
+// RunElasticPeer). This mirrors how a real outage longer than a
 // collection phase plays out.
 type ChaosPartition struct {
 	From, To  int

@@ -172,7 +172,7 @@ func TestReliableInnerDeathPropagates(t *testing.T) {
 // crashScenario runs the acceptance scenario: a 4-peer fully-distributed
 // deployment for 30 rounds with peer 2 fail-stopped at round 10 by the
 // chaos wrapper.
-func crashScenario(t *testing.T, seed int64) []ResilientPeerResult {
+func crashScenario(t *testing.T, seed int64) []ElasticPeerResult {
 	t.Helper()
 	const n, rounds = 4, 30
 	chaos := NewChaos(ChaosConfig{Seed: seed, Crashes: []ChaosCrash{{Node: 2, Round: 10}}})
@@ -188,10 +188,12 @@ func crashScenario(t *testing.T, seed int64) []ResilientPeerResult {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	rc := ResilientPeerConfig{RoundTimeout: 150 * time.Millisecond}
-	res, err := ResilientFullyDistributedDeployment(ctx, ts, simplex.Uniform(n), rounds, srcs, rc)
+	res, err := ElasticDeployment(ctx, ts, ElasticDeploymentConfig{
+		X0: simplex.Uniform(n), Rounds: rounds, Sources: srcs,
+		Peer: ElasticPeerConfig{RoundTimeout: 150 * time.Millisecond},
+	})
 	if err != nil {
-		t.Fatalf("resilient deployment: %v", err)
+		t.Fatalf("fail-stop deployment: %v", err)
 	}
 	if got := chaos.Stats().Crashes; got != 1 {
 		t.Fatalf("injected crashes = %d, want 1", got)
@@ -201,7 +203,7 @@ func crashScenario(t *testing.T, seed int64) []ResilientPeerResult {
 
 // sumPlayed adds the workload the given peers played in `round`
 // (1-indexed); peers that stopped before it contribute nothing.
-func sumPlayed(res []ResilientPeerResult, peers []int, round int) float64 {
+func sumPlayed(res []ElasticPeerResult, peers []int, round int) float64 {
 	var sum float64
 	for _, i := range peers {
 		if len(res[i].Played) >= round {
@@ -215,7 +217,7 @@ func sumPlayed(res []ResilientPeerResult, peers []int, round int) float64 {
 // survivors' played shares again sum to 1, and fails if that takes more
 // than 5 rounds (the ISSUE acceptance bound) or if the balance is lost
 // again afterwards.
-func assertReabsorbed(t *testing.T, res []ResilientPeerResult, survivors []int, detection, lastRound int) int {
+func assertReabsorbed(t *testing.T, res []ElasticPeerResult, survivors []int, detection, lastRound int) int {
 	t.Helper()
 	reabsorbed := -1
 	for r := detection; r <= lastRound; r++ {
@@ -331,15 +333,15 @@ func TestResilientPeerAsymmetricPartition(t *testing.T) {
 	defer cancel()
 	timeouts := []time.Duration{700 * time.Millisecond, 250 * time.Millisecond, 700 * time.Millisecond}
 	x0 := simplex.Uniform(n)
-	res := make([]ResilientPeerResult, n)
+	res := make([]ElasticPeerResult, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rc := ResilientPeerConfig{RoundTimeout: timeouts[i]}
-			res[i], errs[i] = RunResilientPeer(ctx, ts[i], i, x0, rounds, partitionSource(i), rc)
+			rc := ElasticPeerConfig{RoundTimeout: timeouts[i]}
+			res[i], errs[i] = RunElasticPeer(ctx, ts[i], i, x0, rounds, partitionSource(i), rc)
 		}(i)
 	}
 	wg.Wait()
@@ -410,15 +412,15 @@ func TestResilientPeerSymmetricDeadlineRace(t *testing.T) {
 	// a notice race) the measured outcome.
 	timeouts := []time.Duration{250 * time.Millisecond, 3 * time.Second, 3 * time.Second}
 	x0 := simplex.Uniform(n)
-	res := make([]ResilientPeerResult, n)
+	res := make([]ElasticPeerResult, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rc := ResilientPeerConfig{RoundTimeout: timeouts[i]}
-			res[i], errs[i] = RunResilientPeer(ctx, ts[i], i, x0, rounds, partitionSource(i), rc)
+			rc := ElasticPeerConfig{RoundTimeout: timeouts[i]}
+			res[i], errs[i] = RunElasticPeer(ctx, ts[i], i, x0, rounds, partitionSource(i), rc)
 		}(i)
 	}
 	wg.Wait()

@@ -291,13 +291,13 @@ func TestDeploymentValidation(t *testing.T) {
 	if _, err := FullyDistributedDeployment(ctx, memTransports(net, 2), simplex.Uniform(3), 5, nil); err == nil {
 		t.Error("transport count mismatch should error")
 	}
-	if _, err := RunMaster(ctx, net.Node(0), simplex.Uniform(3), 0); err == nil {
+	if _, err := RunMaster(ctx, net.Node(0), simplex.Uniform(3), 0, MasterConfig{}); err == nil {
 		t.Error("zero rounds should error")
 	}
 	if _, err := RunWorker(ctx, net.Node(0), 0, 3, 0.3, 5, nil); err == nil {
 		t.Error("nil source should error")
 	}
-	if _, err := RunPeer(ctx, net.Node(0), 0, simplex.Uniform(3), 0, instSource(0)); err == nil {
+	if _, err := RunElasticPeer(ctx, net.Node(0), 0, simplex.Uniform(3), 0, instSource(0), ElasticPeerConfig{}); err == nil {
 		t.Error("zero rounds should error")
 	}
 }

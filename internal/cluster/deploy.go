@@ -43,7 +43,7 @@ func MasterWorkerDeployment(ctx context.Context, transports []Transport, x0 []fl
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		res, err := RunMaster(ctx, transports[n], x0, rounds, opts...)
+		res, err := RunMaster(ctx, transports[n], x0, rounds, MasterConfig{}, opts...)
 		if err != nil {
 			fail(fmt.Errorf("master: %w", err))
 			return
@@ -75,8 +75,27 @@ func MasterWorkerDeployment(ctx context.Context, transports []Transport, x0 []fl
 	return masterRes, workerRes, nil
 }
 
+// PeerResult summarizes a completed fully-distributed peer run.
+type PeerResult struct {
+	// ID is the peer's index.
+	ID int
+	// Played[t] is the workload fraction executed in round t+1.
+	Played []float64
+	// Costs[t] is the realized local cost of round t+1.
+	Costs []float64
+	// FinalLocalAlpha is the peer's local step size after the last round.
+	FinalLocalAlpha float64
+	// Traffic counts the peer's protocol messages and bytes.
+	Traffic TrafficStats
+}
+
 // FullyDistributedDeployment runs a complete Algorithm 2 deployment: peer
-// i on transports[i], each in its own goroutine.
+// i on transports[i], each in its own goroutine, through RunElasticPeer
+// with a flat topology, no deadline and no joiners. The call returns when
+// every peer finishes or any peer fails; on failure the context handed to
+// the other peers is canceled so they unwind promptly. A peer whose
+// transport dies, that is evicted, or that stops before the last round
+// is a failure.
 func FullyDistributedDeployment(ctx context.Context, transports []Transport, x0 []float64, rounds int, sources []CostSource, opts ...core.Option) ([]PeerResult, error) {
 	n := len(x0)
 	if len(transports) != n {
@@ -98,17 +117,24 @@ func FullyDistributedDeployment(ctx context.Context, transports []Transport, x0 
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, err := RunPeer(ctx, transports[i], i, x0, rounds, sources[i], opts...)
+			r, err := RunElasticPeer(ctx, transports[i], i, x0, rounds, sources[i], ElasticPeerConfig{}, opts...)
+			switch {
+			case err != nil: // a configuration, protocol or context error
+			case r.Crashed:
+				err = errors.New("transport died")
+			case r.SelfEvicted:
+				err = errors.New("evicted by its peers")
+			case r.Rounds < rounds:
+				err = fmt.Errorf("stopped after %d of %d rounds", r.Rounds, rounds)
+			}
+			mu.Lock()
+			defer mu.Unlock()
 			if err != nil {
-				mu.Lock()
 				errs = append(errs, fmt.Errorf("peer %d: %w", i, err))
-				mu.Unlock()
 				cancel()
 				return
 			}
-			mu.Lock()
-			res[i] = r
-			mu.Unlock()
+			res[i] = PeerResult{ID: i, Played: r.Played, Costs: r.Costs, FinalLocalAlpha: r.FinalLocalAlpha, Traffic: r.Traffic}
 		}(i)
 	}
 	wg.Wait()

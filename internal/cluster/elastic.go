@@ -12,11 +12,23 @@ import (
 	"dolbie/internal/metrics"
 )
 
-// This file is the elastic generalization of the fail-stop peer runtime:
-// membership can grow (joins) as well as shrink (evictions), and the
-// per-round consensus can run over a hierarchical aggregation tree
-// instead of the all-to-all share exchange, taking the communication
-// cost from O(N^2) to O(N) messages per round.
+// This file is the runtime of Algorithm 2, the only fully-distributed
+// peer loop. Configured with a flat topology, no deadline and no
+// joiners, it is the paper's protocol exactly (FullyDistributedDeployment
+// runs it that way). Each extension is opt-in:
+//
+// Fail-stop handling. With a positive RoundTimeout every peer imposes a
+// progress deadline of its own, declares the peers it is still missing
+// crashed when it expires, broadcasts the eviction so survivors converge
+// by union, and continues over the survivor set. The next completed
+// round's straggler remainder absorbs the evicted peers' frozen workload
+// with no extra message exchange, and the rule-(8) cap is re-evaluated
+// at the survivor count (see core.PeerState.Evict).
+//
+// Elastic membership. Membership can grow (joins) as well as shrink
+// (evictions), and the per-round consensus can run over a hierarchical
+// aggregation tree instead of the all-to-all share exchange, taking the
+// communication cost from O(N^2) to O(N) messages per round.
 //
 // Membership protocol. The lowest live id is the coordinator (and the
 // root of the aggregation tree, so announcements and consensus traverse
@@ -45,23 +57,22 @@ import (
 // tree, restarts the round's aggregation under the new epoch, and
 // drops stale-epoch traffic, which makes recovery converge the same
 // way flat-mode deadline eviction does.
-//
-// The flat, no-join configuration reduces exactly to the fail-stop
-// runtime of resilient_peer.go: RunResilientPeer is now a thin wrapper
-// over RunElasticPeer.
 
 // ElasticPeerConfig parameterizes RunElasticPeer and JoinElasticPeer.
+// Its zero value is the paper's Algorithm 2: flat, no deadline, no
+// joiners. Metrics come from the core.WithMetrics option, which also
+// instruments traffic, timeouts, evictions and the
+// dolbie_cluster_roster_* families.
 type ElasticPeerConfig struct {
 	// RoundTimeout is the progress deadline: when a peer spends this long
 	// in a collection phase without accepting any protocol message, it
-	// declares every peer it is still waiting on crashed.
+	// declares every peer it is still waiting on crashed. It must be
+	// generously longer than a healthy round (including chaos delays), or
+	// live peers will be evicted. Zero waits forever.
 	RoundTimeout time.Duration
 	// MinPeers aborts the run with ErrTooFewPeers when fewer peers
 	// survive (default 1).
 	MinPeers int
-	// Metrics instruments the run (traffic, timeouts, evictions, the
-	// dolbie_cluster_roster_* families). Nil disables instrumentation.
-	Metrics *metrics.Registry
 	// Topology selects flat all-to-all shares (the default, the paper's
 	// Algorithm 2) or hierarchical tree aggregation.
 	Topology Topology
@@ -76,13 +87,16 @@ type ElasticPeerConfig struct {
 	// unscheduled ids are admitted on arrival.
 	JoinSchedule map[int]int
 	// JoinTimeout bounds how long JoinElasticPeer waits for an
-	// admission grant (default 10x RoundTimeout).
+	// admission grant (default 10x RoundTimeout; zero then waits
+	// forever).
 	JoinTimeout time.Duration
 }
 
-// ElasticPeerResult summarizes one peer's run under elastic membership.
-// It extends ResilientPeerResult with the roster audit trail and the
-// aggregation overlay's shape.
+// ElasticPeerResult summarizes one peer's run. A peer can finish in
+// three ways: completing all rounds, learning of its own eviction
+// (SelfEvicted — a partitioned but living peer told to stop), or losing
+// its transport mid-run (Crashed — e.g. a chaos-injected crash). Only
+// the first is a full-length run; none of the three is an error.
 type ElasticPeerResult struct {
 	// ID is the peer's index.
 	ID int
@@ -127,24 +141,9 @@ type ElasticPeerResult struct {
 	Traffic TrafficStats
 }
 
-// resilient projects the elastic result onto the legacy fail-stop
-// result type for RunResilientPeer's wrapper.
-func (r ElasticPeerResult) resilient() ResilientPeerResult {
-	return ResilientPeerResult{
-		ID:              r.ID,
-		Rounds:          r.Rounds,
-		Played:          r.Played,
-		Costs:           r.Costs,
-		Evicted:         r.Evicted,
-		EvictionRound:   r.EvictionRound,
-		SelfEvicted:     r.SelfEvicted,
-		Crashed:         r.Crashed,
-		FinalX:          r.FinalX,
-		FinalLocalAlpha: r.FinalLocalAlpha,
-		Survivors:       r.Survivors,
-		Traffic:         r.Traffic,
-	}
-}
+// ErrTooFewPeers is returned when evictions reduce a peer's view of the
+// live set below ElasticPeerConfig.MinPeers.
+var ErrTooFewPeers = errors.New("cluster: too few live peers")
 
 // ErrJoinDenied is returned by JoinElasticPeer when the coordinator
 // rejects the join (the id was already a member or was evicted —
@@ -172,6 +171,10 @@ type elasticPeer struct {
 	src   CostSource
 	res   ElasticPeerResult
 
+	// survivors caches p.Survivors() for the share broadcast; it is
+	// refreshed on every membership change.
+	survivors []int
+
 	// tree-mode round state (tree is nil in flat mode)
 	tree        *aggTree
 	ownShare    core.PeerShare
@@ -198,15 +201,16 @@ type elasticPeer struct {
 }
 
 // newElasticPeer wires the shared state for an incumbent or joiner run.
-func newElasticPeer(ctx context.Context, cfg ElasticPeerConfig, id int, p *core.PeerState, rost *Roster, meter *Meter, src CostSource, rounds int) *elasticPeer {
+func newElasticPeer(ctx context.Context, cfg ElasticPeerConfig, reg *metrics.Registry, id int, p *core.PeerState, rost *Roster, meter *Meter, src CostSource, rounds int) *elasticPeer {
 	e := &elasticPeer{
-		ctx:   ctx,
-		cfg:   cfg,
-		id:    id,
-		p:     p,
-		rost:  rost,
-		meter: meter,
-		src:   src,
+		ctx:       ctx,
+		cfg:       cfg,
+		id:        id,
+		p:         p,
+		rost:      rost,
+		meter:     meter,
+		src:       src,
+		survivors: p.Survivors(),
 		res: ElasticPeerResult{
 			ID:             id,
 			Played:         make([]float64, 0, rounds),
@@ -220,14 +224,14 @@ func newElasticPeer(ctx context.Context, cfg ElasticPeerConfig, id int, p *core.
 		e.tree = newAggTree(rost.Members(), cfg.Fanout)
 		e.res.AggDepth = e.tree.depth()
 	}
-	if cfg.Metrics != nil {
+	if reg != nil {
 		node := fmt.Sprintf("peer-%d", id)
-		e.timeouts = cfg.Metrics.Counter(MetricRoundTimeouts, "Resilient-master collection phases that hit their deadline.")
-		e.evictions = cfg.Metrics.Counter(MetricPeersEvicted, "Fail-stop evictions applied by resilient fully-distributed peers.")
-		e.joins = cfg.Metrics.CounterVec(MetricRosterJoins, "Admissions applied by elastic peers.", "node").WithLabelValues(node)
-		e.gSize = cfg.Metrics.GaugeVec(MetricRosterSize, "Peer's current view of the live roster size.", "node").WithLabelValues(node)
-		e.gVersion = cfg.Metrics.GaugeVec(MetricRosterVersion, "Peer's applied roster version.", "node").WithLabelValues(node)
-		e.gDepth = cfg.Metrics.GaugeVec(MetricRosterAggDepth, "Depth of the hierarchical aggregation tree.", "node").WithLabelValues(node)
+		e.timeouts = reg.Counter(MetricRoundTimeouts, "Collection phases that hit their deadline.")
+		e.evictions = reg.Counter(MetricPeersEvicted, "Fail-stop evictions applied by fully-distributed peers.")
+		e.joins = reg.CounterVec(MetricRosterJoins, "Admissions applied by elastic peers.", "node").WithLabelValues(node)
+		e.gSize = reg.GaugeVec(MetricRosterSize, "Peer's current view of the live roster size.", "node").WithLabelValues(node)
+		e.gVersion = reg.GaugeVec(MetricRosterVersion, "Peer's applied roster version.", "node").WithLabelValues(node)
+		e.gDepth = reg.GaugeVec(MetricRosterAggDepth, "Depth of the hierarchical aggregation tree.", "node").WithLabelValues(node)
 		e.setRosterGauges()
 		if e.tree != nil {
 			e.gDepth.Set(float64(e.tree.depth()))
@@ -236,8 +240,10 @@ func newElasticPeer(ctx context.Context, cfg ElasticPeerConfig, id int, p *core.
 	return e
 }
 
-// setRosterGauges publishes the roster view after a membership change.
+// setRosterGauges refreshes the survivor cache and publishes the roster
+// view after a membership change.
 func (e *elasticPeer) setRosterGauges() {
+	e.survivors = e.p.Survivors()
 	if e.gSize == nil {
 		return
 	}
@@ -353,7 +359,7 @@ func (e *elasticPeer) dispatch(outs []core.PeerOutput) (bool, error) {
 			if e.tree != nil {
 				break // tree mode aggregates shares instead of broadcasting
 			}
-			for _, j := range e.p.Survivors() {
+			for _, j := range e.survivors {
 				if j == e.id {
 					continue
 				}
@@ -653,7 +659,7 @@ func (e *elasticPeer) memberSnapshot(join int) []int {
 // any of its own round traffic: it announces up to MaxJoinsPerRound
 // admissions, each applying at round r+2.
 func (e *elasticPeer) drainJoinQueue(r int) {
-	if e.id != e.rost.Coordinator() {
+	if len(e.joinQueue) == 0 || e.id != e.rost.Coordinator() {
 		return
 	}
 	maxJoins := e.cfg.MaxJoinsPerRound
@@ -880,11 +886,12 @@ func (e *elasticPeer) handleEnvelope(env Envelope) ([]core.PeerOutput, bool, err
 	}
 }
 
-// run executes rounds first..rounds, mirroring the fail-stop loop of
-// the original RunResilientPeer (to which it reduces exactly in flat,
-// no-join configurations).
+// run executes rounds first..rounds. Without a RoundTimeout it
+// receives on the caller's context and never reads the clock.
 func (e *elasticPeer) run(first, rounds int) (ElasticPeerResult, error) {
 	p := e.p
+	timed := e.cfg.RoundTimeout > 0
+	var deadline time.Time
 	finalize := func() ElasticPeerResult {
 		e.res.FinalX = p.X()
 		e.res.FinalLocalAlpha = p.LocalAlpha()
@@ -946,7 +953,11 @@ func (e *elasticPeer) run(first, rounds int) (ElasticPeerResult, error) {
 			}
 			obs = append(obs, more...)
 		}
-		outs = append(outs, obs...)
+		if outs == nil {
+			outs = obs
+		} else {
+			outs = append(outs, obs...)
+		}
 		done, err := e.dispatch(outs)
 		if err != nil {
 			if e.ctx.Err() == nil && e.ownDeath(err) {
@@ -955,17 +966,24 @@ func (e *elasticPeer) run(first, rounds int) (ElasticPeerResult, error) {
 			}
 			return finalize(), fmt.Errorf("cluster: peer %d round %d: %w", e.id, r, err)
 		}
-		deadline := time.Now().Add(e.cfg.RoundTimeout)
+		if timed {
+			deadline = time.Now().Add(e.cfg.RoundTimeout)
+		}
 		e.treeStrikes = 0
 		for !done {
 			if p.AliveCount() < e.cfg.MinPeers {
 				return finalize(), fmt.Errorf("%w: %d alive, need %d", ErrTooFewPeers, p.AliveCount(), e.cfg.MinPeers)
 			}
-			phaseCtx, cancel := context.WithDeadline(e.ctx, deadline)
-			env, _, err := e.meter.Recv(phaseCtx)
-			cancel()
+			recvCtx, cancel := e.ctx, context.CancelFunc(nil)
+			if timed {
+				recvCtx, cancel = context.WithDeadline(e.ctx, deadline)
+			}
+			env, _, err := e.meter.Recv(recvCtx)
+			if cancel != nil {
+				cancel()
+			}
 			if err != nil {
-				if errors.Is(err, context.DeadlineExceeded) && e.ctx.Err() == nil {
+				if timed && errors.Is(err, context.DeadlineExceeded) && e.ctx.Err() == nil {
 					// Progress deadline expired: every peer the current
 					// collection still waits on is declared crashed.
 					missing := e.missing()
@@ -1012,7 +1030,9 @@ func (e *elasticPeer) run(first, rounds int) (ElasticPeerResult, error) {
 				return fatal(err)
 			}
 			if accepted {
-				deadline = time.Now().Add(e.cfg.RoundTimeout)
+				if timed {
+					deadline = time.Now().Add(e.cfg.RoundTimeout)
+				}
 				e.treeStrikes = 0
 			}
 			if done, err = e.dispatch(outs); err != nil {
@@ -1028,28 +1048,17 @@ func (e *elasticPeer) run(first, rounds int) (ElasticPeerResult, error) {
 	return finalize(), nil
 }
 
-// RunElasticPeer executes incumbent peer id of an elastic Algorithm 2
-// deployment: the fail-stop runtime of RunResilientPeer extended with
-// coordinator-announced admissions and, under TopologyTree, the
-// hierarchical aggregation overlay. With TopologyFlat and no joins it
-// behaves exactly like RunResilientPeer.
+// RunElasticPeer executes incumbent peer id of an Algorithm 2
+// deployment. The zero ElasticPeerConfig runs the paper's protocol; a
+// positive RoundTimeout adds fail-stop eviction, and the membership
+// fields add coordinator-announced admissions and, under TopologyTree,
+// the hierarchical aggregation overlay.
 func RunElasticPeer(ctx context.Context, tr Transport, id int, x0 []float64, rounds int, src CostSource, ec ElasticPeerConfig, opts ...core.Option) (ElasticPeerResult, error) {
-	if rounds <= 0 {
-		return ElasticPeerResult{}, errors.New("cluster: rounds must be positive")
+	if err := ec.check(rounds, src); err != nil {
+		return ElasticPeerResult{}, err
 	}
-	if src == nil {
-		return ElasticPeerResult{}, errors.New("cluster: nil cost source")
-	}
-	if ec.RoundTimeout <= 0 {
-		return ElasticPeerResult{}, errors.New("cluster: RoundTimeout must be positive")
-	}
-	if ec.MinPeers <= 0 {
-		ec.MinPeers = 1
-	}
-	if ec.Metrics != nil {
-		opts = append(opts, core.WithMetrics(ec.Metrics))
-	}
-	meter := NewInstrumentedMeter(tr, ec.Metrics, fmt.Sprintf("peer-%d", id))
+	reg := core.RegistryFrom(opts...)
+	meter := NewInstrumentedMeter(tr, reg, fmt.Sprintf("peer-%d", id))
 	p, err := core.NewPeer(id, x0, opts...)
 	if err != nil {
 		return ElasticPeerResult{}, err
@@ -1058,9 +1067,26 @@ func RunElasticPeer(ctx context.Context, tr Transport, id int, x0 []float64, rou
 	for i := range members {
 		members[i] = i
 	}
-	e := newElasticPeer(ctx, ec, id, p, NewRoster(members), meter, src, rounds)
+	e := newElasticPeer(ctx, ec, reg, id, p, NewRoster(members), meter, src, rounds)
 	e.res.FirstRound = 1
 	return e.run(1, rounds)
+}
+
+// check validates the run parameters and fills in defaults.
+func (ec *ElasticPeerConfig) check(rounds int, src CostSource) error {
+	if rounds <= 0 {
+		return errors.New("cluster: rounds must be positive")
+	}
+	if src == nil {
+		return errors.New("cluster: nil cost source")
+	}
+	if ec.RoundTimeout < 0 {
+		return errors.New("cluster: RoundTimeout must not be negative")
+	}
+	if ec.MinPeers <= 0 {
+		ec.MinPeers = 1
+	}
+	return nil
 }
 
 // JoinElasticPeer runs a joiner: it sends a JoinRequest to the contact
@@ -1069,32 +1095,27 @@ func RunElasticPeer(ctx context.Context, tr Transport, id int, x0 []float64, rou
 // core.NewJoinedPeer, and then participates like any incumbent from the
 // granted application round up to the deployment's final round.
 func JoinElasticPeer(ctx context.Context, tr Transport, id, contact, rounds int, src CostSource, ec ElasticPeerConfig, opts ...core.Option) (ElasticPeerResult, error) {
-	if rounds <= 0 {
-		return ElasticPeerResult{}, errors.New("cluster: rounds must be positive")
-	}
-	if src == nil {
-		return ElasticPeerResult{}, errors.New("cluster: nil cost source")
-	}
-	if ec.RoundTimeout <= 0 {
-		return ElasticPeerResult{}, errors.New("cluster: RoundTimeout must be positive")
-	}
-	if ec.MinPeers <= 0 {
-		ec.MinPeers = 1
+	if err := ec.check(rounds, src); err != nil {
+		return ElasticPeerResult{}, err
 	}
 	if ec.JoinTimeout <= 0 {
 		ec.JoinTimeout = 10 * ec.RoundTimeout
 	}
-	meter := NewInstrumentedMeter(tr, ec.Metrics, fmt.Sprintf("peer-%d", id))
+	reg := core.RegistryFrom(opts...)
+	meter := NewInstrumentedMeter(tr, reg, fmt.Sprintf("peer-%d", id))
 	res := ElasticPeerResult{ID: id}
 	if _, err := meter.Send(ctx, contact, joinEnvelope(contact, core.JoinRequest{From: id})); err != nil {
 		return res, fmt.Errorf("cluster: peer %d join request: %w", id, err)
 	}
-	deadline := time.Now().Add(ec.JoinTimeout)
+	joinCtx := ctx
+	if ec.JoinTimeout > 0 {
+		var cancel context.CancelFunc
+		joinCtx, cancel = context.WithTimeout(ctx, ec.JoinTimeout)
+		defer cancel()
+	}
 	var grant core.RosterUpdate
 	for {
-		phaseCtx, cancel := context.WithDeadline(ctx, deadline)
-		env, _, err := meter.Recv(phaseCtx)
-		cancel()
+		env, _, err := meter.Recv(joinCtx)
 		if err != nil {
 			if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
 				return res, fmt.Errorf("peer %d: %w", id, ErrJoinTimeout)
@@ -1125,14 +1146,11 @@ func JoinElasticPeer(ctx context.Context, tr Transport, id, contact, rounds int,
 		grant = u
 		break
 	}
-	if ec.Metrics != nil {
-		opts = append(opts, core.WithMetrics(ec.Metrics))
-	}
 	p, err := core.NewJoinedPeer(id, grant.Members, grant.Weight, grant.Alpha, grant.Round, opts...)
 	if err != nil {
 		return res, err
 	}
-	e := newElasticPeer(ctx, ec, id, p, NewRosterAt(grant.Members, grant.Version), meter, src, rounds)
+	e := newElasticPeer(ctx, ec, reg, id, p, NewRosterAt(grant.Members, grant.Version), meter, src, rounds)
 	e.res.FirstRound = grant.Round
 	return e.run(grant.Round, rounds)
 }
@@ -1171,9 +1189,11 @@ type ElasticDeploymentConfig struct {
 
 // ElasticDeployment runs a complete elastic Algorithm 2 deployment:
 // incumbent i on transports[i] and scheduled joiner k on
-// transports[len(X0)+k], each in its own goroutine. Like the resilient
-// deployment, one peer's death does not cancel the others; the returned
-// error joins only genuine failures.
+// transports[len(X0)+k], each in its own goroutine. Unlike
+// FullyDistributedDeployment, one peer's death does not cancel the
+// others: crashed and self-evicted peers are reported in their results
+// while the survivors keep balancing, and the returned error joins only
+// genuine failures (configuration or protocol errors).
 func ElasticDeployment(ctx context.Context, transports []Transport, dc ElasticDeploymentConfig, opts ...core.Option) ([]ElasticPeerResult, error) {
 	n := len(dc.X0)
 	total := n + len(dc.Joiners)

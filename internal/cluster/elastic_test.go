@@ -54,10 +54,11 @@ func healthyElasticConfig(n, rounds int, topo Topology, fanout int) ElasticDeplo
 	}
 }
 
-// TestElasticFlatMatchesResilient pins the degenerate-case contract:
-// a flat, no-join elastic deployment is message-for-message the old
-// fail-stop runtime, so every per-peer trajectory and even the traffic
-// counts must be identical.
+// TestElasticFlatMatchesResilient pins the degenerate-case contract: a
+// healthy flat, no-join deployment with fail-stop deadlines armed is
+// message-for-message the paper's protocol as FullyDistributedDeployment
+// runs it (no deadline), so every per-peer trajectory and even the
+// traffic counts must be identical.
 func TestElasticFlatMatchesResilient(t *testing.T) {
 	const n, rounds = 5, 15
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -73,15 +74,19 @@ func TestElasticFlatMatchesResilient(t *testing.T) {
 		ts[i] = net.Node(i)
 	}
 	defer closeAll(t, ts)
-	want, err := ResilientFullyDistributedDeployment(ctx, ts, simplex.Uniform(n), rounds, srcs, ResilientPeerConfig{RoundTimeout: 5 * time.Second})
+	want, err := FullyDistributedDeployment(ctx, ts, simplex.Uniform(n), rounds, srcs)
 	if err != nil {
-		t.Fatalf("resilient deployment: %v", err)
+		t.Fatalf("fully-distributed deployment: %v", err)
 	}
 
 	got := runElasticDeployment(t, healthyElasticConfig(n, rounds, TopologyFlat, 0), nil)
 	for i := range want {
-		if !reflect.DeepEqual(got[i].resilient(), want[i]) {
-			t.Errorf("peer %d: elastic flat result diverged from resilient:\n got %+v\nwant %+v", i, got[i].resilient(), want[i])
+		g := PeerResult{ID: got[i].ID, Played: got[i].Played, Costs: got[i].Costs, FinalLocalAlpha: got[i].FinalLocalAlpha, Traffic: got[i].Traffic}
+		if !reflect.DeepEqual(g, want[i]) {
+			t.Errorf("peer %d: timed flat result diverged from the untimed run:\n got %+v\nwant %+v", i, g, want[i])
+		}
+		if got[i].Rounds != rounds || len(got[i].Evicted) != 0 || got[i].SelfEvicted || got[i].Crashed {
+			t.Errorf("peer %d: healthy run ended early or evicted: %+v", i, got[i])
 		}
 		if got[i].AggDepth != 0 {
 			t.Errorf("peer %d: AggDepth = %d in flat mode, want 0", i, got[i].AggDepth)

@@ -27,13 +27,13 @@ const (
 	// MetricDuplicateFrames counts already-delivered frames suppressed
 	// by the reliability layer, labeled by node.
 	MetricDuplicateFrames = "dolbie_cluster_duplicate_frames_total"
-	// MetricRoundTimeouts counts resilient-master collection phases
-	// that hit their deadline.
+	// MetricRoundTimeouts counts collection phases of the fail-stop
+	// master and peers that hit their deadline.
 	MetricRoundTimeouts = "dolbie_cluster_round_timeouts_total"
 	// MetricWorkersCrashed counts workers declared crashed by the
-	// resilient master.
+	// fail-stop master.
 	MetricWorkersCrashed = "dolbie_cluster_workers_crashed_total"
-	// MetricPeersEvicted counts fail-stop evictions declared by resilient
+	// MetricPeersEvicted counts fail-stop evictions declared by
 	// fully-distributed peers (each eviction is counted once per peer
 	// that applies it, so an N-peer deployment records up to N-1
 	// increments per crashed peer).

@@ -161,10 +161,8 @@ func TestResilientMetrics(t *testing.T) {
 			RunWorker(ctx, transports[i], i, n, 1.0/n, rounds, sources[i])
 		}(i)
 	}
-	res, err := RunResilientMaster(ctx, transports[n], simplex.Uniform(n), rounds, ResilientConfig{
-		RoundTimeout: 200 * time.Millisecond,
-		Metrics:      reg,
-	})
+	res, err := RunMaster(ctx, transports[n], simplex.Uniform(n), rounds,
+		MasterConfig{RoundTimeout: 200 * time.Millisecond}, core.WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,6 +182,6 @@ func TestResilientMetrics(t *testing.T) {
 		t.Errorf("timeout counter missing or wrong:\n%s", expo)
 	}
 	if !strings.Contains(expo, "# TYPE "+core.MetricAlpha) {
-		t.Errorf("resilient master did not export core families:\n%s", expo)
+		t.Errorf("fail-stop master did not export core families:\n%s", expo)
 	}
 }

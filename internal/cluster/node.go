@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"dolbie/internal/core"
 	"dolbie/internal/costfn"
+	"dolbie/internal/metrics"
 )
 
 // CostSource provides a node's local cost feedback: after playing
@@ -30,75 +32,193 @@ func (fs FuncSource) Observe(round int, x float64) (float64, costfn.Func, error)
 // n-worker deployment (the workers occupy ids 0..n-1).
 func MasterID(n int) int { return n }
 
+// MasterConfig parameterizes RunMaster's fail-stop handling.
+type MasterConfig struct {
+	// RoundTimeout bounds each collection phase (cost reports, decision
+	// reports): workers that miss it are declared crashed and evicted,
+	// and their frozen workload folds into the straggler's remainder.
+	// Zero waits forever, as the paper's reliable worker set allows.
+	RoundTimeout time.Duration
+	// MinWorkers aborts the run with ErrTooFewWorkers when fewer workers
+	// survive (default 1).
+	MinWorkers int
+}
+
 // MasterResult summarizes a completed master run.
 type MasterResult struct {
-	// Rounds is the number of fully coordinated rounds.
+	// Rounds is the number of completed rounds.
 	Rounds int
+	// Crashed lists the workers declared crashed, in detection order.
+	Crashed []int
+	// Survivors is the final live worker set.
+	Survivors []int
 	// FinalAlpha is the step size after the last round.
 	FinalAlpha float64
 	// Traffic counts the master's protocol messages and bytes.
 	Traffic TrafficStats
 }
 
+// ErrTooFewWorkers is returned when crashes reduce the live worker set
+// below MasterConfig.MinWorkers.
+var ErrTooFewWorkers = errors.New("cluster: too few live workers")
+
 // RunMaster executes the master side of Algorithm 1 for the given number
-// of rounds over the transport, then returns. The caller owns the
-// transport (it is not closed). Cancel the context to abort a wedged
-// deployment; the error wraps the context error.
-func RunMaster(ctx context.Context, tr Transport, x0 []float64, rounds int, opts ...core.Option) (MasterResult, error) {
+// of rounds over the transport, driving core.MasterState, then returns.
+// With a positive mc.RoundTimeout it also handles fail-stop crashes: a
+// worker that misses a collection deadline, or whose link fails a send,
+// is evicted, and the straggler pick, the remainder and the rule-(7) cap
+// continue over the survivors. The caller owns the transport (it is not
+// closed). Cancel the context to abort a wedged deployment; the error
+// wraps the context error.
+func RunMaster(ctx context.Context, tr Transport, x0 []float64, rounds int, mc MasterConfig, opts ...core.Option) (MasterResult, error) {
 	if rounds <= 0 {
 		return MasterResult{}, errors.New("cluster: rounds must be positive")
 	}
-	meter := NewInstrumentedMeter(tr, core.RegistryFrom(opts...), "master")
+	if mc.RoundTimeout < 0 {
+		return MasterResult{}, errors.New("cluster: RoundTimeout must not be negative")
+	}
+	if mc.MinWorkers <= 0 {
+		mc.MinWorkers = 1
+	}
+	reg := core.RegistryFrom(opts...)
+	meter := NewInstrumentedMeter(tr, reg, "master")
 	m, err := core.NewMaster(x0, opts...)
 	if err != nil {
 		return MasterResult{}, err
 	}
+	var timeouts, crashCount *metrics.Counter
+	if reg != nil && mc.RoundTimeout > 0 {
+		timeouts = reg.Counter(MetricRoundTimeouts, "Collection phases that hit their deadline.")
+		crashCount = reg.Counter(MetricWorkersCrashed, "Workers declared crashed by the master.")
+	}
 	n := len(x0)
 	self := MasterID(n)
-	completed := 0
-	for completed < rounds {
-		env, _, err := meter.Recv(ctx)
-		if err != nil {
-			return MasterResult{}, fmt.Errorf("cluster: master recv (round %d): %w", m.Round(), err)
+	var res MasterResult
+	finish := func(err error) (MasterResult, error) {
+		res.Rounds = min(m.Round()-1, rounds)
+		res.FinalAlpha = m.Alpha()
+		res.Survivors = m.Survivors()
+		res.Traffic = meter.Stats()
+		return res, err
+	}
+	// evict declares a worker crashed and returns what its removal
+	// unlocks.
+	evict := func(id int) ([]core.MasterOutput, error) {
+		if !m.Alive(id) {
+			return nil, nil
 		}
-		var outs []core.MasterOutput
-		switch env.Kind {
-		case KindCost:
-			var r core.CostReport
-			if err := env.Decode(&r); err != nil {
-				return MasterResult{}, err
-			}
-			if outs, err = m.HandleCost(r); err != nil {
-				return MasterResult{}, fmt.Errorf("cluster: master: %w", err)
-			}
-		case KindDecision:
-			var r core.DecisionReport
-			if err := env.Decode(&r); err != nil {
-				return MasterResult{}, err
-			}
-			if outs, err = m.HandleDecision(r); err != nil {
-				return MasterResult{}, fmt.Errorf("cluster: master: %w", err)
-			}
-		default:
-			return MasterResult{}, fmt.Errorf("cluster: master received unexpected %s from %d", env.Kind, env.From)
+		res.Crashed = append(res.Crashed, id)
+		if crashCount != nil {
+			crashCount.Inc()
 		}
-		for _, o := range outs {
-			if o.Coordinate != nil {
+		return m.Evict(id)
+	}
+	// send transmits one message; under fail-stop handling a failed send
+	// to a live worker is itself a crash signal.
+	send := func(to int, env Envelope) ([]core.MasterOutput, error) {
+		if _, err := meter.Send(ctx, to, env); err != nil {
+			if mc.RoundTimeout == 0 || ctx.Err() != nil {
+				return nil, fmt.Errorf("cluster: master %s to %d: %w", env.Kind, to, err)
+			}
+			return evict(to)
+		}
+		return nil, nil
+	}
+	// dispatch transmits the state machine's outputs, including any that
+	// evictions unlock along the way.
+	dispatch := func(outs []core.MasterOutput) error {
+		if m.AliveCount() < mc.MinWorkers {
+			return fmt.Errorf("%w: %d alive, need %d", ErrTooFewWorkers, m.AliveCount(), mc.MinWorkers)
+		}
+		for len(outs) > 0 {
+			o := outs[0]
+			outs = outs[1:]
+			var more []core.MasterOutput
+			switch {
+			case o.Coordinate != nil:
 				for i := 0; i < n; i++ {
-					if _, err := meter.Send(ctx, i, coordinateEnvelope(self, i, *o.Coordinate)); err != nil {
-						return MasterResult{}, fmt.Errorf("cluster: master coordinate to %d: %w", i, err)
+					if !m.Alive(i) {
+						continue
 					}
+					unlocked, err := send(i, coordinateEnvelope(self, i, *o.Coordinate))
+					if err != nil {
+						return err
+					}
+					more = append(more, unlocked...)
 				}
-			}
-			if o.Assign != nil {
-				if _, err := meter.Send(ctx, o.Assign.To, assignEnvelope(self, *o.Assign)); err != nil {
-					return MasterResult{}, fmt.Errorf("cluster: master assign to %d: %w", o.Assign.To, err)
+			case o.Assign != nil && m.Alive(o.Assign.To):
+				unlocked, err := send(o.Assign.To, assignEnvelope(self, *o.Assign))
+				if err != nil {
+					return err
 				}
-				completed++
+				more = unlocked
 			}
+			outs = append(outs, more...)
+		}
+		return nil
+	}
+
+	var deadline time.Time
+	phaseStart := func() {
+		if mc.RoundTimeout > 0 {
+			deadline = time.Now().Add(mc.RoundTimeout)
 		}
 	}
-	return MasterResult{Rounds: completed, FinalAlpha: m.Alpha(), Traffic: meter.Stats()}, nil
+	phaseStart()
+	for m.Round() <= rounds {
+		recvCtx, cancel := ctx, context.CancelFunc(nil)
+		if mc.RoundTimeout > 0 {
+			recvCtx, cancel = context.WithDeadline(ctx, deadline)
+		}
+		env, _, err := meter.Recv(recvCtx)
+		if cancel != nil {
+			cancel()
+		}
+		var outs []core.MasterOutput
+		expired := err != nil && ctx.Err() == nil && errors.Is(err, context.DeadlineExceeded)
+		switch {
+		case expired:
+			// Deadline: every worker the phase still waits on is crashed.
+			missing := m.Missing()
+			if timeouts != nil && len(missing) > 0 {
+				timeouts.Inc()
+			}
+			for _, id := range missing {
+				more, err := evict(id)
+				if err != nil {
+					return finish(err)
+				}
+				outs = append(outs, more...)
+			}
+		case err != nil:
+			return finish(fmt.Errorf("cluster: master recv (round %d): %w", m.Round(), err))
+		case env.Kind == KindCost:
+			var r core.CostReport
+			if err := env.Decode(&r); err != nil {
+				return finish(err)
+			}
+			if outs, err = m.HandleCost(r); err != nil {
+				return finish(fmt.Errorf("cluster: master: %w", err))
+			}
+		case env.Kind == KindDecision:
+			var r core.DecisionReport
+			if err := env.Decode(&r); err != nil {
+				return finish(err)
+			}
+			if outs, err = m.HandleDecision(r); err != nil {
+				return finish(fmt.Errorf("cluster: master: %w", err))
+			}
+		default:
+			return finish(fmt.Errorf("cluster: master received unexpected %s from %d", env.Kind, env.From))
+		}
+		if err := dispatch(outs); err != nil {
+			return finish(err)
+		}
+		if len(outs) > 0 || expired {
+			phaseStart()
+		}
+	}
+	return finish(nil)
 }
 
 // WorkerResult summarizes a completed worker run.
@@ -187,117 +307,6 @@ func RunWorker(ctx context.Context, tr Transport, id, n int, x0 float64, rounds 
 			}
 		}
 	}
-	res.Traffic = meter.Stats()
-	return res, nil
-}
-
-// PeerResult summarizes a completed fully-distributed peer run.
-type PeerResult struct {
-	// ID is the peer's index.
-	ID int
-	// Played[t] is the workload fraction executed in round t+1.
-	Played []float64
-	// Costs[t] is the realized local cost of round t+1.
-	Costs []float64
-	// FinalLocalAlpha is the peer's local step size after the last round.
-	FinalLocalAlpha float64
-	// Traffic counts the peer's protocol messages and bytes.
-	Traffic TrafficStats
-}
-
-// RunPeer executes peer id of an Algorithm 2 deployment for the given
-// number of rounds.
-func RunPeer(ctx context.Context, tr Transport, id int, x0 []float64, rounds int, src CostSource, opts ...core.Option) (PeerResult, error) {
-	if rounds <= 0 {
-		return PeerResult{}, errors.New("cluster: rounds must be positive")
-	}
-	if src == nil {
-		return PeerResult{}, errors.New("cluster: nil cost source")
-	}
-	meter := NewInstrumentedMeter(tr, core.RegistryFrom(opts...), fmt.Sprintf("peer-%d", id))
-	p, err := core.NewPeer(id, x0, opts...)
-	if err != nil {
-		return PeerResult{}, err
-	}
-	n := len(x0)
-	res := PeerResult{
-		ID:     id,
-		Played: make([]float64, 0, rounds),
-		Costs:  make([]float64, 0, rounds),
-	}
-	// dispatch transmits a batch of peer outputs and reports completion.
-	dispatch := func(outs []core.PeerOutput) (bool, error) {
-		done := false
-		for _, o := range outs {
-			switch {
-			case o.Share != nil:
-				for j := 0; j < n; j++ {
-					if j == id {
-						continue
-					}
-					if _, err := meter.Send(ctx, j, shareEnvelope(j, *o.Share)); err != nil {
-						return false, fmt.Errorf("cluster: peer %d share to %d: %w", id, j, err)
-					}
-				}
-			case o.Decision != nil:
-				if _, err := meter.Send(ctx, o.Decision.To, peerDecisionEnvelope(*o.Decision)); err != nil {
-					return false, fmt.Errorf("cluster: peer %d decision to %d: %w", id, o.Decision.To, err)
-				}
-			case o.Done:
-				done = true
-			}
-		}
-		return done, nil
-	}
-
-	for r := 1; r <= rounds; r++ {
-		x := p.Play()
-		cost, f, err := src.Observe(r, x)
-		if err != nil {
-			return PeerResult{}, fmt.Errorf("cluster: peer %d observe round %d: %w", id, r, err)
-		}
-		outs, err := p.Observe(cost, f)
-		if err != nil {
-			return PeerResult{}, err
-		}
-		res.Played = append(res.Played, x)
-		res.Costs = append(res.Costs, cost)
-		done, err := dispatch(outs)
-		if err != nil {
-			return PeerResult{}, err
-		}
-		for !done {
-			env, _, err := meter.Recv(ctx)
-			if err != nil {
-				return PeerResult{}, fmt.Errorf("cluster: peer %d recv round %d: %w", id, r, err)
-			}
-			var outs []core.PeerOutput
-			switch env.Kind {
-			case KindShare:
-				var s core.PeerShare
-				if err := env.Decode(&s); err != nil {
-					return PeerResult{}, err
-				}
-				if outs, err = p.HandleShare(s); err != nil {
-					return PeerResult{}, fmt.Errorf("cluster: peer %d: %w", id, err)
-				}
-			case KindPeerDecision:
-				var d core.PeerDecision
-				if err := env.Decode(&d); err != nil {
-					return PeerResult{}, err
-				}
-				if outs, err = p.HandleDecision(d); err != nil {
-					return PeerResult{}, fmt.Errorf("cluster: peer %d: %w", id, err)
-				}
-			default:
-				return PeerResult{}, fmt.Errorf("cluster: peer %d received unexpected %s", id, env.Kind)
-			}
-			if done, err = dispatch(outs); err != nil {
-				return PeerResult{}, err
-			}
-		}
-	}
-	res.FinalLocalAlpha = p.LocalAlpha()
 	res.Traffic = meter.Stats()
 	return res, nil
 }

@@ -8,27 +8,14 @@ import (
 	"testing"
 	"time"
 
-	"dolbie/internal/costfn"
+	"dolbie/internal/core"
 	"dolbie/internal/simplex"
 )
 
-// crashingSource wraps a cost source and fails permanently at a given
-// round, simulating a fail-stop worker crash at a deterministic point.
-type crashingSource struct {
-	inner   CostSource
-	crashAt int
-}
-
-func (c crashingSource) Observe(round int, x float64) (float64, costfn.Func, error) {
-	if round >= c.crashAt {
-		return 0, nil, errors.New("worker crashed")
-	}
-	return c.inner.Observe(round, x)
-}
-
-// runResilientDeployment wires a resilient master to n plain workers,
-// where worker crashAtWorker dies at round crashAtRound (0 disables).
-func runResilientDeployment(t *testing.T, n, rounds, crashWorker, crashRound int, rc ResilientConfig) (ResilientResult, []WorkerResult, []error) {
+// runResilientDeployment wires a fail-stop master (alpha_1 pinned at
+// 0.05) to n plain workers, where worker crashWorker dies at round
+// crashRound (0 disables).
+func runResilientDeployment(t *testing.T, n, rounds, crashWorker, crashRound int, mc MasterConfig) (MasterResult, []WorkerResult, []error) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -45,13 +32,13 @@ func runResilientDeployment(t *testing.T, n, rounds, crashWorker, crashRound int
 		mu         sync.Mutex
 		workerRes  = make([]WorkerResult, n)
 		workerErrs = make([]error, n)
-		masterRes  ResilientResult
+		masterRes  MasterResult
 		masterErr  error
 	)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		masterRes, masterErr = RunResilientMaster(ctx, transports[n], x0, rounds, rc)
+		masterRes, masterErr = RunMaster(ctx, transports[n], x0, rounds, mc, core.WithInitialAlpha(0.05))
 	}()
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -70,15 +57,15 @@ func runResilientDeployment(t *testing.T, n, rounds, crashWorker, crashRound int
 	}
 	wg.Wait()
 	if masterErr != nil {
-		t.Fatalf("resilient master: %v", masterErr)
+		t.Fatalf("fail-stop master: %v", masterErr)
 	}
 	return masterRes, workerRes, workerErrs
 }
 
 func TestResilientMasterNoFailures(t *testing.T) {
 	const n, rounds = 5, 12
-	rc := ResilientConfig{RoundTimeout: 2 * time.Second, InitialAlpha: 0.05}
-	res, workers, errs := runResilientDeployment(t, n, rounds, -1, 0, rc)
+	mc := MasterConfig{RoundTimeout: 2 * time.Second}
+	res, workers, errs := runResilientDeployment(t, n, rounds, -1, 0, mc)
 	if res.Rounds != rounds {
 		t.Errorf("rounds = %d, want %d", res.Rounds, rounds)
 	}
@@ -105,8 +92,8 @@ func TestResilientMasterNoFailures(t *testing.T) {
 
 func TestResilientMasterSurvivesWorkerCrash(t *testing.T) {
 	const n, rounds, crashWorker, crashRound = 5, 12, 2, 4
-	rc := ResilientConfig{RoundTimeout: 300 * time.Millisecond, InitialAlpha: 0.05}
-	res, workers, errs := runResilientDeployment(t, n, rounds, crashWorker, crashRound, rc)
+	mc := MasterConfig{RoundTimeout: 300 * time.Millisecond}
+	res, workers, errs := runResilientDeployment(t, n, rounds, crashWorker, crashRound, mc)
 
 	if res.Rounds != rounds {
 		t.Errorf("rounds = %d, want %d despite the crash", res.Rounds, rounds)
@@ -156,7 +143,7 @@ func TestResilientMasterAbortsBelowMinWorkers(t *testing.T) {
 		transports[i] = net.Node(i)
 	}
 	x0 := simplex.Uniform(n)
-	rc := ResilientConfig{RoundTimeout: 150 * time.Millisecond, MinWorkers: 3, InitialAlpha: 0.05}
+	mc := MasterConfig{RoundTimeout: 150 * time.Millisecond, MinWorkers: 3}
 
 	var wg sync.WaitGroup
 	// Only workers 0 and 1 run; worker 2 never starts (instant "crash").
@@ -168,7 +155,7 @@ func TestResilientMasterAbortsBelowMinWorkers(t *testing.T) {
 			_, _ = RunWorker(ctx, transports[i], i, n, x0[i], rounds, instSource(i)) //nolint:errcheck
 		}(i)
 	}
-	_, err := RunResilientMaster(ctx, transports[n], x0, rounds, rc)
+	_, err := RunMaster(ctx, transports[n], x0, rounds, mc, core.WithInitialAlpha(0.05))
 	cancel() // release the surviving workers
 	wg.Wait()
 	if !errors.Is(err, ErrTooFewWorkers) {
@@ -181,14 +168,14 @@ func TestResilientMasterValidation(t *testing.T) {
 	tr := net.Node(0)
 	ctx := context.Background()
 	x0 := simplex.Uniform(3)
-	if _, err := RunResilientMaster(ctx, tr, x0, 0, ResilientConfig{RoundTimeout: time.Second}); err == nil {
+	if _, err := RunMaster(ctx, tr, x0, 0, MasterConfig{RoundTimeout: time.Second}); err == nil {
 		t.Error("zero rounds should error")
 	}
-	if _, err := RunResilientMaster(ctx, tr, []float64{0.4, 0.4}, 5, ResilientConfig{RoundTimeout: time.Second}); err == nil {
+	if _, err := RunMaster(ctx, tr, []float64{0.4, 0.4}, 5, MasterConfig{RoundTimeout: time.Second}); err == nil {
 		t.Error("infeasible x0 should error")
 	}
-	if _, err := RunResilientMaster(ctx, tr, x0, 5, ResilientConfig{}); err == nil {
-		t.Error("missing RoundTimeout should error")
+	if _, err := RunMaster(ctx, tr, x0, 5, MasterConfig{RoundTimeout: -time.Second}); err == nil {
+		t.Error("negative RoundTimeout should error")
 	}
 }
 
@@ -204,7 +191,7 @@ func TestResilientMasterMultipleCrashes(t *testing.T) {
 		transports[i] = net.Node(i)
 	}
 	x0 := simplex.Uniform(n)
-	rc := ResilientConfig{RoundTimeout: 300 * time.Millisecond, InitialAlpha: 0.05}
+	mc := MasterConfig{RoundTimeout: 300 * time.Millisecond}
 
 	crashAt := map[int]int{1: 3, 4: 7}
 	var wg sync.WaitGroup
@@ -219,9 +206,9 @@ func TestResilientMasterMultipleCrashes(t *testing.T) {
 			_, _ = RunWorker(ctx, transports[i], i, n, x0[i], rounds, src) //nolint:errcheck
 		}(i)
 	}
-	res, err := RunResilientMaster(ctx, transports[n], x0, rounds, rc)
+	res, err := RunMaster(ctx, transports[n], x0, rounds, mc, core.WithInitialAlpha(0.05))
 	if err != nil {
-		t.Fatalf("resilient master: %v", err)
+		t.Fatalf("fail-stop master: %v", err)
 	}
 	wg.Wait()
 	if res.Rounds != rounds {

@@ -11,15 +11,28 @@ import (
 // CostReport and DecisionReport messages; it emits the Coordinate
 // broadcasts and StragglerAssign messages the master must send.
 //
-// The state machine tolerates messages that arrive for a future round
-// (possible on real transports because a non-straggling worker can start
-// round t+1 before the master finishes round t) by buffering them. It is
-// not safe for concurrent use; a master node owns exactly one.
+// A non-straggling worker starts round t+1 as soon as it has sent its
+// round-t decision, so its next cost report can reach the master before
+// round t completes; the state machine buffers it. Links are FIFO and
+// exactly once, so a correct worker never reports more than one round
+// ahead, never sends a decision before that round's coordinate, and
+// never reports twice in a round: all three are rejected on arrival,
+// which bounds the buffer at one entry per worker.
+//
+// The paper assumes a fixed, reliable worker set; the state machine
+// additionally supports the runtime's fail-stop extension through
+// Evict, with the same meaning as PeerState.Evict: the straggler pick,
+// the remainder and the rule-(7) cap then run over live workers only,
+// and reports from evicted workers are dropped. It is not safe for
+// concurrent use; a master node owns exactly one.
 type MasterState struct {
-	n         int
-	round     int // round currently being coordinated (1-based)
-	alpha     float64
-	capScale  float64
+	n          int
+	round      int // round currently being coordinated (1-based)
+	alpha      float64
+	capScale   float64
+	alive      []bool
+	aliveCount int
+
 	collected int
 	costs     []float64
 	costSeen  []bool
@@ -30,8 +43,9 @@ type MasterState struct {
 	straggler int
 	inDecide  bool // false: collecting costs; true: collecting decisions
 
-	pendingCosts     map[int][]CostReport
-	pendingDecisions map[int][]DecisionReport
+	// nextCosts buffers cost reports for round+1, one slot per worker.
+	nextCosts []float64
+	nextSeen  []bool
 
 	rec *Recorder
 }
@@ -62,20 +76,25 @@ func NewMaster(x0 []float64, opts ...Option) (*MasterState, error) {
 	if o.initialAlpha > 0 && o.initialAlpha < alpha {
 		alpha = o.initialAlpha
 	}
-	m := &MasterState{
-		n:                n,
-		round:            1,
-		alpha:            alpha,
-		capScale:         o.capScale,
-		costs:            make([]float64, n),
-		costSeen:         make([]bool, n),
-		decisions:        make([]float64, n),
-		decSeen:          make([]bool, n),
-		pendingCosts:     make(map[int][]CostReport),
-		pendingDecisions: make(map[int][]DecisionReport),
-		rec:              NewRecorder(o.metrics),
+	alive := make([]bool, n)
+	for i := range alive {
+		alive[i] = true
 	}
-	return m, nil
+	return &MasterState{
+		n:          n,
+		round:      1,
+		alpha:      alpha,
+		capScale:   o.capScale,
+		alive:      alive,
+		aliveCount: n,
+		costs:      make([]float64, n),
+		costSeen:   make([]bool, n),
+		decisions:  make([]float64, n),
+		decSeen:    make([]bool, n),
+		nextCosts:  make([]float64, n),
+		nextSeen:   make([]bool, n),
+		rec:        NewRecorder(o.metrics),
+	}, nil
 }
 
 // Round returns the round the master is currently coordinating.
@@ -84,37 +103,143 @@ func (m *MasterState) Round() int { return m.round }
 // Alpha returns the current step size alpha_t.
 func (m *MasterState) Alpha() float64 { return m.alpha }
 
+// Alive reports whether worker id is still part of the deployment
+// (out-of-range ids are dead).
+func (m *MasterState) Alive(id int) bool {
+	return id >= 0 && id < m.n && m.alive[id]
+}
+
+// AliveCount returns the current number of live workers.
+func (m *MasterState) AliveCount() int { return m.aliveCount }
+
+// Survivors lists the live worker ids in ascending order.
+func (m *MasterState) Survivors() []int {
+	out := make([]int, 0, m.aliveCount)
+	for i, ok := range m.alive {
+		if ok {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// Missing lists the live workers whose report the master is currently
+// waiting for: unseen costs while collecting costs, unseen non-straggler
+// decisions while collecting decisions. A fail-stop driver evicts
+// exactly this set when a collection deadline expires.
+func (m *MasterState) Missing() []int {
+	var out []int
+	for i, ok := range m.alive {
+		switch {
+		case !ok:
+		case !m.inDecide && !m.costSeen[i]:
+			out = append(out, i)
+		case m.inDecide && i != m.straggler && !m.decSeen[i]:
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// Evict removes worker id from the deployment (fail-stop: it never
+// returns). The call is idempotent; evicting an unknown worker is an
+// error. A report already counted from the evicted worker in the current
+// phase is retracted, so its frozen workload share is absorbed by the
+// straggler's remainder. If the eviction unblocks the current phase, the
+// returned outputs carry the unlocked messages, exactly as if the final
+// report had arrived. Evicting the straggler mid-decision ends the round
+// without an assignment once the live workers' decisions are in.
+func (m *MasterState) Evict(id int) ([]MasterOutput, error) {
+	if id < 0 || id >= m.n {
+		return nil, fmt.Errorf("core: evict unknown worker %d", id)
+	}
+	if !m.alive[id] {
+		return nil, nil
+	}
+	m.alive[id] = false
+	m.aliveCount--
+	m.nextSeen[id] = false
+	if !m.inDecide {
+		if m.costSeen[id] {
+			m.costSeen[id] = false
+			m.collected--
+		}
+		if m.collected == m.aliveCount && m.aliveCount > 0 {
+			return m.completeCosts()
+		}
+		return nil, nil
+	}
+	if m.decSeen[id] {
+		m.decSeen[id] = false
+		m.decided--
+	}
+	if m.decided == m.liveDeciders() {
+		return m.completeDecisions()
+	}
+	return nil, nil
+}
+
+// liveDeciders is the number of decisions that complete the round: one
+// per live non-straggler.
+func (m *MasterState) liveDeciders() int {
+	if m.alive[m.straggler] {
+		return m.aliveCount - 1
+	}
+	return m.aliveCount
+}
+
 // HandleCost ingests a worker's CostReport. When the report completes the
 // current round's cost collection, the returned outputs contain the
 // Coordinate broadcast (and possibly further outputs unlocked by buffered
-// messages).
+// messages). Reports from evicted workers are dropped.
 func (m *MasterState) HandleCost(r CostReport) ([]MasterOutput, error) {
 	if r.From < 0 || r.From >= m.n {
 		return nil, fmt.Errorf("core: cost report from unknown worker %d", r.From)
 	}
+	if !m.alive[r.From] {
+		return nil, nil
+	}
 	switch {
 	case r.Round < m.round:
 		return nil, fmt.Errorf("core: stale cost report for round %d (master at round %d)", r.Round, m.round)
-	case r.Round > m.round || m.inDecide:
-		m.pendingCosts[r.Round] = append(m.pendingCosts[r.Round], r)
+	case r.Round > m.round+1:
+		return nil, fmt.Errorf("core: cost report for round %d more than one round ahead of round %d", r.Round, m.round)
+	case r.Round == m.round+1:
+		if m.nextSeen[r.From] {
+			return nil, fmt.Errorf("core: duplicate cost report from worker %d in round %d", r.From, r.Round)
+		}
+		m.nextSeen[r.From] = true
+		m.nextCosts[r.From] = r.Cost
 		return nil, nil
-	}
-	return m.acceptCost(r)
-}
-
-func (m *MasterState) acceptCost(r CostReport) ([]MasterOutput, error) {
-	if m.costSeen[r.From] {
+	case m.inDecide:
 		return nil, fmt.Errorf("core: duplicate cost report from worker %d in round %d", r.From, m.round)
 	}
-	m.costSeen[r.From] = true
-	m.costs[r.From] = r.Cost
-	m.rec.RecordWorkerCost(r.From, r.Cost)
+	return m.acceptCost(r.From, r.Cost)
+}
+
+func (m *MasterState) acceptCost(from int, cost float64) ([]MasterOutput, error) {
+	if m.costSeen[from] {
+		return nil, fmt.Errorf("core: duplicate cost report from worker %d in round %d", from, m.round)
+	}
+	m.costSeen[from] = true
+	m.costs[from] = cost
+	m.rec.RecordWorkerCost(from, cost)
 	m.collected++
-	if m.collected < m.n {
+	if m.collected < m.aliveCount {
 		return nil, nil
 	}
-	// All costs in: identify straggler (Algorithm 1, lines 9-12).
-	m.straggler = simplex.ArgMax(m.costs)
+	return m.completeCosts()
+}
+
+// completeCosts identifies the straggler among the live workers (lowest
+// index on ties; Algorithm 1, lines 9-12) and broadcasts the coordinate.
+func (m *MasterState) completeCosts() ([]MasterOutput, error) {
+	m.straggler = -1
+	for i, ok := range m.alive {
+		if ok && (m.straggler == -1 || m.costs[i] > m.costs[m.straggler]) {
+			m.straggler = i
+		}
+	}
 	m.inDecide = true
 	m.decided = 0
 	for i := range m.decSeen {
@@ -126,67 +251,61 @@ func (m *MasterState) acceptCost(r CostReport) ([]MasterOutput, error) {
 		Alpha:      m.alpha,
 		Straggler:  m.straggler,
 	}}}
-	if m.n == 1 {
-		// Degenerate single-worker deployment: there are no non-straggler
-		// decisions to wait for; the lone worker keeps the whole load.
-		out = append(out, MasterOutput{Assign: &StragglerAssign{
-			Round: m.round,
-			To:    0,
-			Next:  1,
-		}})
-		m.rec.RecordRound(m.straggler, m.costs[m.straggler], m.alpha)
-		m.round++
-		m.inDecide = false
-		m.collected = 0
-		m.costSeen[0] = false
-		more, err := m.drainCosts()
-		if err != nil {
-			return nil, err
-		}
-		return append(out, more...), nil
+	if m.aliveCount > 1 {
+		return out, nil
 	}
-	more, err := m.drainDecisions()
-	if err != nil {
-		return nil, err
-	}
-	return append(out, more...), nil
+	// Degenerate single-worker deployment: there are no non-straggler
+	// decisions to wait for; the lone worker keeps the whole load.
+	out = append(out, MasterOutput{Assign: &StragglerAssign{Round: m.round, To: m.straggler, Next: 1}})
+	m.rec.RecordRound(m.straggler, m.costs[m.straggler], m.alpha)
+	more, err := m.nextRound()
+	return append(out, more...), err
 }
 
 // HandleDecision ingests a non-straggler's DecisionReport. When it
 // completes the round, the outputs contain the StragglerAssign message
 // (and possibly further outputs unlocked by buffered cost reports).
+// Decisions from evicted workers are dropped.
 func (m *MasterState) HandleDecision(r DecisionReport) ([]MasterOutput, error) {
 	if r.From < 0 || r.From >= m.n {
 		return nil, fmt.Errorf("core: decision report from unknown worker %d", r.From)
+	}
+	if !m.alive[r.From] {
+		return nil, nil
 	}
 	switch {
 	case r.Round < m.round:
 		return nil, fmt.Errorf("core: stale decision report for round %d (master at round %d)", r.Round, m.round)
 	case r.Round > m.round || !m.inDecide:
-		m.pendingDecisions[r.Round] = append(m.pendingDecisions[r.Round], r)
-		return nil, nil
-	}
-	return m.acceptDecision(r)
-}
-
-func (m *MasterState) acceptDecision(r DecisionReport) ([]MasterOutput, error) {
-	if r.From == m.straggler {
+		return nil, fmt.Errorf("core: decision report for round %d before its coordinate (master at round %d)", r.Round, m.round)
+	case r.From == m.straggler:
 		return nil, fmt.Errorf("core: straggler %d must not send a decision in round %d", r.From, m.round)
-	}
-	if m.decSeen[r.From] {
+	case m.decSeen[r.From]:
 		return nil, fmt.Errorf("core: duplicate decision from worker %d in round %d", r.From, m.round)
 	}
 	m.decSeen[r.From] = true
 	m.decisions[r.From] = r.Next
 	m.decided++
-	if m.decided < m.n-1 {
+	if m.decided < m.liveDeciders() {
 		return nil, nil
 	}
-	// All non-straggler decisions in: compute the straggler's remainder
-	// (Algorithm 1, line 14) and shrink the step size (line 16).
+	return m.completeDecisions()
+}
+
+// completeDecisions computes the straggler's remainder over the live
+// non-stragglers' decisions (Algorithm 1, line 14) and shrinks the step
+// size (line 16) with the rule-(7) cap evaluated over the live count. An
+// evicted straggler gets no assignment: its share is absorbed by the
+// next round's remainder.
+func (m *MasterState) completeDecisions() ([]MasterOutput, error) {
+	if !m.alive[m.straggler] {
+		return m.nextRound()
+	}
+	// Sum in worker-id order so the remainder does not depend on
+	// arrival order.
 	var taken float64
-	for i := 0; i < m.n; i++ {
-		if i != m.straggler {
+	for i, seen := range m.decSeen {
+		if seen {
 			taken += m.decisions[i]
 		}
 	}
@@ -195,7 +314,7 @@ func (m *MasterState) acceptDecision(r DecisionReport) ([]MasterOutput, error) {
 		xs = 0
 	}
 	if xs > drainEps { // a fully drained straggler degenerates the cap; see balancer.go
-		if c := AlphaCapScaled(xs, m.n, m.capScale); c < m.alpha {
+		if c := AlphaCapScaled(xs, m.aliveCount, m.capScale); c < m.alpha {
 			m.alpha = c
 		}
 	}
@@ -204,58 +323,31 @@ func (m *MasterState) acceptDecision(r DecisionReport) ([]MasterOutput, error) {
 		To:    m.straggler,
 		Next:  xs,
 	}}}
-
-	// Advance to the next round and drain any buffered cost reports.
 	m.rec.RecordRound(m.straggler, m.costs[m.straggler], m.alpha)
+	more, err := m.nextRound()
+	return append(out, more...), err
+}
+
+// nextRound advances to the next round and replays the cost reports
+// buffered for it.
+func (m *MasterState) nextRound() ([]MasterOutput, error) {
 	m.round++
 	m.inDecide = false
 	m.collected = 0
 	for i := range m.costSeen {
 		m.costSeen[i] = false
 	}
-	more, err := m.drainCosts()
-	if err != nil {
-		return nil, err
-	}
-	return append(out, more...), nil
-}
-
-func (m *MasterState) drainCosts() ([]MasterOutput, error) {
-	pending := m.pendingCosts[m.round]
-	if len(pending) == 0 {
-		return nil, nil
-	}
-	delete(m.pendingCosts, m.round)
 	var out []MasterOutput
-	for _, r := range pending {
-		o, err := m.acceptCost(r)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, o...)
-		if m.inDecide {
-			// Remaining buffered costs (if any) belong to a later point in
-			// the protocol and stay buffered; acceptCost already switched
-			// phases, so re-route leftovers.
+	for i, seen := range m.nextSeen {
+		if !seen {
 			continue
 		}
-	}
-	return out, nil
-}
-
-func (m *MasterState) drainDecisions() ([]MasterOutput, error) {
-	pending := m.pendingDecisions[m.round]
-	if len(pending) == 0 {
-		return nil, nil
-	}
-	delete(m.pendingDecisions, m.round)
-	var out []MasterOutput
-	for _, r := range pending {
-		o, err := m.acceptDecision(r)
+		m.nextSeen[i] = false
+		more, err := m.acceptCost(i, m.nextCosts[i])
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, o...)
+		out = append(out, more...)
 	}
 	return out, nil
 }

@@ -34,8 +34,13 @@ const (
 //     any outputs they unlock (a PeerDecision to forward, and/or round
 //     completion).
 //
-// Messages arriving for future rounds, or decisions arriving before the
-// share collection finishes, are buffered. Not safe for concurrent use.
+// A share for the next round, or a decision arriving before this peer
+// knows it is the straggler, is buffered. Links are FIFO and exactly
+// once, so a correct peer never sends a share more than one round past
+// the last share this peer broadcast, never sends a decision for a later
+// round, and never sends twice in a round: all three are rejected on
+// arrival, which bounds each buffer at one entry per peer. Not safe for
+// concurrent use.
 //
 // The paper assumes a fixed, reliable peer set; this state machine
 // additionally supports the runtime's fail-stop extension: Evict removes
@@ -73,12 +78,17 @@ type PeerState struct {
 
 	straggler      int
 	consensusAlpha float64
-	decSeen        []bool
-	decVals        []float64
-	decCount       int
+	// Decisions are recorded on arrival, also before this peer's own
+	// consensus names it the straggler; finishRound clears them.
+	decSeen  []bool
+	decVals  []float64
+	decCount int
 
-	pendingShares    map[int][]PeerShare
-	pendingDecisions map[int][]PeerDecision
+	// pendingShares buffers shares for a round this peer has not started
+	// collecting yet, all for the same round; pendingFrom marks their
+	// senders.
+	pendingShares []PeerShare
+	pendingFrom   []bool
 
 	bisectTol float64
 	capScale  float64
@@ -119,25 +129,24 @@ func NewPeer(id int, x0 []float64, opts ...Option) (*PeerState, error) {
 		alive[i] = true
 	}
 	return &PeerState{
-		id:               id,
-		n:                n,
-		x:                x0[id],
-		round:            1,
-		localAlpha:       alpha,
-		alive:            alive,
-		aliveCount:       n,
-		straggler:        -1,
-		costs:            make([]float64, n),
-		alphas:           make([]float64, n),
-		renorms:          make([]float64, n),
-		shareSeen:        make([]bool, n),
-		decSeen:          make([]bool, n),
-		decVals:          make([]float64, n),
-		pendingShares:    make(map[int][]PeerShare),
-		pendingDecisions: make(map[int][]PeerDecision),
-		bisectTol:        o.bisectTol,
-		capScale:         o.capScale,
-		rec:              NewRecorder(o.metrics),
+		id:          id,
+		n:           n,
+		x:           x0[id],
+		round:       1,
+		localAlpha:  alpha,
+		alive:       alive,
+		aliveCount:  n,
+		straggler:   -1,
+		costs:       make([]float64, n),
+		alphas:      make([]float64, n),
+		renorms:     make([]float64, n),
+		shareSeen:   make([]bool, n),
+		decSeen:     make([]bool, n),
+		decVals:     make([]float64, n),
+		pendingFrom: make([]bool, n),
+		bisectTol:   o.bisectTol,
+		capScale:    o.capScale,
+		rec:         NewRecorder(o.metrics),
 	}, nil
 }
 
@@ -185,9 +194,9 @@ func (p *PeerState) ConsensusAlpha() float64 { return p.consensusAlpha }
 
 // Missing lists the peers whose message this peer is currently waiting
 // for: unseen shares during share collection, unseen decisions while
-// collecting as the straggler, nil between rounds. The resilient runner
+// collecting as the straggler, nil between rounds. A fail-stop driver
 // evicts exactly this set when a collection deadline expires (the same
-// detection rule the resilient master applies to silent workers).
+// detection rule MasterState.Missing gives the master).
 func (p *PeerState) Missing() []int {
 	var out []int
 	switch p.phase {
@@ -227,6 +236,10 @@ func (p *PeerState) Evict(id int) ([]PeerOutput, error) {
 	}
 	p.alive[id] = false
 	p.aliveCount--
+	if p.decSeen[id] {
+		p.decSeen[id] = false
+		p.decCount--
+	}
 	switch p.phase {
 	case peerShares:
 		if p.shareSeen[id] {
@@ -237,10 +250,6 @@ func (p *PeerState) Evict(id int) ([]PeerOutput, error) {
 			return p.completeShares()
 		}
 	case peerDecision:
-		if p.decSeen[id] {
-			p.decSeen[id] = false
-			p.decCount--
-		}
 		if p.decCount == p.aliveCount-1 {
 			return p.completeDecisions()
 		}
@@ -295,6 +304,7 @@ func (p *PeerState) grow(n int) {
 	p.shareSeen = append(p.shareSeen, make([]bool, n-p.n)...)
 	p.decSeen = append(p.decSeen, make([]bool, n-p.n)...)
 	p.decVals = append(p.decVals, make([]float64, n-p.n)...)
+	p.pendingFrom = append(p.pendingFrom, make([]bool, n-p.n)...)
 	p.n = n
 }
 
@@ -342,25 +352,24 @@ func NewJoinedPeer(id int, members []int, weight, alpha float64, round int, opts
 		}
 	}
 	return &PeerState{
-		id:               id,
-		n:                n,
-		x:                weight,
-		round:            round,
-		localAlpha:       alpha,
-		alive:            alive,
-		aliveCount:       count,
-		straggler:        -1,
-		costs:            make([]float64, n),
-		alphas:           make([]float64, n),
-		renorms:          make([]float64, n),
-		shareSeen:        make([]bool, n),
-		decSeen:          make([]bool, n),
-		decVals:          make([]float64, n),
-		pendingShares:    make(map[int][]PeerShare),
-		pendingDecisions: make(map[int][]PeerDecision),
-		bisectTol:        o.bisectTol,
-		capScale:         o.capScale,
-		rec:              NewRecorder(o.metrics),
+		id:          id,
+		n:           n,
+		x:           weight,
+		round:       round,
+		localAlpha:  alpha,
+		alive:       alive,
+		aliveCount:  count,
+		straggler:   -1,
+		costs:       make([]float64, n),
+		alphas:      make([]float64, n),
+		renorms:     make([]float64, n),
+		shareSeen:   make([]bool, n),
+		decSeen:     make([]bool, n),
+		decVals:     make([]float64, n),
+		pendingFrom: make([]bool, n),
+		bisectTol:   o.bisectTol,
+		capScale:    o.capScale,
+		rec:         NewRecorder(o.metrics),
 	}, nil
 }
 
@@ -419,11 +428,23 @@ func (p *PeerState) HandleShare(s PeerShare) ([]PeerOutput, error) {
 	if !p.alive[s.From] {
 		return nil, nil
 	}
+	// A share for round t+1 needs this peer's round-t share, so shares
+	// run at most one round past the last one this peer broadcast.
+	ahead := p.round
+	if p.phase != peerPlay {
+		ahead++
+	}
 	switch {
 	case s.Round < p.round:
 		return nil, fmt.Errorf("core: peer %d: stale share for round %d (at round %d)", p.id, s.Round, p.round)
+	case s.Round > ahead:
+		return nil, fmt.Errorf("core: peer %d: share for round %d ahead of its own share (at round %d)", p.id, s.Round, p.round)
 	case s.Round > p.round || p.phase == peerPlay:
-		p.pendingShares[s.Round] = append(p.pendingShares[s.Round], s)
+		if p.pendingFrom[s.From] {
+			return nil, fmt.Errorf("core: peer %d: duplicate share from %d in round %d", p.id, s.From, s.Round)
+		}
+		p.pendingFrom[s.From] = true
+		p.pendingShares = append(p.pendingShares, s)
 		return nil, nil
 	case p.phase == peerDecision:
 		return nil, fmt.Errorf("core: peer %d: share from %d after consensus in round %d", p.id, s.From, p.round)
@@ -530,17 +551,19 @@ func (p *PeerState) applyConsensus(straggler int, alpha, l, renorm float64) ([]P
 		p.rec.RecordRound(p.id, l, p.localAlpha)
 		return p.finishRound([]PeerOutput{{Done: true}})
 	}
-	// Straggler: collect the other peers' decisions (Algorithm 2, line 11).
+	// Straggler: collect the other peers' decisions (Algorithm 2, line 11);
+	// any that arrived early are already recorded.
 	p.phase = peerDecision
-	p.decCount = 0
-	for i := range p.decSeen {
-		p.decSeen[i] = false
+	if p.decCount == p.aliveCount-1 {
+		return p.completeDecisions()
 	}
-	return p.drainDecisions()
+	return nil, nil
 }
 
 // HandleDecision ingests a non-straggler's decision sent to this peer as
-// the round's straggler (Algorithm 2, lines 11-13). Decisions from
+// the round's straggler (Algorithm 2, lines 11-13). A decision may
+// arrive before this peer's own share collection names it the
+// straggler; it is recorded and counted once it does. Decisions from
 // evicted peers are ignored, mirroring HandleShare.
 func (p *PeerState) HandleDecision(d PeerDecision) ([]PeerOutput, error) {
 	if d.From < 0 || d.From >= p.n {
@@ -555,27 +578,17 @@ func (p *PeerState) HandleDecision(d PeerDecision) ([]PeerOutput, error) {
 	switch {
 	case d.Round < p.round:
 		return nil, fmt.Errorf("core: peer %d: stale decision for round %d (at round %d)", p.id, d.Round, p.round)
-	case d.Round > p.round || p.phase != peerDecision:
-		p.pendingDecisions[d.Round] = append(p.pendingDecisions[d.Round], d)
-		return nil, nil
-	}
-	return p.acceptDecision(d)
-}
-
-func (p *PeerState) acceptDecision(d PeerDecision) ([]PeerOutput, error) {
-	if d.From == p.id {
+	case d.Round > p.round:
+		return nil, fmt.Errorf("core: peer %d: decision for later round %d (at round %d)", p.id, d.Round, p.round)
+	case d.From == p.id:
 		return nil, fmt.Errorf("core: peer %d: decision from self", p.id)
-	}
-	if !p.alive[d.From] {
-		return nil, nil // evicted while buffered
-	}
-	if p.decSeen[d.From] {
+	case p.decSeen[d.From]:
 		return nil, fmt.Errorf("core: peer %d: duplicate decision from %d in round %d", p.id, d.From, p.round)
 	}
 	p.decSeen[d.From] = true
 	p.decVals[d.From] = d.Next
 	p.decCount++
-	if p.decCount < p.aliveCount-1 {
+	if p.phase != peerDecision || p.decCount < p.aliveCount-1 {
 		return nil, nil
 	}
 	return p.completeDecisions()
@@ -642,51 +655,28 @@ func (p *PeerState) maxRenorm() float64 {
 	return r
 }
 
-// finishRound advances to the next round and drains buffered shares that
-// arrived while this round was still in flight.
+// finishRound advances to the next round, discarding decisions that
+// were addressed to this peer although it was not the straggler.
 func (p *PeerState) finishRound(out []PeerOutput) ([]PeerOutput, error) {
 	p.round++
 	p.phase = peerPlay
-	delete(p.pendingDecisions, p.round-1)
+	p.decCount = 0
+	for i := range p.decSeen {
+		p.decSeen[i] = false
+	}
 	return out, nil
 }
 
+// drainShares accepts the shares buffered for the round Observe just
+// started. They are all for that round and from distinct peers, so the
+// round cannot complete with shares left over.
 func (p *PeerState) drainShares() ([]PeerOutput, error) {
-	pending := p.pendingShares[p.round]
-	if len(pending) == 0 {
-		return nil, nil
-	}
-	delete(p.pendingShares, p.round)
+	pending := p.pendingShares
+	p.pendingShares = p.pendingShares[:0]
 	var out []PeerOutput
-	for i, s := range pending {
-		if p.phase != peerShares || s.Round != p.round {
-			// The round completed mid-drain (possible only if the final
-			// share unlocked completion); requeue the remainder.
-			p.pendingShares[s.Round] = append(p.pendingShares[s.Round], pending[i:]...)
-			break
-		}
+	for _, s := range pending {
+		p.pendingFrom[s.From] = false
 		o, err := p.acceptShare(s)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, o...)
-	}
-	return out, nil
-}
-
-func (p *PeerState) drainDecisions() ([]PeerOutput, error) {
-	pending := p.pendingDecisions[p.round]
-	if len(pending) == 0 {
-		return nil, nil
-	}
-	delete(p.pendingDecisions, p.round)
-	var out []PeerOutput
-	for i, d := range pending {
-		if p.phase != peerDecision || d.Round != p.round {
-			p.pendingDecisions[d.Round] = append(p.pendingDecisions[d.Round], pending[i:]...)
-			break
-		}
-		o, err := p.acceptDecision(d)
 		if err != nil {
 			return nil, err
 		}

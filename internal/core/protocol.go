@@ -182,7 +182,7 @@ func (a PeerAggregate) Merge(b PeerAggregate) PeerAggregate {
 // expires, it declares the silent peer Evicted crashed and broadcasts
 // this notice to every surviving peer. Receivers remove Evicted
 // immediately (union rule: any single accuser suffices, mirroring the
-// trusted detection of the resilient master); a peer that learns of its
+// trusted detection of the fail-stop master); a peer that learns of its
 // own eviction must stop. The paper itself assumes a fixed, reliable
 // worker set — this message exists only in the runtime's fault-tolerance
 // extension (see DESIGN.md, "Fault model").

@@ -534,3 +534,64 @@ func TestPeerSingle(t *testing.T) {
 		t.Errorf("single peer: done %v x %v round %d", done, p.X(), p.Round())
 	}
 }
+
+// TestMasterEvict covers the master's fail-stop transitions: evicting
+// the last missing worker completes the cost phase over the survivors,
+// reports from an evicted worker are dropped, and evicting the
+// straggler mid-decision ends the round without an assignment once the
+// live decisions are in.
+func TestMasterEvict(t *testing.T) {
+	m, err := NewMaster(simplex.Uniform(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range []float64{1, 3, 2} {
+		if _, err := m.HandleCost(CostReport{Round: 1, From: i, Cost: c}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.Missing(); len(got) != 1 || got[0] != 3 {
+		t.Fatalf("Missing = %v, want [3]", got)
+	}
+	outs, err := m.Evict(3)
+	if err != nil || len(outs) != 1 || outs[0].Coordinate == nil || outs[0].Coordinate.Straggler != 1 {
+		t.Fatalf("Evict(3) = %+v, %v; want the coordinate naming straggler 1", outs, err)
+	}
+	if outs, err := m.HandleCost(CostReport{Round: 1, From: 3, Cost: 9}); err != nil || outs != nil {
+		t.Fatalf("late report from an evicted worker = %+v, %v; want dropped", outs, err)
+	}
+	if outs, err := m.HandleDecision(DecisionReport{Round: 1, From: 0, Next: 0.3}); err != nil || outs != nil {
+		t.Fatalf("first decision = %+v, %v", outs, err)
+	}
+	outs, err = m.HandleDecision(DecisionReport{Round: 1, From: 2, Next: 0.3})
+	if err != nil || len(outs) != 1 || outs[0].Assign == nil {
+		t.Fatalf("last decision = %+v, %v; want the assignment", outs, err)
+	}
+	// Worker 3's frozen quarter folds into the straggler's remainder.
+	if got := outs[0].Assign.Next; math.Abs(got-0.4) > 1e-12 {
+		t.Errorf("straggler remainder = %v, want 0.4", got)
+	}
+	if want := AlphaCapScaled(0.4, 3, 0); m.Alpha() > want {
+		t.Errorf("alpha %v above the rule-(7) cap %v over 3 live workers", m.Alpha(), want)
+	}
+
+	// Round 2: the straggler dies after the coordinate.
+	for i, c := range []float64{5, 1, 2} {
+		if _, err := m.HandleCost(CostReport{Round: 2, From: i, Cost: c}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if outs, err := m.Evict(0); err != nil || outs != nil {
+		t.Fatalf("Evict(straggler) = %+v, %v; want to wait for the live decisions", outs, err)
+	}
+	if _, err := m.HandleDecision(DecisionReport{Round: 2, From: 1, Next: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	outs, err = m.HandleDecision(DecisionReport{Round: 2, From: 2, Next: 0.5})
+	if err != nil || len(outs) != 0 || m.Round() != 3 {
+		t.Fatalf("round without a live straggler: outs %+v, err %v, round %d; want no assignment and round 3", outs, err, m.Round())
+	}
+	if got := m.Survivors(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Errorf("Survivors = %v, want [1 2]", got)
+	}
+}

@@ -295,7 +295,8 @@ func TestAffineInverseMatchesBisection(t *testing.T) {
 		}
 		return okFast == okSlow && almostEqual(fast, slow, 1e-7)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
+	const quickSeed = 15
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(quickSeed))}); err != nil {
+		t.Errorf("quick seed %d: %v", quickSeed, err)
 	}
 }

@@ -104,19 +104,6 @@ func (s *ShedPolicy) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// ParseShedPolicy parses a -shed flag value. Accepted spellings are
-// "reject", "block", and "spill" (case-insensitive).
-//
-// Deprecated: use ShedPolicy.UnmarshalText (or flag.TextVar) instead;
-// this wrapper remains so existing callers keep compiling.
-func ParseShedPolicy(s string) (ShedPolicy, error) {
-	var p ShedPolicy
-	if err := p.UnmarshalText([]byte(s)); err != nil {
-		return 0, err
-	}
-	return p, nil
-}
-
 // RoutePolicy selects how the dispatcher picks a worker for each
 // request.
 type RoutePolicy int
@@ -168,19 +155,6 @@ func (r *RoutePolicy) UnmarshalText(text []byte) error {
 		return fmt.Errorf("dispatch: unknown route policy %q (want weighted or jsq)", text)
 	}
 	return nil
-}
-
-// ParseRoutePolicy parses a routing policy name: "weighted" (or
-// "wrr"), "jsq".
-//
-// Deprecated: use RoutePolicy.UnmarshalText (or flag.TextVar) instead;
-// this wrapper remains so existing callers keep compiling.
-func ParseRoutePolicy(s string) (RoutePolicy, error) {
-	var p RoutePolicy
-	if err := p.UnmarshalText([]byte(s)); err != nil {
-		return 0, err
-	}
-	return p, nil
 }
 
 // Outcome classifies what the dispatcher did with a submitted request.

@@ -17,40 +17,43 @@ func TestParseShedPolicy(t *testing.T) {
 		" spill": ShedSpill,
 	}
 	for in, want := range cases {
-		got, err := ParseShedPolicy(in)
-		if err != nil || got != want {
-			t.Errorf("ParseShedPolicy(%q) = %v, %v; want %v", in, got, err, want)
+		var got ShedPolicy
+		if err := got.UnmarshalText([]byte(in)); err != nil || got != want {
+			t.Errorf("UnmarshalText(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParseShedPolicy("drop"); err == nil {
-		t.Error("ParseShedPolicy(drop) should fail")
+	var p ShedPolicy
+	if err := p.UnmarshalText([]byte("drop")); err == nil {
+		t.Error("UnmarshalText(drop) should fail")
 	}
 	for _, p := range []ShedPolicy{ShedReject, ShedBlock, ShedSpill} {
-		back, err := ParseShedPolicy(p.String())
-		if err != nil || back != p {
+		var back ShedPolicy
+		if err := back.UnmarshalText([]byte(p.String())); err != nil || back != p {
 			t.Errorf("round trip %v -> %q -> %v, %v", p, p.String(), back, err)
 		}
 	}
 }
 
 func TestParseRouteAndControlPolicy(t *testing.T) {
-	if p, err := ParseRoutePolicy("wrr"); err != nil || p != RouteWeighted {
-		t.Errorf("ParseRoutePolicy(wrr) = %v, %v", p, err)
+	var r RoutePolicy
+	if err := r.UnmarshalText([]byte("wrr")); err != nil || r != RouteWeighted {
+		t.Errorf("UnmarshalText(wrr) = %v, %v", r, err)
 	}
-	if p, err := ParseRoutePolicy("jsq"); err != nil || p != RouteJSQ {
-		t.Errorf("ParseRoutePolicy(jsq) = %v, %v", p, err)
+	if err := r.UnmarshalText([]byte("jsq")); err != nil || r != RouteJSQ {
+		t.Errorf("UnmarshalText(jsq) = %v, %v", r, err)
 	}
-	if _, err := ParseRoutePolicy("random"); err == nil {
-		t.Error("ParseRoutePolicy(random) should fail")
+	if err := r.UnmarshalText([]byte("random")); err == nil {
+		t.Error("UnmarshalText(random) should fail")
 	}
 	for _, p := range []ControlPolicy{PolicyDOLBIE, PolicyWRR, PolicyJSQ} {
-		back, err := ParseControlPolicy(p.String())
-		if err != nil || back != p {
+		var back ControlPolicy
+		if err := back.UnmarshalText([]byte(p.String())); err != nil || back != p {
 			t.Errorf("round trip %v -> %q -> %v, %v", p, p.String(), back, err)
 		}
 	}
-	if _, err := ParseControlPolicy("greedy"); err == nil {
-		t.Error("ParseControlPolicy(greedy) should fail")
+	var c ControlPolicy
+	if err := c.UnmarshalText([]byte("greedy")); err == nil {
+		t.Error("UnmarshalText(greedy) should fail")
 	}
 }
 

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -292,9 +293,9 @@ func FuzzTenantConfig(f *testing.F) {
 	})
 }
 
-// FuzzParsePolicies checks that the three policy parsers never panic on
-// arbitrary input and that every successful parse round-trips through
-// String back to the same value.
+// FuzzParsePolicies checks that the three policies' UnmarshalText never
+// panics on arbitrary input and that every successful parse round-trips
+// through String back to the same value.
 func FuzzParsePolicies(f *testing.F) {
 	f.Add("reject")
 	f.Add("JSQ")
@@ -302,20 +303,26 @@ func FuzzParsePolicies(f *testing.F) {
 	f.Add("uniform")
 	f.Add("\x00\xff")
 	f.Fuzz(func(t *testing.T, s string) {
-		if p, err := ParseShedPolicy(s); err == nil {
-			if rt, err := ParseShedPolicy(p.String()); err != nil || rt != p {
-				t.Fatalf("ShedPolicy %q -> %v does not round-trip (%v, %v)", s, p, rt, err)
-			}
-		}
-		if p, err := ParseRoutePolicy(s); err == nil {
-			if rt, err := ParseRoutePolicy(p.String()); err != nil || rt != p {
-				t.Fatalf("RoutePolicy %q -> %v does not round-trip (%v, %v)", s, p, rt, err)
-			}
-		}
-		if p, err := ParseControlPolicy(s); err == nil {
-			if rt, err := ParseControlPolicy(p.String()); err != nil || rt != p {
-				t.Fatalf("ControlPolicy %q -> %v does not round-trip (%v, %v)", s, p, rt, err)
-			}
-		}
+		fuzzTextRoundTrip[ShedPolicy](t, s)
+		fuzzTextRoundTrip[RoutePolicy](t, s)
+		fuzzTextRoundTrip[ControlPolicy](t, s)
 	})
+}
+
+// fuzzTextRoundTrip parses s into a policy P and, when that succeeds,
+// parses its String spelling back to the same value.
+func fuzzTextRoundTrip[P interface {
+	comparable
+	fmt.Stringer
+}, PP interface {
+	*P
+	UnmarshalText([]byte) error
+}](t *testing.T, s string) {
+	var p, rt P
+	if PP(&p).UnmarshalText([]byte(s)) != nil {
+		return
+	}
+	if err := PP(&rt).UnmarshalText([]byte(p.String())); err != nil || rt != p {
+		t.Fatalf("%T %q -> %v does not round-trip (%v, %v)", p, s, p, rt, err)
+	}
 }

@@ -82,19 +82,6 @@ func (p *ControlPolicy) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// ParseControlPolicy parses a -policy flag value: "dolbie", "wrr" (or
-// "uniform"), "jsq", "dgd".
-//
-// Deprecated: use ControlPolicy.UnmarshalText (or flag.TextVar)
-// instead; this wrapper remains so existing callers keep compiling.
-func ParseControlPolicy(s string) (ControlPolicy, error) {
-	var p ControlPolicy
-	if err := p.UnmarshalText([]byte(s)); err != nil {
-		return 0, err
-	}
-	return p, nil
-}
-
 // ServeConfig parameterizes one closed-loop serving run.
 type ServeConfig struct {
 	// N is the number of workers.

@@ -10,13 +10,14 @@ import (
 	"time"
 
 	"dolbie/internal/cluster"
+	"dolbie/internal/core"
 	"dolbie/internal/costfn"
 	"dolbie/internal/mlsim"
 	"dolbie/internal/simplex"
 )
 
 // ResilienceTable exercises the fail-stop extension end to end on the
-// simulated training cluster: a full resilient master-worker deployment
+// simulated training cluster: a full fail-stop master-worker deployment
 // runs over real protocol messages while one worker crashes mid-run. The
 // table reports the global latency immediately before the crash, at the
 // crash round (which pays one detection timeout), and after the survivors
@@ -87,13 +88,11 @@ func ResilienceTable(cfg Config) (Table, error) {
 			cluster.RunWorker(ctx, transports[i], i, n, 1/float64(n), rounds, src)
 		}(i)
 	}
-	res, err := cluster.RunResilientMaster(ctx, transports[n], simplex.Uniform(n), rounds, cluster.ResilientConfig{
-		RoundTimeout:  300 * time.Millisecond,
-		InitialAlpha:  cfg.Alpha1,
-		StepRuleScale: float64(cfg.BatchSize),
-	})
+	res, err := cluster.RunMaster(ctx, transports[n], simplex.Uniform(n), rounds,
+		cluster.MasterConfig{RoundTimeout: 300 * time.Millisecond},
+		core.WithInitialAlpha(cfg.Alpha1), core.WithStepRuleScale(float64(cfg.BatchSize)))
 	if err != nil {
-		return Table{}, fmt.Errorf("experiments: resilient deployment: %w", err)
+		return Table{}, fmt.Errorf("experiments: fail-stop deployment: %w", err)
 	}
 	wg.Wait()
 
@@ -241,10 +240,10 @@ func ChaosTable(cfg Config) (Table, error) {
 	return tab, nil
 }
 
-// runChaosExpCase runs one resilient fully-distributed deployment over
+// runChaosExpCase runs one fail-stop fully-distributed deployment over
 // MemNet, optionally under a chaos wrapper (and a Reliable wrapper above
 // it for the lossy fault classes), with a per-peer detection deadline.
-func runChaosExpCase(ccfg *cluster.ChaosConfig, reliable bool, timeout func(int) time.Duration) ([]cluster.ResilientPeerResult, cluster.ChaosStats, error) {
+func runChaosExpCase(ccfg *cluster.ChaosConfig, reliable bool, timeout func(int) time.Duration) ([]cluster.ElasticPeerResult, cluster.ChaosStats, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	net := cluster.NewMemNet()
@@ -281,16 +280,16 @@ func runChaosExpCase(ccfg *cluster.ChaosConfig, reliable bool, timeout func(int)
 		})
 	}
 	x0 := simplex.Uniform(chaosExpPeers)
-	res := make([]cluster.ResilientPeerResult, chaosExpPeers)
+	res := make([]cluster.ElasticPeerResult, chaosExpPeers)
 	errs := make([]error, chaosExpPeers)
 	var wg sync.WaitGroup
 	for i := 0; i < chaosExpPeers; i++ {
-		rc := cluster.ResilientPeerConfig{RoundTimeout: timeout(i)}
+		ec := cluster.ElasticPeerConfig{RoundTimeout: timeout(i)}
 		wg.Add(1)
-		go func(i int, rc cluster.ResilientPeerConfig) {
+		go func(i int, ec cluster.ElasticPeerConfig) {
 			defer wg.Done()
-			res[i], errs[i] = cluster.RunResilientPeer(ctx, transports[i], i, x0, chaosExpRounds, sources[i], rc)
-		}(i, rc)
+			res[i], errs[i] = cluster.RunElasticPeer(ctx, transports[i], i, x0, chaosExpRounds, sources[i], ec)
+		}(i, ec)
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -311,7 +310,7 @@ func runChaosExpCase(ccfg *cluster.ChaosConfig, reliable bool, timeout func(int)
 // from detection whose surviving played shares sum to 1 again, and the
 // penalty the relative increase of the mean per-round maximum cost over
 // the post-detection window against the fault-free baseline.
-func chaosExpRow(name, injected string, res, baseline []cluster.ResilientPeerResult, stats cluster.ChaosStats) ([]string, string, error) {
+func chaosExpRow(name, injected string, res, baseline []cluster.ElasticPeerResult, stats cluster.ChaosStats) ([]string, string, error) {
 	evicted := make(map[int]bool)
 	for _, r := range res {
 		for _, v := range r.Evicted {
@@ -383,8 +382,8 @@ func chaosExpRow(name, injected string, res, baseline []cluster.ResilientPeerRes
 // chaosExpPenalty is the min-max objective penalty: the relative
 // increase of the mean per-round maximum realized cost from round `from`
 // onward, against the fault-free baseline over the same window.
-func chaosExpPenalty(res, baseline []cluster.ResilientPeerResult, from int) float64 {
-	meanMax := func(rs []cluster.ResilientPeerResult) float64 {
+func chaosExpPenalty(res, baseline []cluster.ElasticPeerResult, from int) float64 {
+	meanMax := func(rs []cluster.ElasticPeerResult) float64 {
 		var total float64
 		var rounds int
 		for r := from; r <= chaosExpRounds; r++ {

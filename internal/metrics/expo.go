@@ -14,6 +14,8 @@ import (
 // format (version 0.0.4), families sorted by name and series by label
 // values, so the output is deterministic and diffable in golden tests.
 func (r *Registry) WriteText(w io.Writer) error {
+	r.scrape.Lock()
+	defer r.scrape.Unlock()
 	r.mu.Lock()
 	hooks := append([]func(){}, r.hooks...)
 	r.mu.Unlock()

@@ -59,6 +59,10 @@ type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
 	hooks    []func()
+	// scrape serializes WriteText: an overlapping scrape's hooks would
+	// otherwise advance counters while this one renders, so one
+	// exposition could mix two snapshots.
+	scrape sync.Mutex
 }
 
 // NewRegistry constructs an empty registry.
@@ -72,8 +76,8 @@ func NewRegistry() *Registry {
 // tallies) use the hook to refresh their registry series to one
 // consistent snapshot per scrape instead of paying a registry update on
 // every event. Hooks run in registration order on the scraping
-// goroutine and must be safe for concurrent invocation (scrapes can
-// overlap).
+// goroutine; WriteText calls are serialized, so hooks never overlap and
+// each exposition renders exactly the snapshot its hooks published.
 func (r *Registry) OnCollect(fn func()) {
 	if fn == nil {
 		panic("metrics: nil OnCollect hook")

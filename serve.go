@@ -256,39 +256,3 @@ func ObjectiveMinMax() Objective { return optimum.MinMax() }
 // validity is checked by TenantConfig.Validate (and ServeConfig /
 // DispatcherConfig validation), not here.
 func ObjectiveLp(p float64) Objective { return optimum.Lp(p) }
-
-// ParseShedPolicy parses a -shed flag value: "reject", "block",
-// "spill".
-//
-// Deprecated: ShedPolicy implements encoding.TextUnmarshaler; use
-// UnmarshalText or flag.TextVar instead.
-func ParseShedPolicy(s string) (ShedPolicy, error) { return dispatch.ParseShedPolicy(s) }
-
-// ParseRoutePolicy parses a routing policy name: "weighted" (or
-// "wrr"), "jsq".
-//
-// Deprecated: RoutePolicy implements encoding.TextUnmarshaler; use
-// UnmarshalText or flag.TextVar instead.
-func ParseRoutePolicy(s string) (RoutePolicy, error) { return dispatch.ParseRoutePolicy(s) }
-
-// ParseControlPolicy parses a -policy flag value: "dolbie", "wrr" (or
-// "uniform"), "jsq".
-//
-// Deprecated: ControlPolicy implements encoding.TextUnmarshaler; use
-// UnmarshalText or flag.TextVar instead.
-func ParseControlPolicy(s string) (ControlPolicy, error) { return dispatch.ParseControlPolicy(s) }
-
-// ParsePriorityClass parses a priority class name: "gold", "silver",
-// "bronze" (case-insensitive).
-//
-// Deprecated: PriorityClass implements encoding.TextUnmarshaler; use
-// UnmarshalText or flag.TextVar instead.
-func ParsePriorityClass(s string) (PriorityClass, error) { return dispatch.ParsePriorityClass(s) }
-
-// ParseObjective parses an objective name: "minmax" (or "max",
-// "makespan") and "l<p>" (or "lp<p>") for the lp family,
-// case-insensitive.
-//
-// Deprecated: Objective implements encoding.TextUnmarshaler; use
-// UnmarshalText or flag.TextVar instead.
-func ParseObjective(s string) (Objective, error) { return optimum.ParseObjective(s) }

@@ -109,9 +109,10 @@ func soakChaosSources() []dolbie.CostSource {
 	return sources
 }
 
-// soakChaosRun executes one long-horizon resilient fully-distributed
-// deployment, wrapping each MemNet node with wrap (identity when nil).
-func soakChaosRun(t *testing.T, wrap func(i int, tr dolbie.Transport) dolbie.Transport, rc dolbie.ResilientPeerConfig) []dolbie.ResilientPeerResult {
+// soakChaosRun executes one long-horizon fail-stop fully-distributed
+// deployment with the given detection deadline, wrapping each MemNet
+// node with wrap (identity when nil).
+func soakChaosRun(t *testing.T, wrap func(i int, tr dolbie.Transport) dolbie.Transport, roundTimeout time.Duration) []dolbie.ElasticPeerResult {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -129,8 +130,12 @@ func soakChaosRun(t *testing.T, wrap func(i int, tr dolbie.Transport) dolbie.Tra
 			tr.Close() //nolint:errcheck // best-effort teardown
 		}
 	}()
-	res, err := dolbie.ResilientFullyDistributedDeployment(ctx, transports,
-		simplex.Uniform(soakChaosPeers), soakChaosRounds, soakChaosSources(), rc)
+	res, err := dolbie.ElasticDeployment(ctx, transports, dolbie.ElasticDeploymentConfig{
+		X0:      simplex.Uniform(soakChaosPeers),
+		Rounds:  soakChaosRounds,
+		Sources: soakChaosSources(),
+		Peer:    dolbie.ElasticPeerConfig{RoundTimeout: roundTimeout},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +158,7 @@ func TestSoakChaosFullyDistributed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
 	}
-	reference := soakChaosRun(t, nil, dolbie.ResilientPeerConfig{RoundTimeout: 2 * time.Second})
+	reference := soakChaosRun(t, nil, 2*time.Second)
 
 	t.Run("lossy", func(t *testing.T) {
 		chaos := dolbie.NewChaos(dolbie.ChaosConfig{
@@ -165,7 +170,7 @@ func TestSoakChaosFullyDistributed(t *testing.T) {
 		})
 		res := soakChaosRun(t, func(i int, tr dolbie.Transport) dolbie.Transport {
 			return dolbie.NewReliable(i, chaos.Wrap(i, tr), 5*time.Millisecond)
-		}, dolbie.ResilientPeerConfig{RoundTimeout: 10 * time.Second})
+		}, 10*time.Second)
 
 		stats := chaos.Stats()
 		if stats.Drops == 0 || stats.Duplicates == 0 || stats.Reorders == 0 {
@@ -197,7 +202,7 @@ func TestSoakChaosFullyDistributed(t *testing.T) {
 		})
 		res := soakChaosRun(t, func(i int, tr dolbie.Transport) dolbie.Transport {
 			return chaos.Wrap(i, tr)
-		}, dolbie.ResilientPeerConfig{RoundTimeout: 150 * time.Millisecond})
+		}, 150*time.Millisecond)
 
 		if got := chaos.Stats().Crashes; got != 1 {
 			t.Errorf("chaos crashes = %d, want 1", got)
