@@ -15,11 +15,12 @@ build:
 # off the network; the seed corpus spans every kind, including the
 # membership frames join/roster-update/aggregate), dispatcher
 # request admission / policy parsing (arbitrary HTTP ingest traffic and
-# operator flags, batched and per-request), the lock-free completion
-# turn ring (under the race detector: mutual exclusion, FIFO grants,
-# no lost turns across wraparound), and geo topology validation
-# (operator-supplied region/RTT configs). One invocation per target:
-# -fuzz matches only one.
+# operator flags, batched and per-request), the ingest handler's
+# query parameter lookup (arbitrary client query strings), the
+# lock-free completion turn ring (under the race detector: mutual
+# exclusion, FIFO grants, no lost turns across wraparound), and geo
+# topology validation (operator-supplied region/RTT configs). One
+# invocation per target: -fuzz matches only one.
 vet: docs
 	$(GO) vet ./...
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
@@ -27,6 +28,7 @@ vet: docs
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrameBinary -fuzztime=5s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrameJSON -fuzztime=5s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzDispatcherAdmission -fuzztime=5s ./internal/dispatch/
+	$(GO) test -run='^$$' -fuzz=FuzzQueryValue -fuzztime=5s ./internal/dispatch/
 	$(GO) test -race -run='^$$' -fuzz=FuzzCompletionRing -fuzztime=5s ./internal/dispatch/
 	$(GO) test -run='^$$' -fuzz=FuzzTenantConfig -fuzztime=5s ./internal/dispatch/
 	$(GO) test -run='^$$' -fuzz=FuzzGeoConfig -fuzztime=5s ./internal/geo/
@@ -119,17 +121,20 @@ repro:
 repro-csv:
 	$(GO) run ./cmd/dolbie-bench -fig all -csv out/
 
-# Short fuzzing pass over the numerical kernels, the wire codecs, the
-# dispatcher's admission path, and the policies' UnmarshalText/String
-# round trips (one go test invocation per target: -fuzz only accepts a
-# single match).
+# Short fuzzing pass over the numerical kernels (including the
+# selection-based percentile against its sort-based definition), the
+# wire codecs, the dispatcher's admission path and ingest query lookup,
+# and the policies' UnmarshalText/String round trips (one go test
+# invocation per target: -fuzz only accepts a single match).
 fuzz:
 	$(GO) test -fuzz=FuzzInverse -fuzztime=10s ./internal/costfn/
+	$(GO) test -fuzz=FuzzPercentile -fuzztime=10s ./internal/stats/
 	$(GO) test -fuzz=FuzzProject -fuzztime=10s ./internal/simplex/
 	$(GO) test -fuzz=FuzzRoundToUnits -fuzztime=10s ./internal/simplex/
 	$(GO) test -fuzz=FuzzDecodeFrameBinary -fuzztime=10s ./internal/wire/
 	$(GO) test -fuzz=FuzzDecodeFrameJSON -fuzztime=10s ./internal/wire/
 	$(GO) test -fuzz=FuzzDispatcherAdmission -fuzztime=10s ./internal/dispatch/
+	$(GO) test -fuzz=FuzzQueryValue -fuzztime=10s ./internal/dispatch/
 	$(GO) test -race -fuzz=FuzzCompletionRing -fuzztime=10s ./internal/dispatch/
 	$(GO) test -run='^$$' -fuzz=FuzzParsePolicies -fuzztime=10s ./internal/dispatch/
 	$(GO) test -fuzz=FuzzTenantConfig -fuzztime=10s ./internal/dispatch/

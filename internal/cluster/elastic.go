@@ -1095,6 +1095,20 @@ func (ec *ElasticPeerConfig) check(rounds int, src CostSource) error {
 // core.NewJoinedPeer, and then participates like any incumbent from the
 // granted application round up to the deployment's final round.
 func JoinElasticPeer(ctx context.Context, tr Transport, id, contact, rounds int, src CostSource, ec ElasticPeerConfig, opts ...core.Option) (ElasticPeerResult, error) {
+	return joinElasticPeer(ctx, tr, id, contact, rounds, src, ec, nil, opts...)
+}
+
+// joinElasticPeer is JoinElasticPeer; requested, when non-nil, is called
+// once, as soon as the join request has been sent or the join has
+// failed before sending it.
+func joinElasticPeer(ctx context.Context, tr Transport, id, contact, rounds int, src CostSource, ec ElasticPeerConfig, requested func(), opts ...core.Option) (ElasticPeerResult, error) {
+	signal := func() {
+		if requested != nil {
+			requested()
+			requested = nil
+		}
+	}
+	defer signal()
 	if err := ec.check(rounds, src); err != nil {
 		return ElasticPeerResult{}, err
 	}
@@ -1104,7 +1118,9 @@ func JoinElasticPeer(ctx context.Context, tr Transport, id, contact, rounds int,
 	reg := core.RegistryFrom(opts...)
 	meter := NewInstrumentedMeter(tr, reg, fmt.Sprintf("peer-%d", id))
 	res := ElasticPeerResult{ID: id}
-	if _, err := meter.Send(ctx, contact, joinEnvelope(contact, core.JoinRequest{From: id})); err != nil {
+	_, err := meter.Send(ctx, contact, joinEnvelope(contact, core.JoinRequest{From: id}))
+	signal()
+	if err != nil {
 		return res, fmt.Errorf("cluster: peer %d join request: %w", id, err)
 	}
 	joinCtx := ctx
@@ -1220,11 +1236,32 @@ func ElasticDeployment(ctx context.Context, transports []Transport, dc ElasticDe
 		}
 	}
 	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		errs []error
-		res  = make([]ElasticPeerResult, total)
+		wg        sync.WaitGroup
+		requested sync.WaitGroup
+		mu        sync.Mutex
+		errs      []error
+		res       = make([]ElasticPeerResult, total)
 	)
+	// Every joiner sends its request before any incumbent starts, so the
+	// request already waits in its contact's inbox at round 1 and the
+	// coordinator admits it exactly at its scheduled Round. Otherwise a
+	// joiner the scheduler runs late is admitted rounds late, or finds a
+	// short deployment already finished.
+	for _, j := range dc.Joiners {
+		wg.Add(1)
+		requested.Add(1)
+		go func(j ElasticJoin) {
+			defer wg.Done()
+			r, err := joinElasticPeer(ctx, transports[j.ID], j.ID, j.Contact, dc.Rounds, j.Source, ec, requested.Done, opts...)
+			mu.Lock()
+			res[j.ID] = r
+			if err != nil {
+				errs = append(errs, fmt.Errorf("joiner %d: %w", j.ID, err))
+			}
+			mu.Unlock()
+		}(j)
+	}
+	requested.Wait()
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -1237,19 +1274,6 @@ func ElasticDeployment(ctx context.Context, transports []Transport, dc ElasticDe
 			}
 			mu.Unlock()
 		}(i)
-	}
-	for _, j := range dc.Joiners {
-		wg.Add(1)
-		go func(j ElasticJoin) {
-			defer wg.Done()
-			r, err := JoinElasticPeer(ctx, transports[j.ID], j.ID, j.Contact, dc.Rounds, j.Source, ec, opts...)
-			mu.Lock()
-			res[j.ID] = r
-			if err != nil {
-				errs = append(errs, fmt.Errorf("joiner %d: %w", j.ID, err))
-			}
-			mu.Unlock()
-		}(j)
 	}
 	wg.Wait()
 	if len(errs) > 0 {

@@ -3,7 +3,9 @@ package dispatch
 import (
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -126,6 +128,29 @@ func (e *verdictEncoder) appendSeq(b []byte, id0 int64, vs []Verdict) []byte {
 	return b
 }
 
+// queryValue returns url.ParseQuery(rawQuery).Get(key) without building
+// the url.Values map: the first value under key, skipping every pair
+// ParseQuery skips (empty, holding a semicolon, or badly escaped). The
+// ingest path reads two parameters per request, and a map per parameter
+// would be a third of the bytes a request allocates.
+func queryValue(rawQuery, key string) string {
+	for rawQuery != "" {
+		var pair string
+		pair, rawQuery, _ = strings.Cut(rawQuery, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
+}
+
 // IngestHandler adapts a Dispatcher to live HTTP traffic: each POST is
 // one request admission. The optional "demand" query parameter sets
 // the service demand in work units (default 1); the optional "tenant"
@@ -173,7 +198,7 @@ func ingestCore(d *Dispatcher, submit func(Request) Verdict, now func() float64)
 			return
 		}
 		demand := 1.0
-		if s := req.URL.Query().Get("demand"); s != "" {
+		if s := queryValue(req.URL.RawQuery, "demand"); s != "" {
 			v, err := strconv.ParseFloat(s, 64)
 			if err != nil || v <= 0 || v != v {
 				http.Error(w, fmt.Sprintf("bad demand %q", s), http.StatusBadRequest)
@@ -182,7 +207,7 @@ func ingestCore(d *Dispatcher, submit func(Request) Verdict, now func() float64)
 			demand = v
 		}
 		tenant := 0
-		if s := req.URL.Query().Get("tenant"); s != "" {
+		if s := queryValue(req.URL.RawQuery, "tenant"); s != "" {
 			v, err := strconv.Atoi(s)
 			if err != nil || v < 0 || v >= d.TenantCount() {
 				http.Error(w, fmt.Sprintf("bad tenant %q (want 0..%d)", s, d.TenantCount()-1), http.StatusBadRequest)

@@ -3,6 +3,7 @@ package dispatch
 import (
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
 	"testing"
 )
@@ -142,4 +143,67 @@ func TestRetryAfterSeconds(t *testing.T) {
 			t.Fatalf("draining hint for %v = %d, want 5", o, got)
 		}
 	}
+}
+
+// queryValueCases are raw queries that exercise every pair url.ParseQuery
+// skips or decodes: duplicates, empty pairs, semicolons, bad escapes,
+// escaped keys and values, '+' for space, and keys without '='.
+var queryValueCases = []string{
+	"",
+	"demand=0.5",
+	"demand=0.5&tenant=2",
+	"tenant=1&demand=2&demand=3",
+	"demand=&demand=4",
+	"demand",
+	"&&demand=1&&",
+	"demand=1;tenant=2&tenant=3",
+	"a=1;b=2&demand=7",
+	"demand=%zz&demand=8",
+	"dem%61nd=9&tenant=%31",
+	"demand=1%2B2&tenant=a+b",
+	"%=1&demand=2",
+	"demand=1=2",
+	"tenant=-1&demand=1e-3",
+}
+
+// TestIngestAllocatesNoQueryMap checks the ingest handler reads its two
+// parameters without parsing the query into a map: a POST allocates only
+// what net/http's ResponseWriter and the verdict buffer need.
+func TestIngestAllocatesNoQueryMap(t *testing.T) {
+	d, err := New(Config{N: 2, QueueCap: 1024, Shed: ShedReject})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := IngestHandler(d, func() float64 { return 0 })
+	req := httptest.NewRequest(http.MethodPost, "/ingest?demand=0.25&tenant=0", nil)
+	rec := httptest.NewRecorder()
+	withQuery := testing.AllocsPerRun(100, func() {
+		rec.Body.Reset()
+		h.ServeHTTP(rec, req)
+	})
+	bare := httptest.NewRequest(http.MethodPost, "/ingest", nil)
+	without := testing.AllocsPerRun(100, func() {
+		rec.Body.Reset()
+		h.ServeHTTP(rec, bare)
+	})
+	if withQuery > without {
+		t.Errorf("a request with query parameters allocates %v times, one without %v", withQuery, without)
+	}
+}
+
+// FuzzQueryValue pins queryValue to the url.Values it replaces on the
+// ingest path, on arbitrary raw queries and keys: the query string is
+// untrusted client input. The seeds run on every go test.
+func FuzzQueryValue(f *testing.F) {
+	for _, raw := range queryValueCases {
+		for _, key := range []string{"demand", "tenant", "a", "", "missing"} {
+			f.Add(raw, key)
+		}
+	}
+	f.Fuzz(func(t *testing.T, raw, key string) {
+		vals, _ := url.ParseQuery(raw)
+		if got, want := queryValue(raw, key), vals.Get(key); got != want {
+			t.Fatalf("queryValue(%q, %q) = %q, url.ParseQuery gives %q", raw, key, got, want)
+		}
+	})
 }

@@ -74,6 +74,44 @@ func TestLiveCompletesRequests(t *testing.T) {
 	}
 }
 
+// TestLiveLatencyWindowKeepsNewest completes more requests than the
+// latency window holds and checks that the engine keeps exactly the
+// newest window's worth, oldest first. One worker completes in FIFO
+// order, and with the clock pinned at 0 a request arriving at -i
+// records latency i, so every sample names its request.
+func TestLiveLatencyWindowKeepsNewest(t *testing.T) {
+	const chunk, extra = 4096, 100
+	d, err := New(Config{N: 1, QueueCap: chunk, Shed: ShedReject})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := NewLive(LiveConfig{Dispatcher: d, Now: func() float64 { return 0 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(l.Close)
+	total := liveLatencyWindow + extra
+	for i := 1; i <= total; i++ {
+		if v := l.Submit(Request{ID: int64(i), Arrival: -float64(i)}); v.Outcome != Routed {
+			t.Fatalf("request %d: outcome %v", i, v.Outcome)
+		}
+		if i%chunk == 0 || i == total {
+			if !l.WaitIdle(10 * time.Second) {
+				t.Fatalf("queue did not drain: depth %d", d.Depth())
+			}
+		}
+	}
+	lats := l.CompletionLatencies()
+	if len(lats) != liveLatencyWindow {
+		t.Fatalf("kept %d latencies after %d completions, want the window of %d", len(lats), total, liveLatencyWindow)
+	}
+	for j, v := range lats {
+		if want := float64(extra + 1 + j); v != want {
+			t.Fatalf("latency[%d] = %v, want %v (the newest %d, oldest first)", j, v, want, liveLatencyWindow)
+		}
+	}
+}
+
 // TestLiveGracefulDrainConservation is the shutdown-mid-storm
 // guarantee: with submitters still hammering the engine, BeginDrain
 // must refuse new arrivals as Blocked (never dropping anything already

@@ -125,7 +125,7 @@ type ServeConfig struct {
 	BatchSize int
 	// Shed selects the backpressure policy.
 	Shed ShedPolicy
-	// Policy selects the control plane (dolbie, wrr, jsq).
+	// Policy selects the control plane (dolbie, wrr, jsq, dgd).
 	Policy ControlPolicy
 	// Alpha1 pins DOLBIE's initial step size; zero defaults to 0.05, a
 	// tracking-friendly choice for short serving runs (the paper's
@@ -310,7 +310,8 @@ func (c ServeConfig) resolvedServeTenants() []TenantConfig {
 
 // ServeResult summarizes one closed-loop serving run.
 type ServeResult struct {
-	// Policy is the control policy's name ("dolbie", "wrr", "jsq").
+	// Policy is the control policy's name ("dolbie", "wrr", "jsq",
+	// "dgd").
 	Policy string `json:"policy"`
 	// N, Rounds, QueueCap, Shards, Seed echo the configuration.
 	N        int   `json:"n"`
@@ -497,15 +498,17 @@ func newTenantController(n int, t TenantConfig, policy ControlPolicy) (roundCont
 
 // tenantRuntime is one tenant's slice of the serving engine: its seeded
 // open-loop source, its blocked-request slot, and (under PolicyDOLBIE)
-// its controller.
+// its controller. The slot holds the request by value, so an arrival
+// never escapes to the heap.
 type tenantRuntime struct {
 	cfg     TenantConfig // resolved (rate, demand, alpha filled)
 	gen     *Generator
 	next    Request
-	pending *Request // blocked request stalling this tenant's source
+	pending Request // blocked request stalling this tenant's source, while blocked
+	blocked bool
 	ctl     roundController
-	offered float64 // work offered this round (reset at round start)
-	reqLat  []float64
+	offered float64   // work offered this round (reset at round start)
+	reqLat  []float64 // completion latencies; kept only on multi-tenant runs
 	retunes int64
 }
 
@@ -563,13 +566,14 @@ func serveWith(cfg ServeConfig, d dataPlane) (*ServeResult, error) {
 	}
 
 	var (
-		now       float64
-		remaining = make([]float64, cfg.N) // work left on each in-service head
-		gamma     = make([]float64, cfg.N)
-		seq       int64 // global request IDs, assigned in arrival order
-		reqLat    []float64
-		maxLat    []float64
-		retunes   int64
+		now         float64
+		remaining   = make([]float64, cfg.N) // work left on each in-service head
+		gamma       = make([]float64, cfg.N)
+		seq         int64 // global request IDs, assigned in arrival order
+		reqLat      []float64
+		maxLat      []float64
+		retunes     int64
+		multiTenant = len(cfg.Tenants) > 0
 	)
 
 	// admit routes one request into the dispatcher and starts service if
@@ -699,7 +703,7 @@ func serveWith(cfg ServeConfig, d dataPlane) (*ServeResult, error) {
 			// lowest tenant index.
 			ak, at := -1, math.Inf(1)
 			for k := range trs {
-				if trs[k].pending == nil && trs[k].next.Arrival < at {
+				if !trs[k].blocked && trs[k].next.Arrival < at {
 					ak, at = k, trs[k].next.Arrival
 				}
 			}
@@ -721,17 +725,19 @@ func serveWith(cfg ServeConfig, d dataPlane) (*ServeResult, error) {
 					lat = gs.onComplete(cw, lat)
 				}
 				reqLat = append(reqLat, lat)
-				rt := &trs[0]
-				if r.Tenant > 0 && r.Tenant < len(trs) {
-					rt = &trs[r.Tenant]
+				if multiTenant {
+					rt := &trs[0]
+					if r.Tenant > 0 && r.Tenant < len(trs) {
+						rt = &trs[r.Tenant]
+					}
+					rt.reqLat = append(rt.reqLat, lat)
 				}
-				rt.reqLat = append(rt.reqLat, lat)
 				if h, ok := d.Head(cw); ok {
 					remaining[cw] = h.Demand
 				}
 				for k := range trs {
-					if trs[k].pending != nil && admit(*trs[k].pending, routedWork).Outcome != Blocked {
-						trs[k].pending = nil
+					if trs[k].blocked && admit(trs[k].pending, routedWork).Outcome != Blocked {
+						trs[k].blocked = false
 					}
 				}
 				continue
@@ -753,7 +759,7 @@ func serveWith(cfg ServeConfig, d dataPlane) (*ServeResult, error) {
 				switch admit(r, routedWork).Outcome {
 				case Blocked:
 					tr.offered += r.Demand
-					tr.pending = &r
+					tr.pending, tr.blocked = r, true
 				case Throttled:
 					// Contract-throttled work never entered the system:
 					// excluding it from the tenant's offered work keeps its
@@ -880,7 +886,7 @@ func serveWith(cfg ServeConfig, d dataPlane) (*ServeResult, error) {
 	if gs != nil {
 		res.Geo = gs.result(cfg)
 	}
-	if len(cfg.Tenants) > 0 {
+	if multiTenant {
 		ttot := d.TenantTotals()
 		res.Tenants = make([]TenantServeResult, len(trs))
 		for k := range trs {

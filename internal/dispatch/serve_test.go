@@ -179,3 +179,50 @@ func TestRunComparisonDOLBIEBeatsUniformWRR(t *testing.T) {
 			dolbie.BytesPerRound, wrr.BytesPerRound, jsq.BytesPerRound)
 	}
 }
+
+// serveJobConfig is one 30-round default serving job — the op of the
+// serve_sim benchmark workload — at the given arrival rate and shed
+// policy.
+func serveJobConfig(rate float64, shed ShedPolicy) ServeConfig {
+	cfg := DefaultServeConfig()
+	cfg.Rounds = 30
+	cfg.ArrivalRate = rate
+	cfg.Shed = shed
+	return cfg
+}
+
+// TestServeAllocsDoNotScaleWithArrivals pins the engine's per-arrival
+// path as allocation-free: doubling the arrival rate doubles the
+// requests a job serves, yet may add only the few reallocations of the
+// growing latency record, not one allocation per arrival (a blocked
+// request is held by value, never boxed).
+func TestServeAllocsDoNotScaleWithArrivals(t *testing.T) {
+	for _, shed := range []ShedPolicy{ShedReject, ShedBlock} {
+		allocs := func(rate float64) float64 {
+			cfg := serveJobConfig(rate, shed)
+			return testing.AllocsPerRun(5, func() {
+				if _, err := Serve(cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		base, doubled := allocs(200), allocs(400)
+		t.Logf("%s: %.0f allocs per job at rate 200, %.0f at rate 400", shed, base, doubled)
+		if doubled-base >= 16 {
+			t.Errorf("%s: allocations grew from %.0f to %.0f when the arrival rate doubled", shed, base, doubled)
+		}
+	}
+}
+
+// BenchmarkServe times one 30-round default serving job, the op of the
+// serve_sim benchmark workload.
+func BenchmarkServe(b *testing.B) {
+	cfg := serveJobConfig(DefaultServeConfig().ArrivalRate, ShedReject)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = int64(i + 1)
+		if _, err := Serve(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -75,27 +76,99 @@ func Summarize(xs []float64) (Summary, error) {
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) using linear
-// interpolation between closest ranks.
+// interpolation between closest ranks of xs in ascending order, with NaN
+// ordered first as sort.Float64s orders it. It selects the two ranks on
+// a copy in O(n) expected time (O(n log n) worst case) instead of
+// sorting, and leaves xs untouched. A NaN p is out of range.
 func Percentile(xs []float64, p float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty
 	}
-	if p < 0 || p > 100 {
+	if !(p >= 0 && p <= 100) {
 		return 0, fmt.Errorf("stats: percentile %v out of [0, 100]", p)
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
+	if len(xs) == 1 {
+		return xs[0], nil
 	}
-	rank := p / 100 * float64(len(sorted)-1)
+	// Copy with the NaNs moved to the front, where the order puts them;
+	// the rest, NaN-free, can be selected with plain comparisons.
+	buf := make([]float64, len(xs))
+	nans, top := 0, len(xs)
+	for _, x := range xs {
+		if x != x {
+			buf[nans] = x
+			nans++
+		} else {
+			top--
+			buf[top] = x
+		}
+	}
+	rank := p / 100 * float64(len(buf)-1)
 	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo], nil
+	if lo < nans {
+		// A NaN at rank lo makes the interpolation NaN too.
+		return buf[lo], nil
 	}
+	selectRank(buf[nans:], lo-nans)
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
+	if frac == 0 {
+		return buf[lo], nil
+	}
+	// Rank lo+1 is the least value above the selected rank.
+	hi := buf[lo+1]
+	for _, x := range buf[lo+2:] {
+		if x < hi {
+			hi = x
+		}
+	}
+	return buf[lo]*(1-frac) + hi*frac, nil
+}
+
+// selectRank reorders the NaN-free xs so that xs[k] holds its k-th
+// smallest value, with no greater value before it and no smaller one
+// after it. It partitions around a median-of-three pivot (Hoare
+// scheme, so runs of equal values split evenly) and sorts what is left
+// once the range is small or after 2·log2(n) passes, which caps the
+// worst case at O(n log n).
+func selectRank(xs []float64, k int) {
+	lo, hi := 0, len(xs)-1
+	for passes := 2 * bits.Len(uint(len(xs))); passes > 0 && hi-lo >= 16; passes-- {
+		mid := lo + (hi-lo)/2
+		if xs[mid] < xs[lo] {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if xs[hi] < xs[mid] {
+			xs[hi], xs[mid] = xs[mid], xs[hi]
+			if xs[mid] < xs[lo] {
+				xs[mid], xs[lo] = xs[lo], xs[mid]
+			}
+		}
+		pivot := xs[mid]
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < pivot {
+				i++
+			}
+			for pivot < xs[j] {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// xs[lo..j] <= pivot <= xs[i..hi]; anything between equals pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+	sort.Float64s(xs[lo : hi+1])
 }
 
 // SeriesAggregate aggregates R realizations of a length-T series into
