@@ -44,16 +44,14 @@ docs:
 # dispatcher) additionally run under the race detector on every default
 # test pass, as do the chaos and join-churn soaks — fault injection,
 # fail-stop recovery, and roster churn are the most schedule-sensitive
-# paths in the repository — plus two race-enabled bench smokes: the live
-# socket harness and a short batched-dispatch sweep (shards {1,8} ×
-# batch {1,64}), which drives SubmitBatch/CompleteBatch storms through
-# the real bench harness under the race detector.
+# paths in the repository. The dispatcher's race suite includes the
+# live drain storm with keep-alive HTTP clients on a real socket and
+# the batched SubmitBatch/CompleteBatch/SetWeights scrape storm over
+# both the hoisted fast path and the general per-request body.
 test:
 	$(GO) test ./...
 	$(GO) test -race ./internal/metrics ./internal/cluster ./internal/wire ./internal/dispatch
 	$(GO) test -race -run 'TestSoakChaosFullyDistributed|TestSoakJoinChurnElastic' .
-	$(GO) run -race ./cmd/dolbie-bench -live -duration 2s -out -
-	$(GO) run -race ./cmd/dolbie-bench -dispatch -smoke -out -
 
 race:
 	$(GO) test -race ./...
@@ -90,28 +88,23 @@ cover:
 # metering path's allocation overhead), BENCH_chaos.json (fail-stop
 # recovery under the deterministic chaos transport; reproduces bit for
 # bit), BENCH_serve.json (data-plane dispatch: DOLBIE's closed loop
-# vs uniform WRR vs JSQ on p99 max-worker latency), BENCH_dispatch.json
-# (admission path: single-lock reference vs the sharded dispatcher over
-# a GOMAXPROCS {1,4,NumCPU} × shards {1,4,8,16} × batch {1,16,64} grid,
-# with mutex/block contention profiles and the batch affinity hit
-# rate), BENCH_scale.json (elastic deployments at N up to
-# 4096: per-worker traffic O(N) flat vs O(1) under the aggregation
-# tree, with bit-identical consensus), BENCH_geo.json (geo-distributed
-# serving: RTT-penalized vs latency-blind DOLBIE and the DGD baseline
-# on the three-region topology, plus the zero-RTT equivalence gate and
-# the region-outage drill), and BENCH_live.json (the only wall-clock
-# report: real HTTP socket clients against the Live engine, open- and
-# closed-loop, with the simulated-vs-live latency gap — numbers vary
-# with the host, unlike the seeded reports).
+# vs uniform WRR vs JSQ on p99 max-worker latency), BENCH_scale.json
+# (elastic deployments at N up to 4096: per-worker traffic O(N) flat vs
+# O(1) under the aggregation tree, with bit-identical consensus), and
+# BENCH_geo.json (geo-distributed serving: RTT-penalized vs
+# latency-blind DOLBIE and the DGD baseline on the three-region
+# topology, plus the zero-RTT equivalence gate and the region-outage
+# drill). Wall-clock throughput and latency of the admission and HTTP
+# ingest paths come from perfbench instead
+# (bash perfbench/run.sh --workload admit_batch|ingest_http), which
+# records the host each run was taken on.
 bench:
 	$(GO) test -bench=. -benchmem ./...
 	$(GO) run ./cmd/dolbie-bench -wire -out BENCH_wire.json
 	$(GO) run ./cmd/dolbie-bench -chaos -out BENCH_chaos.json
 	$(GO) run ./cmd/dolbie-bench -serve -out BENCH_serve.json
-	$(GO) run ./cmd/dolbie-bench -dispatch -out BENCH_dispatch.json
 	$(GO) run ./cmd/dolbie-bench -scale -out BENCH_scale.json
 	$(GO) run ./cmd/dolbie-bench -geo -out BENCH_geo.json
-	$(GO) run ./cmd/dolbie-bench -live -out BENCH_live.json
 
 # Regenerate every paper figure/table at paper scale (N=30, 100
 # realizations) as text; add -csv out/ for CSV export.

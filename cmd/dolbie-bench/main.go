@@ -11,9 +11,7 @@
 //	dolbie-bench -wire                    # wire-codec benchmark -> BENCH_wire.json
 //	dolbie-bench -chaos                   # fault-tolerance benchmark -> BENCH_chaos.json
 //	dolbie-bench -serve                   # data-plane benchmark -> BENCH_serve.json
-//	dolbie-bench -dispatch                # admission-path benchmark -> BENCH_dispatch.json
 //	dolbie-bench -scale                   # scaling benchmark -> BENCH_scale.json
-//	dolbie-bench -live                    # wall-clock load test -> BENCH_live.json
 //	dolbie-bench -geo                     # geo-distributed serving -> BENCH_geo.json
 //
 // With -metrics-addr the process serves its runtime gauges (goroutines,
@@ -42,16 +40,6 @@
 // to 10x its contract must not move the gold tenant's p99 by more than
 // 5%, with bronze shedding strictly before gold).
 //
-// The -live mode is the only benchmark that runs on the wall clock: it
-// stands up the Live serving engine behind a loopback HTTP listener and
-// drives it with concurrent keep-alive socket clients — open-loop
-// (Poisson schedule replayed in real time) and closed-loop
-// (back-to-back) arrival mixes across a {1, NumCPU} client ladder —
-// recording real admissions/sec, client-observed ingest RTT
-// percentiles, server-side wall-clock completion latency, and the gap
-// against the virtual-time twin simulation, to -out (default
-// BENCH_live.json). -duration sets the per-run load window.
-//
 // The -geo mode runs three geo-distributed serving scenarios — a
 // uniform zero-RTT sanity gate that must reproduce the region-less
 // serving path bit for bit, the heterogeneous three-region comparison
@@ -69,19 +57,9 @@
 // BENCH_scale.json). Per-worker bytes per round stay O(1) under the
 // tree overlay while growing O(N) flat.
 //
-// The -dispatch mode times the admission hot path end to end — the
-// pre-shard single-lock reference against the sharded dispatcher across
-// a shards {1,4,8,16} × batch {1,16,64} grid (batch K > 1 drives
-// SubmitBatch through submitter-sticky shard handles: one critical
-// section and one pooled verdict buffer per K admissions), all fully
-// instrumented, on the same seeded open-loop trace — once per unique
-// GOMAXPROCS in {1, 4, NumCPU}. Every cell is re-run at quarter size
-// with runtime mutex/block profiling to record where contended cycles
-// go, and the bench fails if the best unbatched sharded configuration
-// at NumCPU procs regresses below single-lock. Writes admissions/sec,
-// speedups, affinity hit rates, and profile summaries to -out (default
-// BENCH_dispatch.json); -smoke shrinks it to a seconds-scale
-// race-friendly pass.
+// Wall-clock timing of the admission path and the HTTP ingest path is
+// the separate perfbench module's job (perfbench/run.sh, workloads
+// admit_batch and ingest_http), which records the host it ran on.
 package main
 
 import (
@@ -119,12 +97,8 @@ func run() error {
 		wireBench    = flag.Bool("wire", false, "run the wire-codec benchmark (TCP deployments per codec) instead of a figure")
 		chaosBench   = flag.Bool("chaos", false, "run the fault-tolerance benchmark (fail-stop deployments under the chaos transport) instead of a figure")
 		serveBench   = flag.Bool("serve", false, "run the data-plane serving benchmark (DOLBIE vs WRR vs JSQ dispatch) instead of a figure")
-		dispBench    = flag.Bool("dispatch", false, "run the admission-path benchmark (single-lock vs sharded dispatcher) instead of a figure")
 		scaleBench   = flag.Bool("scale", false, "run the scaling benchmark (flat vs tree aggregation across deployment sizes) instead of a figure")
-		liveBench    = flag.Bool("live", false, "run the live wall-clock load benchmark (real HTTP sockets against the Live engine) instead of a figure")
 		geoBench     = flag.Bool("geo", false, "run the geo-distributed serving benchmark (RTT-penalized vs latency-blind DOLBIE, DGD baseline, region-outage drill) instead of a figure")
-		liveDur      = flag.Duration("duration", 10*time.Second, "per-run load window for the -live benchmark")
-		smoke        = flag.Bool("smoke", false, "shrink the -dispatch benchmark to a seconds-scale race-friendly smoke (NumCPU procs, shards {1,8}, batch {1,64}, short trace, no gate)")
 		codecName    = flag.String("codec", "all", "wire codec to benchmark in -wire mode: all, or a registry name")
 		outPath      = flag.String("out", "", "output file for the benchmark modes (default BENCH_<mode>.json; \"-\" prints without writing)")
 	)
@@ -151,26 +125,12 @@ func run() error {
 		}
 		return runServeBench(out, os.Stdout)
 	}
-	if *dispBench {
-		out := *outPath
-		if out == "" {
-			out = "BENCH_dispatch.json"
-		}
-		return runDispatchBench(out, *smoke, os.Stdout)
-	}
 	if *scaleBench {
 		out := *outPath
 		if out == "" {
 			out = "BENCH_scale.json"
 		}
 		return runScaleBench(out, os.Stdout)
-	}
-	if *liveBench {
-		out := *outPath
-		if out == "" {
-			out = "BENCH_live.json"
-		}
-		return runLiveBench(*liveDur, out, os.Stdout)
 	}
 	if *geoBench {
 		out := *outPath

@@ -12,8 +12,8 @@ import (
 // is a pure function of the seeded virtual-time serving engine and
 // compares them byte for byte with the committed files, so any drift in
 // the seeded serving results fails the suite. The other modes are left
-// out: -chaos runs on real deadline timers, and -scale, -wire,
-// -dispatch and -live record wall-clock timings.
+// out: -chaos runs on real deadline timers, and -scale and -wire record
+// wall-clock timings.
 func TestSeededReportsReproduce(t *testing.T) {
 	for _, bench := range []struct {
 		committed string

@@ -1,10 +1,7 @@
 package dispatch
 
 import (
-	"bytes"
-	"fmt"
 	"io"
-	"math"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -14,47 +11,6 @@ import (
 
 	"dolbie/internal/metrics"
 )
-
-// TestVerdictEncoderMatchesAppendIngestResponse pins the suffix-table
-// encoder — both the single-verdict form and the sequential-ID batch
-// form — to appendIngestResponse byte for byte (which is itself pinned
-// to encoding/json by TestIngestEncodingMatchesEncodingJSON). The
-// sequential cases deliberately cross every decimal-counter carry shape:
-// single-digit bumps, 9→10 and 99→100 carries, and an all-nines
-// rollover that grows the digit string.
-func TestVerdictEncoderMatchesAppendIngestResponse(t *testing.T) {
-	const n = 5
-	enc := newVerdictEncoder(n)
-	outcomes := []Outcome{Routed, Spilled, Shed, Blocked, Throttled}
-	for _, o := range outcomes {
-		for w := -1; w < n; w++ {
-			for _, id := range []int64{0, 1, 9, 10, 42, 99, 100, 999999, 9_000_000_000, math.MaxInt64} {
-				want := appendIngestResponse(nil, id, o.String(), w)
-				if got := enc.append(nil, id, Verdict{Outcome: o, Worker: w}); !bytes.Equal(got, want) {
-					t.Fatalf("encoder.append(%d, %v, %d) = %q, want %q", id, o, w, got, want)
-				}
-			}
-		}
-	}
-	for _, start := range []int64{1, 5, 95, 994, 999_999_999_999_999_995, 0, 123456} {
-		vs := make([]Verdict, 12)
-		var want []byte
-		for i := range vs {
-			vs[i] = Verdict{Outcome: outcomes[i%len(outcomes)], Worker: i%n - 1}
-			want = appendIngestResponse(want, start+int64(i), vs[i].Outcome.String(), vs[i].Worker)
-		}
-		if got := enc.appendSeq(nil, start, vs); !bytes.Equal(got, want) {
-			t.Fatalf("appendSeq(start=%d) = %q, want %q", start, got, want)
-		}
-	}
-	// Negative IDs take the per-verdict fallback and must still match.
-	vs := []Verdict{{Outcome: Shed, Worker: -1}, {Outcome: Routed, Worker: 2}}
-	want := appendIngestResponse(nil, -5, "shed", -1)
-	want = appendIngestResponse(want, -4, "routed", 2)
-	if got := enc.appendSeq(nil, -5, vs); !bytes.Equal(got, want) {
-		t.Fatalf("appendSeq(start=-5) = %q, want %q", got, want)
-	}
-}
 
 // TestBatchedAdmissionEquivalence is the batched-admission correctness
 // core: over 20 seeds × shards {1, 8} × batch {16, 64} × the three shed
@@ -343,8 +299,28 @@ func TestSubmitterAffinityAndBatchStats(t *testing.T) {
 // conservation laws on every single mid-storm scrape. At quiescence the
 // batch metric series must agree exactly with BatchStats. Run under
 // -race (the Makefile's test target does) this is also the data race
-// proof for the whole batched path.
+// proof for the whole batched path: the two-tenant configuration with
+// a rate contract takes admitBatchLocked's general per-request body,
+// and the single gold tenant without one takes its hoisted fast path.
 func TestBatchedMidStormScrapeConservation(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		tenants []TenantConfig
+	}{
+		{"general", []TenantConfig{
+			{Name: "gold", Weight: 2, Priority: PriorityGold, Shed: ShedReject},
+			{Name: "silver", Weight: 1, Priority: PrioritySilver, Shed: ShedSpill, RateLimit: 50},
+		}},
+		{"fast_path", []TenantConfig{
+			{Name: "gold", Weight: 1, Priority: PriorityGold, Shed: ShedReject},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { batchedMidStorm(t, tc.tenants) })
+	}
+}
+
+// batchedMidStorm runs the mid-storm soak over one tenant configuration.
+func batchedMidStorm(t *testing.T, tenants []TenantConfig) {
 	const (
 		n          = 4
 		shards     = 4
@@ -353,10 +329,6 @@ func TestBatchedMidStormScrapeConservation(t *testing.T) {
 		chunks     = 60
 		chunk      = 32
 	)
-	tenants := []TenantConfig{
-		{Name: "gold", Weight: 2, Priority: PriorityGold, Shed: ShedReject},
-		{Name: "silver", Weight: 1, Priority: PrioritySilver, Shed: ShedSpill, RateLimit: 50},
-	}
 	reg := metrics.NewRegistry()
 	d, err := New(Config{N: n, QueueCap: 32, Shards: shards, BatchSize: 16, Shed: ShedReject, Metrics: reg, Tenants: tenants})
 	if err != nil {
@@ -469,24 +441,26 @@ func TestBatchedMidStormScrapeConservation(t *testing.T) {
 	}
 }
 
-// TestBatchedGracefulDrainConservation pins the PR 8 drain invariant
-// under K > 1: flipping the drain gate mid-storm while SubmitBatch
-// chunks are in flight must refuse new admissions as Blocked without
-// losing a single accepted request — after the drain empties the
-// queues, completed == routed exactly and the conservation law closes.
+// TestBatchedGracefulDrainConservation pins the graceful-drain
+// invariant under K > 1: flipping the drain gate mid-storm while
+// SubmitBatch submitters are live must refuse every later admission as
+// Blocked without losing a single accepted request — after the drain
+// empties the queues, completed == routed exactly and the conservation
+// law closes. The submitters wait at a barrier after chunk 10 until the
+// gate has flipped, so the drain always meets live submissions and the
+// number of refusals is exact.
 func TestBatchedGracefulDrainConservation(t *testing.T) {
-	const n, submitters, chunk = 4, 4, 16
+	const n, submitters, chunk, chunks, gateAfter = 4, 4, 16, 50, 10
 	d, err := New(Config{N: n, QueueCap: 64, Shards: 4, BatchSize: 16, Shed: ShedReject, Route: RouteWeighted})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var (
-		loadWG   sync.WaitGroup
-		accepted sync.WaitGroup
-		started  = make(chan struct{})
-		once     sync.Once
+		loadWG  sync.WaitGroup
+		atGate  sync.WaitGroup
+		gateSet = make(chan struct{})
 	)
-	accepted.Add(1)
+	atGate.Add(submitters)
 	for g := 0; g < submitters; g++ {
 		loadWG.Add(1)
 		go func(g int) {
@@ -494,25 +468,26 @@ func TestBatchedGracefulDrainConservation(t *testing.T) {
 			sub := d.NewSubmitter()
 			verdicts := make([]Verdict, 0, chunk)
 			rs := make([]Request, chunk)
-			for c := 0; c < 50; c++ {
-				base := int64(g*50*chunk + c*chunk)
+			for c := 0; c < chunks; c++ {
+				base := int64(g*chunks*chunk + c*chunk)
 				for i := range rs {
 					rs[i] = Request{ID: base + int64(i), Arrival: float64(c), Demand: 1}
 				}
 				verdicts = sub.SubmitBatch(rs, verdicts[:0])
-				if c == 10 {
-					once.Do(func() { close(started) })
+				if c == gateAfter {
+					atGate.Done()
+					<-gateSet
 				}
 			}
 		}(g)
 	}
-	<-started
+	atGate.Wait()
 	d.SetDraining(true)
+	close(gateSet)
 	if !d.Draining() {
 		t.Fatal("drain gate did not latch")
 	}
 	loadWG.Wait()
-	accepted.Done()
 
 	// Every post-gate submission must have been refused as Blocked, and
 	// draining the queues must recover every accepted request.
@@ -529,6 +504,9 @@ func TestBatchedGracefulDrainConservation(t *testing.T) {
 	}
 	if tot.Blocked == 0 {
 		t.Error("drain gate never blocked a submission — flip it earlier")
+	}
+	if want := int64(submitters * (chunks - gateAfter - 1) * chunk); tot.Blocked != want {
+		t.Errorf("drain blocked %d submissions, want every post-gate one: %d", tot.Blocked, want)
 	}
 	if tot.Completed != routed {
 		t.Errorf("accepted-request loss through drain: routed %d, completed %d", routed, tot.Completed)
@@ -629,95 +607,6 @@ func TestConfigBatchSizeValidation(t *testing.T) {
 	if got := (Config{BatchSize: 64}).batchSize(); got != 64 {
 		t.Errorf("batchSize() = %d, want 64", got)
 	}
-	if _, err := RunAdmissionBench(AdmissionBenchConfig{Requests: 1000, BatchSize: 4, Reference: true}); err == nil {
-		t.Error("batched reference bench validated")
-	}
-	if _, err := RunAdmissionBench(AdmissionBenchConfig{Requests: 1000, BatchSize: -2}); err == nil {
-		t.Error("negative bench BatchSize validated")
-	}
-}
-
-// TestAdmissionBenchBatchedProfiled runs the admission bench's batched
-// mode end to end at a miniature scale with contention profiling on:
-// the conservation and batch-accounting gates inside RunAdmissionBench
-// must pass, the result must echo the batch configuration, and the
-// profile deltas must be present and internally consistent (site rows
-// sum within the reported totals, worst site first).
-func TestAdmissionBenchBatchedProfiled(t *testing.T) {
-	res, err := RunAdmissionBench(AdmissionBenchConfig{
-		Workers:    4,
-		QueueCap:   256,
-		Shards:     4,
-		Submitters: 4,
-		Requests:   20000,
-		Seed:       7,
-		Procs:      2,
-		BatchSize:  64,
-		Profile:    true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Mode != "sharded" || res.BatchSize != 64 || res.Shards != 4 {
-		t.Fatalf("result misreports the configuration: %+v", res)
-	}
-	if res.Routed+res.Shed+res.Blocked != int64(res.Requests) {
-		t.Fatalf("outcome split does not sum to requests: %+v", res)
-	}
-	if res.Batches <= 0 {
-		t.Fatalf("batched run committed %d batches", res.Batches)
-	}
-	if res.AffinityHitRate < 0 || res.AffinityHitRate > 1 {
-		t.Fatalf("affinity hit rate %v out of [0,1]", res.AffinityHitRate)
-	}
-	if res.GOMAXPROCS != 2 {
-		t.Fatalf("Procs pin not honoured: ran at %d", res.GOMAXPROCS)
-	}
-	for name, p := range map[string]*ProfileSummary{"mutex": res.MutexProfile, "block": res.BlockProfile} {
-		if p == nil {
-			t.Fatalf("%s profile missing from a profiled run", name)
-		}
-		var ev, cy int64
-		for i, s := range p.TopSites {
-			if s.Site == "" {
-				t.Fatalf("%s profile site %d unnamed", name, i)
-			}
-			if i > 0 && s.Cycles > p.TopSites[i-1].Cycles {
-				t.Fatalf("%s profile sites not ranked by cycles: %+v", name, p.TopSites)
-			}
-			ev += s.Events
-			cy += s.Cycles
-		}
-		if len(p.TopSites) <= 5 && (ev > p.Events || cy > p.Cycles) {
-			t.Fatalf("%s profile sites exceed totals: %+v", name, p)
-		}
-	}
-}
-
-// TestAdmissionBenchReference runs the single-lock baseline mode at a
-// miniature scale: the pre-shard path must still pass the bench's
-// conservation gate and report itself as the reference plane.
-func TestAdmissionBenchReference(t *testing.T) {
-	res, err := RunAdmissionBench(AdmissionBenchConfig{
-		Workers:    2,
-		QueueCap:   64,
-		Submitters: 2,
-		Requests:   4000,
-		Seed:       3,
-		Reference:  true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Mode != "single_lock" || res.Shards != 1 || res.BatchSize != 1 {
-		t.Fatalf("reference run misreported: %+v", res)
-	}
-	if res.Routed+res.Shed+res.Blocked != int64(res.Requests) {
-		t.Fatalf("outcome split does not sum to requests: %+v", res)
-	}
-	if res.Batches != 0 || res.AffinityHitRate != 0 {
-		t.Fatalf("reference run reported batch stats: %+v", res)
-	}
 }
 
 // TestRingAcquireBacksOffToSleep pins the ring's oversubscription
@@ -745,5 +634,3 @@ func TestRingAcquireBacksOffToSleep(t *testing.T) {
 		ring.release(t2)
 	}
 }
-
-var _ = fmt.Sprintf // keep fmt imported for the scrape helpers above

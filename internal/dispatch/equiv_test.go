@@ -3,6 +3,7 @@ package dispatch
 import (
 	"bytes"
 	"math"
+	"net/http"
 	"reflect"
 	"testing"
 
@@ -21,7 +22,7 @@ import (
 // test.
 func TestShards1ClosedLoopEquivalence(t *testing.T) {
 	for _, shed := range []ShedPolicy{ShedReject, ShedBlock, ShedSpill} {
-		for _, policy := range []ControlPolicy{PolicyDOLBIE, PolicyWRR, PolicyJSQ} {
+		for _, policy := range []ControlPolicy{PolicyDOLBIE, PolicyWRR, PolicyJSQ, PolicyDGD} {
 			cfg := DefaultServeConfig()
 			cfg.Rounds = 60
 			cfg.Seed = 7
@@ -154,26 +155,60 @@ func TestShards1TraceEquivalence(t *testing.T) {
 	}
 }
 
-// TestIngestEncodingMatchesEncodingJSON pins the pooled hot-path verdict
-// rendering to the reflective encoding the pre-shard path used: the two
-// byte streams must be identical for every outcome shape.
+// TestIngestEncodingMatchesEncodingJSON pins the ingest handler's
+// suffix-table verdict encoder to the reflective encoding the pre-shard
+// path used: the two byte streams must be identical for every outcome,
+// every worker slot including the -1 refusal sentinel, and IDs that
+// cross the sign, digit-count boundaries and the int64 limit.
 func TestIngestEncodingMatchesEncodingJSON(t *testing.T) {
-	cases := []struct {
-		id      int64
-		outcome string
-		worker  int
-	}{
-		{1, Routed.String(), 0},
-		{42, Spilled.String(), 7},
-		{9_000_000_000, Shed.String(), -1},
-		{math.MaxInt64, Blocked.String(), -1},
+	const n = 5
+	enc := newVerdictEncoder(n)
+	for _, o := range []Outcome{Routed, Spilled, Shed, Blocked, Throttled} {
+		for w := -1; w < n; w++ {
+			for _, id := range []int64{-5, 0, 9, 10, 99, 100, 9_000_000_000, math.MaxInt64} {
+				var want bytes.Buffer
+				refEncodeVerdict(&want, id, o.String(), w)
+				if got := enc.append(nil, id, Verdict{Outcome: o, Worker: w}); !bytes.Equal(got, want.Bytes()) {
+					t.Errorf("verdictEncoder.append(%d, %v, %d) = %q, want %q", id, o, w, got, want.Bytes())
+				}
+			}
+		}
 	}
-	for _, c := range cases {
+}
+
+// TestVerdictEncoderMatchesAppendIngestResponse pins the verdict
+// encoder as the ingest handler drives it (the name dates from the
+// hand-written appendIngestResponse it replaced): every response body
+// must equal refEncodeVerdict for the handler's own request ID. The
+// scripted admission cycles all 30 outcome × worker-slot pairs, and the
+// handler's sequential IDs cross the 9→10 and 99→100 digit carries, so
+// the pooled response buffer is reused across bodies of every length.
+func TestVerdictEncoderMatchesAppendIngestResponse(t *testing.T) {
+	const n, requests = 5, 120
+	d, err := New(Config{N: n, QueueCap: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outcomes := []Outcome{Routed, Spilled, Shed, Blocked, Throttled}
+	var ids []int64
+	var verdicts []Verdict
+	h := ingestCore(d, func(r Request) Verdict {
+		i := len(ids)
+		v := Verdict{Outcome: outcomes[i%len(outcomes)], Worker: i%(n+1) - 1}
+		ids = append(ids, r.ID)
+		verdicts = append(verdicts, v)
+		return v
+	}, func() float64 { return 0 })
+	for i := 0; i < requests; i++ {
+		got := ingestStatus(t, h, http.MethodPost, "/ingest").Body.Bytes()
+		if len(ids) != i+1 || ids[i] != int64(i+1) {
+			t.Fatalf("request %d: handler assigned IDs %v, want sequential from 1", i, ids)
+		}
 		var want bytes.Buffer
-		refEncodeVerdict(&want, c.id, c.outcome, c.worker)
-		got := appendIngestResponse(nil, c.id, c.outcome, c.worker)
+		refEncodeVerdict(&want, ids[i], verdicts[i].Outcome.String(), verdicts[i].Worker)
 		if !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("appendIngestResponse(%d, %q, %d) = %q, want %q", c.id, c.outcome, c.worker, got, want.Bytes())
+			t.Fatalf("ingest body for ID %d (%v, worker %d) = %q, want %q",
+				ids[i], verdicts[i].Outcome, verdicts[i].Worker, got, want.Bytes())
 		}
 	}
 }

@@ -32,9 +32,8 @@ func NewGenerator(rate, demandMean float64, seed int64) (*Generator, error) {
 	return &Generator{rate: rate, demand: demandMean, rng: rand.New(rand.NewSource(seed))}, nil
 }
 
-// Trace pre-generates the next n requests in arrival order. The
-// admission bench materializes its workload up front so request
-// generation never sits inside the timed region.
+// Trace pre-generates the next n requests in arrival order, so a
+// caller can replay one realization against several dispatchers.
 func (g *Generator) Trace(n int) []Request {
 	out := make([]Request, n)
 	for i := range out {

@@ -10,17 +10,6 @@ import (
 	"sync/atomic"
 )
 
-// ingestResponse is the JSON body the ingest handler returns for every
-// admission attempt. The hot path renders it with appendIngestResponse
-// rather than encoding/json; the equivalence tests pin the two byte
-// streams to each other, and the reference (pre-shard) admission path
-// still encodes it reflectively.
-type ingestResponse struct {
-	ID      int64  `json:"id"`
-	Outcome string `json:"outcome"`
-	Worker  int    `json:"worker"`
-}
-
 // ingestBufPool recycles the per-request response buffers so the ingest
 // hot path stays allocation-free: the admission itself commits in one
 // shard critical section, and the JSON verdict is appended into a pooled
@@ -32,29 +21,16 @@ var ingestBufPool = sync.Pool{
 	},
 }
 
-// appendIngestResponse renders the admission verdict in exactly the
-// encoding/json form `{"id":N,"outcome":"...","worker":N}` plus a
-// trailing newline (outcome strings are fixed identifiers, so no JSON
-// escaping is ever needed).
-func appendIngestResponse(b []byte, id int64, outcome string, worker int) []byte {
-	b = append(b, `{"id":`...)
-	b = strconv.AppendInt(b, id, 10)
-	b = append(b, `,"outcome":"`...)
-	b = append(b, outcome...)
-	b = append(b, `","worker":`...)
-	b = strconv.AppendInt(b, int64(worker), 10)
-	b = append(b, '}', '\n')
-	return b
-}
-
-// verdictEncoder renders ingest responses with the outcome/worker tail
-// constant-folded: for a dispatcher with N workers there are only
-// 5×(N+1) possible `,"outcome":"...","worker":W}` suffixes, so the
-// encoder precomputes them all and the hot path appends one integer
-// (the request ID) and one fixed byte string per verdict. Output is
-// byte-identical to appendIngestResponse (the equivalence tests pin the
-// two to each other and to encoding/json). Safe for concurrent use
-// after construction — the table is read-only.
+// verdictEncoder renders the ingest response
+// `{"id":N,"outcome":"...","worker":N}` plus a trailing newline with
+// the outcome/worker tail constant-folded: for a dispatcher with N
+// workers there are only 5×(N+1) possible `,"outcome":"...","worker":W}`
+// suffixes, so the encoder precomputes them all and the hot path
+// appends one integer (the request ID) and one fixed byte string per
+// verdict. Output is byte-identical to encoding/json (pinned by
+// TestIngestEncodingMatchesEncodingJSON, and through the handler by
+// TestVerdictEncoderMatchesAppendIngestResponse). Safe for concurrent
+// use after construction — the table is read-only.
 type verdictEncoder struct {
 	// suffix is indexed [outcome][worker+1] (worker -1 is slot 0).
 	suffix [][][]byte
@@ -79,53 +55,11 @@ func newVerdictEncoder(n int) *verdictEncoder {
 	return e
 }
 
-// append renders one verdict, byte-identical to appendIngestResponse.
+// append renders one verdict.
 func (e *verdictEncoder) append(b []byte, id int64, v Verdict) []byte {
 	b = append(b, `{"id":`...)
 	b = strconv.AppendInt(b, id, 10)
 	return append(b, e.suffix[v.Outcome][v.Worker+1]...)
-}
-
-// appendSeq renders one verdict per entry of vs for the consecutive
-// request IDs id0, id0+1, ..., byte-identical to calling append for
-// each. Batched admission always has consecutive IDs in hand — the
-// ingest sequence counter reserves a contiguous range per batch, and
-// the bench trace is generated in ID order — so the hot loop advances
-// a decimal ASCII counter (amortized one byte bumped per verdict)
-// instead of re-formatting every ID from scratch, which is the single
-// largest per-verdict cost left once the suffix is constant-folded.
-func (e *verdictEncoder) appendSeq(b []byte, id0 int64, vs []Verdict) []byte {
-	if id0 < 0 { // negative IDs can't tick as an ASCII counter
-		for i, v := range vs {
-			b = e.append(b, id0+int64(i), v)
-		}
-		return b
-	}
-	// pre holds `{"id":` plus the current ID's digits, so each verdict is
-	// two appends: the shared prefix+ID run and the constant suffix. 26
-	// bytes fit the prefix plus the 19 digits of any non-negative int64
-	// (and one rollover growth digit).
-	var pre [26]byte
-	copy(pre[:6], `{"id":`)
-	n := 6 + len(strconv.AppendInt(pre[6:6], id0, 10))
-	for _, v := range vs {
-		b = append(b, pre[:n]...)
-		b = append(b, e.suffix[v.Outcome][v.Worker+1]...)
-		i := n - 1
-		for ; i >= 6; i-- {
-			if pre[i] != '9' {
-				pre[i]++
-				break
-			}
-			pre[i] = '0'
-		}
-		if i < 6 { // 99…9 rolled over to 0…0: grow to 10…0
-			pre[6] = '1'
-			pre[n] = '0'
-			n++
-		}
-	}
-	return b
 }
 
 // queryValue returns url.ParseQuery(rawQuery).Get(key) without building

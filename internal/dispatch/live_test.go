@@ -113,28 +113,48 @@ func TestLiveLatencyWindowKeepsNewest(t *testing.T) {
 }
 
 // TestLiveGracefulDrainConservation is the shutdown-mid-storm
-// guarantee: with submitters still hammering the engine, BeginDrain
-// must refuse new arrivals as Blocked (never dropping anything already
-// accepted), the workers must finish every queued request, and the
-// conservation law arrivals == sum(routed) + shed + blocked must hold
-// on the post-drain totals — with zero accepted loss, completed ==
-// sum(routed). Run with -race.
+// guarantee: with submitters still hammering the engine — half of them
+// in process, half as keep-alive HTTP clients of Live.Handler over a
+// real socket — BeginDrain must refuse new arrivals as Blocked (never
+// dropping anything already accepted), the workers must finish every
+// queued request, and the conservation law arrivals == sum(routed) +
+// shed + blocked must hold on the post-drain totals — with zero
+// accepted loss, completed == sum(routed). Every HTTP reply must agree
+// with its status code. Run with -race.
 func TestLiveGracefulDrainConservation(t *testing.T) {
-	l, _ := newTestLive(t, Config{N: 4, QueueCap: 32, Shards: 4, Shed: ShedReject}, []float64{200, 200, 400, 800})
+	const n = 4
+	l, _ := newTestLive(t, Config{N: n, QueueCap: 32, Shards: 4, Shed: ShedReject}, []float64{200, 200, 400, 800})
+	srv := httptest.NewServer(l.Handler())
+	defer srv.Close()
+	client := srv.Client()
 	const submitters = 4
 	var (
-		seq   atomic.Int64
-		stop  atomic.Bool
-		wg    sync.WaitGroup
-		start = time.Now()
+		seq     atomic.Int64
+		replies atomic.Int64
+		stop    atomic.Bool
+		wg      sync.WaitGroup
+		start   = time.Now()
 	)
 	clock := func() float64 { return time.Since(start).Seconds() }
 	wg.Add(submitters)
 	for g := 0; g < submitters; g++ {
+		if g%2 == 0 {
+			go func() {
+				defer wg.Done()
+				for !stop.Load() {
+					l.Submit(Request{ID: seq.Add(1), Arrival: clock(), Demand: 0.002})
+				}
+			}()
+			continue
+		}
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				l.Submit(Request{ID: seq.Add(1), Arrival: clock(), Demand: 0.002})
+				if err := postIngestChecked(client, srv.URL+"/ingest?demand=0.002", n); err != nil {
+					t.Error(err)
+					return
+				}
+				replies.Add(1)
 			}
 		}()
 	}
@@ -151,8 +171,8 @@ func TestLiveGracefulDrainConservation(t *testing.T) {
 	for _, r := range tot.Routed {
 		routed += r
 	}
-	if routed == 0 || tot.Blocked == 0 {
-		t.Fatalf("storm too weak to exercise the drain: routed %d, blocked %d", routed, tot.Blocked)
+	if routed == 0 || tot.Blocked == 0 || replies.Load() == 0 {
+		t.Fatalf("storm too weak to exercise the drain: routed %d, blocked %d, HTTP replies %d", routed, tot.Blocked, replies.Load())
 	}
 	if got := tot.Arrivals; got != routed+tot.Shed+tot.Blocked {
 		t.Fatalf("conservation violated through drain: arrivals %d != routed %d + shed %d + blocked %d",
@@ -162,9 +182,18 @@ func TestLiveGracefulDrainConservation(t *testing.T) {
 		t.Fatalf("accepted requests lost in drain: completed %d of %d routed", tot.Completed, routed)
 	}
 	// The gate stays shut after the drain: a fresh arrival is Blocked,
-	// and reopening admits again.
+	// over HTTP with the draining backoff hint, and reopening admits
+	// again.
 	if v := l.Submit(Request{ID: seq.Add(1), Arrival: clock(), Demand: 1}); v.Outcome != Blocked {
 		t.Fatalf("post-drain submit outcome %v, want Blocked", v.Outcome)
+	}
+	resp, err := client.Post(srv.URL+"/ingest", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "5" {
+		t.Fatalf("post-drain POST: status %d Retry-After %q, want 503 and 5", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 	l.Resume()
 	if v := l.Submit(Request{ID: seq.Add(1), Arrival: clock(), Demand: 0.001}); v.Outcome != Routed {
@@ -173,6 +202,49 @@ func TestLiveGracefulDrainConservation(t *testing.T) {
 	if !l.WaitIdle(10 * time.Second) {
 		t.Fatal("post-resume request never completed")
 	}
+}
+
+// postIngestChecked POSTs one admission and checks that the reply body
+// agrees with its status: 200 carries a routed or spilled verdict on a
+// worker in [0, n), 429 a shed verdict and 503 a blocked one, each
+// refusal with a Retry-After hint.
+func postIngestChecked(client *http.Client, url string, n int) error {
+	resp, err := client.Post(url, "", nil)
+	if err != nil {
+		return fmt.Errorf("POST /ingest: %w", err)
+	}
+	// Read to EOF so the keep-alive connection is reused.
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return fmt.Errorf("POST /ingest: reading reply: %w", err)
+	}
+	var body ingestResponse
+	if err := json.Unmarshal(raw, &body); err != nil {
+		return fmt.Errorf("POST /ingest: status %d: undecodable body %q: %w", resp.StatusCode, raw, err)
+	}
+	retryAfter := resp.Header.Get("Retry-After")
+	switch resp.StatusCode {
+	case http.StatusOK:
+		if (body.Outcome != "routed" && body.Outcome != "spilled") || body.Worker < 0 || body.Worker >= n {
+			return fmt.Errorf("200 reply %+v: want a routed or spilled verdict on a worker in [0, %d)", body, n)
+		}
+		return nil
+	case http.StatusTooManyRequests:
+		if body.Outcome != "shed" || retryAfter == "" {
+			return fmt.Errorf("429 reply %+v, Retry-After %q: want a shed verdict with a backoff hint", body, retryAfter)
+		}
+	case http.StatusServiceUnavailable:
+		if body.Outcome != "blocked" || retryAfter == "" {
+			return fmt.Errorf("503 reply %+v, Retry-After %q: want a blocked verdict with a backoff hint", body, retryAfter)
+		}
+	default:
+		return fmt.Errorf("unexpected status %d, reply %+v", resp.StatusCode, body)
+	}
+	if body.Worker != -1 {
+		return fmt.Errorf("refusal %+v names worker %d, want -1", body, body.Worker)
+	}
+	return nil
 }
 
 // adminDo drives one admin call and decodes the status body.

@@ -211,9 +211,9 @@ func newInstruments(reg *metrics.Registry) *instruments {
 }
 
 // dispatcherInstruments pre-resolves every label series the dispatcher
-// touches, so neither the hot path (reference dispatcher: updates under
-// its admission mutex) nor the scrape-time collector (sharded
-// dispatcher) ever takes the registry's family locks.
+// touches, so neither the scrape-time collector (sharded dispatcher)
+// nor the tests' single-lock reference (updates under its admission
+// mutex) ever takes the registry's family locks.
 type dispatcherInstruments struct {
 	arrivals      *metrics.Counter
 	routedByW     []*metrics.Counter
@@ -229,8 +229,8 @@ type dispatcherInstruments struct {
 	shardAdmByS   []*metrics.Counter
 	shardDepthByS []*metrics.Gauge
 
-	// Batched-admission series (plain counters; the reference dispatcher
-	// has no batched path and leaves them at zero).
+	// Batched-admission series (plain counters; the tests' reference
+	// dispatcher has no batched path and leaves them at zero).
 	batchBatches    *metrics.Counter
 	batchAdmissions *metrics.Counter
 	batchAffHits    *metrics.Counter
@@ -247,8 +247,9 @@ type dispatcherInstruments struct {
 }
 
 // newDispatcherInstruments resolves the per-worker series and, when
-// shards > 0, the per-shard series (the reference dispatcher passes 0:
-// it predates sharding and must not export empty shard series).
+// shards > 0, the per-shard series (the tests' reference dispatcher
+// passes 0: it predates sharding and must not export empty shard
+// series).
 // tenants carries the resolved tenant names of a multi-tenant
 // dispatcher; nil keeps the per-tenant families unexported, which is
 // how the anonymous single-stream configuration stays byte-identical

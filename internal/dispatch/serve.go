@@ -448,10 +448,10 @@ func LiveWorkerSpeeds(cfg ServeConfig) ([]float64, error) {
 }
 
 // dataPlane is the slice of the dispatcher surface the closed-loop
-// serving engine drives. Both the sharded Dispatcher and the single-lock
-// refDispatcher satisfy it, which is what lets the equivalence tests run
-// the identical engine over both implementations and compare every
-// observable bit for bit.
+// serving engine drives. Both the sharded Dispatcher and the tests'
+// single-lock refDispatcher satisfy it, which is what lets the
+// equivalence tests run the identical engine over both implementations
+// and compare every observable bit for bit.
 type dataPlane interface {
 	Submit(r Request) Verdict
 	Head(worker int) (Request, bool)

@@ -102,33 +102,6 @@ func TestCrossShardCompletionOrder(t *testing.T) {
 	}
 }
 
-// TestAdmissionBenchSmoke runs both bench modes at a small size and
-// checks the reported shape: mode labels, echoed configuration, a
-// positive rate, and outcome counts satisfying conservation.
-func TestAdmissionBenchSmoke(t *testing.T) {
-	for _, ref := range []bool{false, true} {
-		res, err := RunAdmissionBench(AdmissionBenchConfig{
-			Workers: 2, QueueCap: 64, Shards: 4, Submitters: 2, Requests: 2000, Seed: 3, Reference: ref,
-		})
-		if err != nil {
-			t.Fatalf("reference=%v: %v", ref, err)
-		}
-		wantMode, wantShards := "sharded", 4
-		if ref {
-			wantMode, wantShards = "single_lock", 1
-		}
-		if res.Mode != wantMode || res.Shards != wantShards {
-			t.Errorf("reference=%v: mode %q shards %d, want %q/%d", ref, res.Mode, res.Shards, wantMode, wantShards)
-		}
-		if res.Requests != 2000 || res.AdmissionsPerSec <= 0 || res.ElapsedSec <= 0 {
-			t.Errorf("reference=%v: implausible result %+v", ref, res)
-		}
-		if res.Routed+res.Shed+res.Blocked != int64(res.Requests) {
-			t.Errorf("reference=%v: outcomes %d+%d+%d != %d requests", ref, res.Routed, res.Shed, res.Blocked, res.Requests)
-		}
-	}
-}
-
 // TestConcurrentCompletionsNeverLoseARequest replaces the old
 // stop-the-world-fallback drill: with the completion ring there is no
 // fallback path, so the property to pin is that many goroutines
@@ -239,20 +212,4 @@ func TestQueuePushFullPanics(t *testing.T) {
 		}
 	}()
 	q.push(Request{ID: 2})
-}
-
-// TestAdmissionBenchConfig covers the bench config plumbing: zero
-// fields take the documented defaults and invalid shapes are rejected.
-func TestAdmissionBenchConfig(t *testing.T) {
-	def := AdmissionBenchConfig{}.withDefaults()
-	if def.Workers != 4 || def.QueueCap != 1024 || def.Shards != 1 ||
-		def.Submitters != 4 || def.Requests != 400000 || def.CompleteEvery != 4 || def.Seed != 1 {
-		t.Errorf("defaults = %+v", def)
-	}
-	if _, err := RunAdmissionBench(AdmissionBenchConfig{Submitters: -1}); err == nil {
-		t.Error("negative Submitters accepted")
-	}
-	if _, err := RunAdmissionBench(AdmissionBenchConfig{Submitters: 8, Requests: 4}); err == nil {
-		t.Error("Requests < Submitters accepted")
-	}
 }
