@@ -16,9 +16,7 @@ build:
 # membership frames join/roster-update/aggregate), dispatcher
 # request admission / policy parsing (arbitrary HTTP ingest traffic and
 # operator flags, batched and per-request), the ingest handler's
-# query parameter lookup (arbitrary client query strings), the
-# lock-free completion turn ring (under the race detector: mutual
-# exclusion, FIFO grants, no lost turns across wraparound), and geo
+# query parameter lookup (arbitrary client query strings), and geo
 # topology validation (operator-supplied region/RTT configs). One
 # invocation per target: -fuzz matches only one.
 vet: docs
@@ -29,7 +27,6 @@ vet: docs
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrameJSON -fuzztime=5s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzDispatcherAdmission -fuzztime=5s ./internal/dispatch/
 	$(GO) test -run='^$$' -fuzz=FuzzQueryValue -fuzztime=5s ./internal/dispatch/
-	$(GO) test -race -run='^$$' -fuzz=FuzzCompletionRing -fuzztime=5s ./internal/dispatch/
 	$(GO) test -run='^$$' -fuzz=FuzzTenantConfig -fuzztime=5s ./internal/dispatch/
 	$(GO) test -run='^$$' -fuzz=FuzzGeoConfig -fuzztime=5s ./internal/geo/
 
@@ -47,7 +44,7 @@ docs:
 # paths in the repository. The dispatcher's race suite includes the
 # live drain storm with keep-alive HTTP clients on a real socket and
 # the batched SubmitBatch/CompleteBatch/SetWeights scrape storm over
-# both the hoisted fast path and the general per-request body.
+# whole-chunk tenant runs and chunks of one-request tenant runs.
 test:
 	$(GO) test ./...
 	$(GO) test -race ./internal/metrics ./internal/cluster ./internal/wire ./internal/dispatch
@@ -128,7 +125,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeFrameJSON -fuzztime=10s ./internal/wire/
 	$(GO) test -fuzz=FuzzDispatcherAdmission -fuzztime=10s ./internal/dispatch/
 	$(GO) test -fuzz=FuzzQueryValue -fuzztime=10s ./internal/dispatch/
-	$(GO) test -race -fuzz=FuzzCompletionRing -fuzztime=10s ./internal/dispatch/
 	$(GO) test -run='^$$' -fuzz=FuzzParsePolicies -fuzztime=10s ./internal/dispatch/
 	$(GO) test -fuzz=FuzzTenantConfig -fuzztime=10s ./internal/dispatch/
 	$(GO) test -fuzz=FuzzGeoConfig -fuzztime=10s ./internal/geo/

@@ -81,7 +81,7 @@ func run(args []string, out io.Writer) error {
 		util     = fs.Float64("util", def.Utilization, "target mean utilization (worker speeds are scaled to it)")
 		capacity = fs.Int("cap", def.QueueCap, "per-worker queue capacity (sizing guidance: docs/OPERATIONS.md §6)")
 		shards   = fs.Int("shards", def.Shards, "admission shards (0 = 1; split the dispatcher lock for concurrent ingest)")
-		batch    = fs.Int("batch", def.BatchSize, "admission batch width: requests admitted per shard critical section (0 or 1 = per-request; tuning guidance: docs/OPERATIONS.md §6)")
+		batch    = fs.Int("batch", def.BatchSize, "simulation only: admission batch width, requests admitted per shard critical section (0 or 1 = per-request; tuning guidance: docs/OPERATIONS.md §6)")
 		alpha    = fs.Float64("alpha", def.Alpha1, "DOLBIE initial step size")
 		seed     = fs.Int64("seed", def.Seed, "seed for traffic and worker speed processes")
 		tenants  = fs.Int("tenants", 0, "tenant count: 0 runs the anonymous single stream; t > 0 runs t equal-weight tenants cycling gold/silver/bronze")
@@ -131,6 +131,12 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *httpAddr != "" {
+		if *batch > 1 {
+			// Live ingest admits each POST through Submit, one request per
+			// critical section, so a batch width would change nothing but
+			// lift the ShedBlock restriction batching carries.
+			return fmt.Errorf("-batch %d is simulation only: live mode (-http-addr) admits one request per POST", *batch)
+		}
 		return runLive(out, cfg, *httpAddr)
 	}
 

@@ -37,11 +37,16 @@ func TestRunCompare(t *testing.T) {
 }
 
 func TestRunFlagErrors(t *testing.T) {
+	// A live-mode case that got past the flag checks would serve; fail
+	// rather than block on the interrupt wait.
+	defer func() { testHookServe = nil }()
+	testHookServe = func(addr string) { t.Errorf("live mode started on %s", addr) }
 	for _, args := range [][]string{
 		{"-shed", "nope"},
 		{"-policy", "nope"},
 		{"-n", "0"},
 		{"-rounds", "20", "-util", "9"},
+		{"-http-addr", "127.0.0.1:0", "-batch", "8", "-shed", "block"},
 	} {
 		if err := run(args, io.Discard); err == nil {
 			t.Errorf("run(%v) should fail", args)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -26,10 +27,9 @@ type Config struct {
 	Shards int
 	// BatchSize caps how many requests a Submitter admits per shard
 	// critical section: one lock acquire, up to BatchSize smooth-WRR
-	// steps, one depth commit. 0 or 1 keeps per-request admission —
-	// SubmitBatch with BatchSize 1 takes the same per-request critical
-	// sections as Submit, and Submit itself never batches regardless of
-	// this knob, so the default path is bit-for-bit unchanged.
+	// steps, one depth commit. 0 or 1 admits one request per critical
+	// section. Submit and SubmitBatch run the same admission body, and
+	// Submit admits one request per call regardless of this knob.
 	BatchSize int
 	// Shed selects the backpressure behaviour when the routed target's
 	// queue is full.
@@ -164,26 +164,24 @@ type Totals struct {
 // property the scrape-time aggregation and the stop-the-world Totals
 // both build on.
 type shard struct {
-	mu      sync.Mutex
-	queues  []*queue    // one bounded slice of each worker's capacity
-	weights [][]float64 // shard-local copy per tenant, swapped at retune epochs
-	wrr     [][]float64 // smooth weighted round-robin accumulators per tenant
-	limits  []int       // per-tenant priority-class admission depth threshold
-	tokens  []float64   // per-tenant rate-contract tokens (see Submit)
-	tlast   []float64   // per-tenant last token refill time
+	mu       sync.Mutex
+	queues   []*queue    // one bounded slice of each worker's capacity
+	weights  [][]float64 // shard-local copy per tenant, swapped at retune epochs
+	wrrTotal []float64   // per-tenant sum of weights, in index order
+	wrr      [][]float64 // smooth weighted round-robin accumulators per tenant
+	limits   []int       // per-tenant priority-class admission depth threshold
+	tokens   []float64   // per-tenant rate-contract tokens (see admitRunLocked)
+	tlast    []float64   // per-tenant last token refill time
 
 	// Counters, guarded by mu. Plain (non-atomic) on purpose: they are
 	// only read under mu (scrape-time collection and stop-the-world
 	// snapshots), which keeps the admission critical section as cheap as
-	// possible.
-	arrivals      int64
+	// possible. The aggregate arrival, throttle, spill, block and
+	// completion counts are sums of the per-tenant slots below; only the
+	// per-worker routed counts and the shed reasons are kept apart.
 	routed        []int64
 	shedReject    int64
 	shedExhausted int64
-	shedThrottled int64
-	spilled       int64
-	blocked       int64
-	completed     int64
 
 	// Batched-admission tally: batches counts SubmitBatch critical
 	// sections committed on this shard, batchAdmitted the requests they
@@ -192,10 +190,10 @@ type shard struct {
 	batches       int64
 	batchAdmitted int64
 
-	// Per-tenant counters, one slot per tenant, guarded by mu like the
-	// aggregates. Every admission updates its tenant's slot inside the
-	// same critical section as the aggregate, so the per-tenant
-	// conservation law holds at every snapshot too.
+	// Per-tenant counters, one slot per tenant. Every admission updates
+	// its tenant's slots inside the shard's critical section, so both the
+	// per-tenant and the aggregate conservation laws hold at every
+	// snapshot.
 	tArrivals  []int64
 	tRouted    []int64
 	tShed      []int64
@@ -240,36 +238,6 @@ func (s *shard) observeLatencyLocked(v float64) {
 	s.latCount++
 }
 
-// pickLocked selects the routed target for tenant k under s.mu: smooth
-// weighted round-robin (the nginx algorithm — deterministic,
-// drift-free, and spreads each worker's turns evenly) over the tenant's
-// own weight vector and cursor, or the shard-local shortest queue under
-// RouteJSQ. Both are shard-local decisions, so shards never read each
-// other's state on the hot path.
-func (s *shard) pickLocked(route RoutePolicy, k int) int {
-	if route == RouteJSQ {
-		best := 0
-		for i := 1; i < len(s.queues); i++ {
-			if s.queues[i].len() < s.queues[best].len() {
-				best = i
-			}
-		}
-		return best
-	}
-	var total float64
-	best := -1
-	weights, wrr := s.weights[k], s.wrr[k]
-	for i, w := range weights {
-		wrr[i] += w
-		total += w
-		if best == -1 || wrr[i] > wrr[best] {
-			best = i
-		}
-	}
-	wrr[best] -= total
-	return best
-}
-
 // leastLoadedWithSpaceLocked returns the worker with the fewest queued
 // requests on this shard among those below the tenant's admission
 // depth threshold, or -1 when every shard queue is at the threshold.
@@ -287,16 +255,23 @@ func (s *shard) leastLoadedWithSpaceLocked(limit int) int {
 	return best
 }
 
+// paddedMutex is a sync.Mutex padded to a cache line, so the completion
+// locks of neighbouring workers never share one.
+type paddedMutex struct {
+	sync.Mutex
+	_ [56]byte
+}
+
 // Dispatcher routes requests onto bounded per-worker FIFO queues
 // according to the configured policy and the current weight vector. It
 // is safe for concurrent use and its admission path is sharded: each
 // request hashes to one of Config.Shards shards and commits entirely
 // inside that shard's short critical section, so concurrent Submit
 // calls on different shards never contend. Cross-shard coordination is
-// either lock-free (completion discovers the oldest head via atomic
-// per-queue head keys) or a brief stop-the-world epoch across all
-// shards (SetWeights, Totals, Depths, Backlog — the round-boundary
-// repartition operations).
+// either a per-worker completion lock (completion discovers the oldest
+// head via atomic per-queue head keys) or a brief stop-the-world epoch
+// across all shards (SetWeights, Totals, Depths, Backlog — the
+// round-boundary repartition operations).
 type Dispatcher struct {
 	cfg     Config
 	tenants []TenantConfig // resolved: at least one entry, names filled
@@ -313,14 +288,16 @@ type Dispatcher struct {
 	// in Complete reads consecutive memory instead of chasing a pointer
 	// into every shard.
 	heads []atomic.Int64
-	// rings serializes completions per worker: holding worker w's turn
-	// makes the caller the worker's only popper, which is what turns the
-	// optimistic oldest-head scan in Complete and Head into a guaranteed
-	// single pass (see completionRing). One ring per worker — completions
-	// of different workers never wait on each other.
-	rings []completionRing
-	inst  *dispatcherInstruments
-	col   *collector
+	// popLocks serializes completions and head reads per worker: holding
+	// worker w's lock makes the caller the worker's only popper, which is
+	// what turns the optimistic oldest-head scan in pop and Head into a
+	// guaranteed single pass (concurrent pushes can only flip a shard
+	// head from empty to a newer request, never move or remove the head
+	// the scan chose). One lock per worker — completions of different
+	// workers never wait on each other.
+	popLocks []paddedMutex
+	inst     *dispatcherInstruments
+	col      *collector
 
 	// nextHome assigns home shards to Submitters round-robin, so a set of
 	// submitter goroutines spreads sticky affinity across every shard.
@@ -360,10 +337,7 @@ func New(cfg Config) (*Dispatcher, error) {
 		burst:     make([]float64, nt),
 		shards:    make([]*shard, ns),
 		heads:     make([]atomic.Int64, cfg.N*ns),
-		rings:     make([]completionRing, cfg.N),
-	}
-	for w := range d.rings {
-		d.rings[w].init()
+		popLocks:  make([]paddedMutex, cfg.N),
 	}
 	for k, t := range tenants {
 		if t.RateLimit > 0 {
@@ -380,6 +354,7 @@ func New(cfg Config) (*Dispatcher, error) {
 		s := &shard{
 			queues:     make([]*queue, cfg.N),
 			weights:    make([][]float64, nt),
+			wrrTotal:   make([]float64, nt),
 			wrr:        make([][]float64, nt),
 			limits:     make([]int, nt),
 			tokens:     make([]float64, nt),
@@ -399,6 +374,7 @@ func New(cfg Config) (*Dispatcher, error) {
 			for w := range s.weights[k] {
 				s.weights[k][w] = 1 / float64(cfg.N)
 			}
+			s.wrrTotal[k] = weightSum(s.weights[k])
 			s.limits[k] = t.Priority.queueLimit(capS)
 			s.tokens[k] = d.burst[k] // buckets start full
 		}
@@ -414,7 +390,7 @@ func New(cfg Config) (*Dispatcher, error) {
 				names = append(names, t.Name)
 			}
 		}
-		d.inst = newDispatcherInstruments(newInstruments(cfg.Metrics), cfg.N, ns, names)
+		d.inst = newDispatcherInstruments(cfg.Metrics, cfg.N, ns, names)
 		d.inst.shards.Set(float64(ns))
 		d.col = newCollector(cfg.N, ns, len(names))
 		for _, s := range d.shards {
@@ -499,6 +475,17 @@ func validateWeights(w []float64, n int) error {
 	return nil
 }
 
+// weightSum is the smooth-WRR total of a weight vector: the weights
+// summed in index order, so the cached total has the bits the per-pick
+// sum would have.
+func weightSum(w []float64) float64 {
+	var total float64
+	for _, v := range w {
+		total += v
+	}
+	return total
+}
+
 // SetWeights installs a new routing weight vector (DOLBIE's x_{t+1})
 // for tenant 0 — the whole stream on a single-tenant dispatcher. See
 // SetTenantWeights.
@@ -517,9 +504,11 @@ func (d *Dispatcher) SetTenantWeights(k int, w []float64) error {
 	if err := validateWeights(w, d.cfg.N); err != nil {
 		return err
 	}
+	total := weightSum(w)
 	d.lockAll()
 	for _, s := range d.shards {
 		copy(s.weights[k], w)
+		s.wrrTotal[k] = total
 	}
 	d.unlockAll()
 	if d.inst != nil {
@@ -660,189 +649,145 @@ func (d *Dispatcher) RetryAfterSeconds(o Outcome) int {
 	return 1 + int(3*fill)
 }
 
-// admitLocked runs one full admission — drain gate, rate contract,
-// priority threshold, routing pick, queue push, and every counter —
-// under s.mu. It is the shared body of Submit (one request per critical
-// section) and SubmitBatch (up to BatchSize per critical section). The
-// caller owns the dispatcher-level depth commit: the verdict carries
-// Worker >= 0 exactly when a request was queued.
-func (d *Dispatcher) admitLocked(s *shard, k int, r Request) Verdict {
-	s.arrivals++
-	s.tArrivals[k]++
-	if d.draining.Load() {
+// admitLocked admits every request of chunk, in order, under s.mu,
+// appending one verdict per request to out and returning out plus the
+// number of requests queued (the caller's depth commit). It splits the
+// chunk into runs of consecutive same-tenant requests and admits each
+// run through admitRunLocked.
+//
+// The drain gate is sampled once per call, not once per request: a
+// concurrent SetDraining lands on a chunk boundary, which is one of the
+// serializations per-request admission could equally have produced
+// (the whole chunk shares one critical section either way).
+func (d *Dispatcher) admitLocked(s *shard, chunk []Request, out []Verdict) ([]Verdict, int64) {
+	base := len(out)
+	out = slices.Grow(out, len(chunk))[:base+len(chunk)]
+	vs := out[base:]
+	draining := d.draining.Load()
+	var queued int64
+	for len(chunk) > 0 {
+		// A single-tenant dispatcher folds every request to tenant 0, so
+		// its whole chunk is one run.
+		k, n := d.tenantIndex(chunk[0].Tenant), len(chunk)
+		if len(d.tenants) > 1 {
+			for n = 1; n < len(chunk) && d.tenantIndex(chunk[n].Tenant) == k; n++ {
+			}
+		}
+		queued += d.admitRunLocked(s, k, chunk[:n], vs[:n], draining)
+		chunk, vs = chunk[n:], vs[n:]
+	}
+	return out, queued
+}
+
+// admitRunLocked is the one admission body: it admits run, a run of
+// tenant k's requests, under s.mu, writes request j's verdict to vs[j],
+// and returns how many requests were queued. Submit passes a
+// one-request run, SubmitBatch each tenant run of its chunk. What the
+// run shares — the tenant's weights and WRR total, admission
+// threshold, shed policy and rate contract — is read once; each
+// request then passes the rate contract, the routing pick, the
+// threshold check and the queue push. The pick is smooth weighted
+// round-robin (the nginx algorithm — deterministic, drift-free, and
+// spreads each worker's turns evenly) over the tenant's own weights
+// and cursor, or the shard-local shortest queue under RouteJSQ; both
+// are shard-local, so shards never read each other's state on the hot
+// path. Every count commits inside the critical section, so every
+// snapshot stays exact. draining is the drain gate, sampled by the
+// caller.
+func (d *Dispatcher) admitRunLocked(s *shard, k int, run []Request, vs []Verdict, draining bool) int64 {
+	s.tArrivals[k] += int64(len(run))
+	if draining {
 		// Graceful drain: admission is refused without dropping anything
 		// already accepted. Drain refusals count as Blocked, so both
 		// conservation laws (aggregate and per-tenant) keep holding on
 		// every snapshot taken through a drain.
-		s.blocked++
-		s.tBlocked[k]++
-		return Verdict{Outcome: Blocked, Worker: -1}
-	}
-	if rate := d.rateShare[k]; rate > 0 {
-		// Token bucket on the tenant's admission rate contract: refill
-		// from the arrival clock (monotone per shard; negative deltas
-		// from cross-shard clock skew are ignored), spend one token per
-		// admission, shed at the door when empty.
-		if dt := r.Arrival - s.tlast[k]; dt > 0 {
-			s.tokens[k] = math.Min(d.burst[k], s.tokens[k]+dt*rate)
-			s.tlast[k] = r.Arrival
+		s.tBlocked[k] += int64(len(run))
+		for j := range vs {
+			vs[j] = Verdict{Outcome: Blocked, Worker: -1}
 		}
-		if s.tokens[k] < 1 {
-			s.shedThrottled++
-			s.tThrottled[k]++
-			return Verdict{Outcome: Throttled, Worker: -1}
-		}
-		s.tokens[k]--
-	}
-	target := s.pickLocked(d.cfg.Route, k)
-	limit := s.limits[k]
-	v := Verdict{Outcome: Routed, Worker: target}
-	switch {
-	case s.queues[target].len() < limit:
-		// Fast path: the routed target is below the tenant's admission
-		// threshold on this shard (the full capacity for gold tenants —
-		// identical to the historical full-queue check).
-	case d.tenants[k].Shed == ShedBlock:
-		s.blocked++
-		s.tBlocked[k]++
-		return Verdict{Outcome: Blocked, Worker: -1}
-	case d.tenants[k].Shed == ShedSpill:
-		alt := s.leastLoadedWithSpaceLocked(limit)
-		if alt < 0 {
-			s.shedExhausted++
-			s.tShed[k]++
-			return Verdict{Outcome: Shed, Worker: -1}
-		}
-		s.spilled++
-		s.tSpilled[k]++
-		v = Verdict{Outcome: Spilled, Worker: alt}
-	default: // ShedReject
-		s.shedReject++
-		s.tShed[k]++
-		return Verdict{Outcome: Shed, Worker: -1}
-	}
-	s.queues[v.Worker].push(r)
-	s.routed[v.Worker]++
-	s.tRouted[k]++
-	return v
-}
-
-// admitBatchLocked admits every request of chunk, in order, under s.mu,
-// appending one verdict per request to out and returning out plus the
-// number of requests queued (the caller's depth commit). It is the bulk
-// body of SubmitBatch: for the common chunk shape — single tenant, no
-// rate contract, weighted routing — every chunk-invariant admission
-// input (drain gate, weight vector, WRR total, priority threshold, shed
-// policy) is hoisted out of the per-request loop and the smooth-WRR
-// step is inlined, producing the exact pick sequence, verdicts, and
-// counters of admitLocked run per request (the batched equivalence
-// suite pins the two paths to each other). Chunks that need per-request
-// tenant resolution or token-bucket refills fall back to the general
-// body, still amortizing the one lock acquire.
-//
-// The drain gate is sampled once per chunk, not once per request: a
-// concurrent SetDraining lands on a chunk boundary, which is one of the
-// serializations per-request admission could equally have produced
-// (the whole chunk shares one critical section either way).
-func (d *Dispatcher) admitBatchLocked(s *shard, chunk []Request, out []Verdict) ([]Verdict, int64) {
-	if len(d.tenants) != 1 || d.rateShare[0] > 0 || d.cfg.Route != RouteWeighted {
-		queued := int64(0)
-		for _, r := range chunk {
-			v := d.admitLocked(s, d.tenantIndex(r.Tenant), r)
-			if v.Worker >= 0 {
-				queued++
-			}
-			out = append(out, v)
-		}
-		return out, queued
-	}
-	n := int64(len(chunk))
-	s.arrivals += n
-	s.tArrivals[0] += n
-	if d.draining.Load() {
-		s.blocked += n
-		s.tBlocked[0] += n
-		for range chunk {
-			out = append(out, Verdict{Outcome: Blocked, Worker: -1})
-		}
-		return out, 0
+		return 0
 	}
 	var (
-		weights = s.weights[0]
-		wrr     = s.wrr[0][:len(s.weights[0])]
+		weights = s.weights[k]
+		wrr     = s.wrr[k][:len(weights)]
+		total   = s.wrrTotal[k] // invariant while s.mu is held: retunes stop the world
 		queues  = s.queues
-		limit   = s.limits[0]
-		shed    = d.tenants[0].Shed
-		total   float64
+		limit   = s.limits[k]
+		shed    = d.tenants[k].Shed
+		jsq     = d.cfg.Route == RouteJSQ
+		rate    = d.rateShare[k]
 		queued  int64
-		// Shed-side counters tallied in registers and flushed once after
-		// the loop (still inside the critical section, so every snapshot
-		// stays exact).
-		rejected, exhausted, blocked, spilled int64
 	)
-	for _, w := range weights {
-		total += w
-	}
-	// Grow out once for the whole chunk and write verdicts by index —
-	// one append bookkeeping step per chunk instead of per request.
-	base := len(out)
-	if cap(out) >= base+len(chunk) {
-		out = out[:base+len(chunk)]
-	} else {
-		out = append(out, make([]Verdict, len(chunk))...)
-	}
-	vs := out[base:]
-	for j, r := range chunk {
-		// Inlined smooth WRR over the hoisted vectors; total is invariant
-		// while the shard lock is held (retunes stop the world).
-		best := 0
-		bw := wrr[0] + weights[0]
-		wrr[0] = bw
-		for i := 1; i < len(weights); i++ {
-			v := wrr[i] + weights[i]
-			wrr[i] = v
-			if v > bw {
-				bw, best = v, i
+	for j, r := range run {
+		if rate > 0 {
+			// Token bucket on the tenant's admission rate contract: refill
+			// from the arrival clock (monotone per shard; negative deltas
+			// from cross-shard clock skew are ignored), spend one token per
+			// admission, shed at the door when empty.
+			if dt := r.Arrival - s.tlast[k]; dt > 0 {
+				s.tokens[k] = math.Min(d.burst[k], s.tokens[k]+dt*rate)
+				s.tlast[k] = r.Arrival
 			}
+			if s.tokens[k] < 1 {
+				s.tThrottled[k]++
+				vs[j] = Verdict{Outcome: Throttled, Worker: -1}
+				continue
+			}
+			s.tokens[k]--
 		}
-		wrr[best] -= total
-		if queues[best].count >= limit {
+		best := 0
+		if jsq {
+			for i := 1; i < len(queues); i++ {
+				if queues[i].count < queues[best].count {
+					best = i
+				}
+			}
+		} else {
+			bw := wrr[0] + weights[0]
+			wrr[0] = bw
+			for i := 1; i < len(weights); i++ {
+				v := wrr[i] + weights[i]
+				wrr[i] = v
+				if v > bw {
+					bw, best = v, i
+				}
+			}
+			wrr[best] -= total
+		}
+		if queues[best].count < limit {
+			// The routed target is below the tenant's admission threshold
+			// on this shard (the full capacity slice for gold tenants).
+			vs[j] = Verdict{Outcome: Routed, Worker: best}
+		} else {
 			switch shed {
 			case ShedBlock:
-				blocked++
+				s.tBlocked[k]++
 				vs[j] = Verdict{Outcome: Blocked, Worker: -1}
 				continue
 			case ShedSpill:
 				alt := s.leastLoadedWithSpaceLocked(limit)
 				if alt < 0 {
-					exhausted++
+					s.shedExhausted++
+					s.tShed[k]++
 					vs[j] = Verdict{Outcome: Shed, Worker: -1}
 					continue
 				}
-				spilled++
+				s.tSpilled[k]++
 				best = alt
 				vs[j] = Verdict{Outcome: Spilled, Worker: alt}
 			default: // ShedReject
-				rejected++
+				s.shedReject++
+				s.tShed[k]++
 				vs[j] = Verdict{Outcome: Shed, Worker: -1}
 				continue
 			}
-		} else {
-			vs[j] = Verdict{Outcome: Routed, Worker: best}
 		}
 		queues[best].push(r)
 		s.routed[best]++
 		queued++
 	}
-	s.shedReject += rejected
-	s.shedExhausted += exhausted
-	s.tShed[0] += rejected + exhausted
-	s.blocked += blocked
-	s.tBlocked[0] += blocked
-	s.spilled += spilled
-	s.tSpilled[0] += spilled
-	s.tRouted[0] += queued
-	return out, queued
+	s.tRouted[k] += queued
+	return queued
 }
 
 // Submit routes one request. The returned verdict reports where it
@@ -854,13 +799,14 @@ func (d *Dispatcher) admitBatchLocked(s *shard, chunk []Request, out []Verdict) 
 func (d *Dispatcher) Submit(r Request) Verdict {
 	k := d.tenantIndex(r.Tenant)
 	s := d.shardFor(r.ID)
+	run := [1]Request{r}
+	var v [1]Verdict
 	s.mu.Lock()
-	v := d.admitLocked(s, k, r)
-	if v.Worker >= 0 {
+	if d.admitRunLocked(s, k, run[:], v[:], d.draining.Load()) > 0 {
 		d.depth.Add(1)
 	}
 	s.mu.Unlock()
-	return v
+	return v[0]
 }
 
 // oldestShard scans the worker's per-shard head keys lock-free and
@@ -882,16 +828,16 @@ func (d *Dispatcher) oldestShard(worker int) (int, int64) {
 
 // Head returns the worker's in-service request: the oldest head (by
 // request ID) across the worker's shard queues, without removing it.
-// It holds the worker's completion-ring turn for the read, so the head
-// it scans cannot be popped out from under it — one optimistic pass
+// It holds the worker's completion lock for the read, so the head it
+// scans cannot be popped out from under it — one optimistic pass
 // always resolves, with no stop-the-world fallback.
 func (d *Dispatcher) Head(worker int) (Request, bool) {
 	if worker < 0 || worker >= d.cfg.N {
 		return Request{}, false
 	}
-	ring := &d.rings[worker]
-	t := ring.acquire()
-	defer ring.release(t)
+	pl := &d.popLocks[worker]
+	pl.Lock()
+	defer pl.Unlock()
 	si, bestID := d.oldestShard(worker)
 	if si < 0 {
 		return Request{}, false
@@ -901,10 +847,11 @@ func (d *Dispatcher) Head(worker int) (Request, bool) {
 	h, ok := s.queues[worker].peek()
 	s.mu.Unlock()
 	if !ok || h.ID != bestID {
-		// Unreachable while the turn is held: concurrent admissions can
-		// only flip a head key from empty to a value, never move the head
-		// we chose, and the turn excludes every popper. Fail closed rather
-		// than return a stale head if the invariant is ever broken.
+		// Unreachable while the completion lock is held: concurrent
+		// admissions can only flip a head key from empty to a value, never
+		// move the head we chose, and the lock excludes every popper. Fail
+		// closed rather than return a stale head if the invariant is ever
+		// broken.
 		return Request{}, false
 	}
 	return h, true
@@ -913,63 +860,45 @@ func (d *Dispatcher) Head(worker int) (Request, bool) {
 // Complete pops the worker's in-service head — the oldest head across
 // the worker's shard queues — and records its completion at time now
 // (virtual or wall seconds, matching the request arrivals). It returns
-// the completed request. The path is lock-free across shards: holding
-// the worker's completion-ring turn makes this call the worker's only
-// popper, so the optimistic scan of atomic head keys picks the oldest
-// shard in a single guaranteed pass (concurrent pushes can only turn
-// an empty key into a newer request, never move the chosen head), and
-// only that one shard's mutex is taken. A contended completion waits
-// on its worker's ring turn; it never stops the world, so admissions
-// on every shard and completions of every other worker keep flowing.
+// the completed request. It is the n = 1 case of CompleteBatch.
 func (d *Dispatcher) Complete(worker int, now float64) (Request, bool) {
-	if worker < 0 || worker >= d.cfg.N {
-		return Request{}, false
-	}
-	ring := &d.rings[worker]
-	t := ring.acquire()
-	defer ring.release(t)
-	si, _ := d.oldestShard(worker)
-	if si < 0 {
-		return Request{}, false
-	}
-	s := d.shards[si]
-	s.mu.Lock()
-	r, ok := s.queues[worker].pop()
-	if !ok {
-		// Unreachable (the turn excludes every other popper, so a
-		// non-empty scanned head cannot vanish); fail closed.
-		s.mu.Unlock()
-		return Request{}, false
-	}
-	s.completed++
-	s.tCompleted[d.tenantIndex(r.Tenant)]++
-	d.depth.Add(-1)
-	if d.inst != nil {
-		s.observeLatencyLocked(now - r.Arrival)
-	}
-	s.mu.Unlock()
-	return r, true
+	r, done := d.pop(worker, 1, now)
+	return r, done == 1
 }
 
 // CompleteBatch pops up to n of the worker's in-service heads —
 // oldest-first, exactly the sequence n Complete calls would pop — and
 // records their completions at time now. It returns how many it popped
-// (fewer than n when the worker's queues drain empty). The worker's
-// completion-ring turn is held once for the whole batch, the dispatcher
-// depth commits once, and consecutive pops that land on the same shard
-// keep that shard's mutex held (with a single shard every pop does), so
-// a completion burst costs one ring acquire, one lock, and one atomic
-// depth update instead of n of each. Never more than one shard mutex is
-// held at a time, preserving the lock-ordering freedom Submit and the
-// stop-the-world epochs rely on.
+// (fewer than n when the worker's queues drain empty).
 func (d *Dispatcher) CompleteBatch(worker, n int, now float64) int {
+	_, done := d.pop(worker, n, now)
+	return done
+}
+
+// pop is the one completion body: it pops up to n of the worker's
+// in-service heads, oldest first, records their completions at time
+// now, and returns the last request popped and how many were popped.
+// The worker's completion lock is held once for the whole call, which
+// makes the caller the worker's only popper: the lock-free scan of
+// atomic head keys then picks the oldest shard in a single guaranteed
+// pass (concurrent pushes can only turn an empty key into a newer
+// request, never move the chosen head), and only that shard's mutex is
+// taken. Consecutive pops that land on the same shard keep its mutex
+// held (with a single shard every pop does), and the dispatcher depth
+// commits once. Never more than one shard mutex is held at a time,
+// preserving the lock-ordering freedom Submit and the stop-the-world
+// epochs rely on, and a contended completion never stops the world:
+// admissions on every shard and completions of every other worker keep
+// flowing.
+func (d *Dispatcher) pop(worker, n int, now float64) (Request, int) {
 	if worker < 0 || worker >= d.cfg.N || n <= 0 {
-		return 0
+		return Request{}, 0
 	}
-	ring := &d.rings[worker]
-	t := ring.acquire()
-	defer ring.release(t)
+	pl := &d.popLocks[worker]
+	pl.Lock()
+	defer pl.Unlock()
 	var (
+		last Request
 		done int
 		s    *shard // the currently locked shard, nil when none
 	)
@@ -987,14 +916,15 @@ func (d *Dispatcher) CompleteBatch(worker, n int, now float64) int {
 		}
 		r, ok := s.queues[worker].pop()
 		if !ok {
-			// Unreachable while the turn is held (see Complete); fail closed.
+			// Unreachable while the completion lock is held (a non-empty
+			// scanned head cannot vanish); fail closed.
 			break
 		}
-		s.completed++
 		s.tCompleted[d.tenantIndex(r.Tenant)]++
 		if d.inst != nil {
 			s.observeLatencyLocked(now - r.Arrival)
 		}
+		last = r
 		done++
 	}
 	if s != nil {
@@ -1003,7 +933,7 @@ func (d *Dispatcher) CompleteBatch(worker, n int, now float64) int {
 	if done > 0 {
 		d.depth.Add(int64(-done))
 	}
-	return done
+	return last, done
 }
 
 // Depths returns the current queue depth of every worker (summed over
@@ -1042,11 +972,14 @@ func (d *Dispatcher) Totals() Totals {
 	defer d.unlockAll()
 	t := Totals{Routed: make([]int64, d.cfg.N)}
 	for _, s := range d.shards {
-		t.Arrivals += s.arrivals
-		t.Shed += s.shedReject + s.shedExhausted + s.shedThrottled
-		t.Spilled += s.spilled
-		t.Blocked += s.blocked
-		t.Completed += s.completed
+		t.Shed += s.shedReject + s.shedExhausted
+		for k := range d.tenants {
+			t.Arrivals += s.tArrivals[k]
+			t.Shed += s.tThrottled[k]
+			t.Spilled += s.tSpilled[k]
+			t.Blocked += s.tBlocked[k]
+			t.Completed += s.tCompleted[k]
+		}
 		for w, r := range s.routed {
 			t.Routed[w] += r
 		}

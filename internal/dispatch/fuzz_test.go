@@ -3,6 +3,7 @@ package dispatch
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -15,23 +16,30 @@ import (
 // loop's virtual clock) relies on: the conservation law
 // Arrivals == sum(Routed) + Shed + Blocked, queue depths bounded by the
 // configured capacity, and Backlog matching the work actually enqueued.
-// The shard count and admission batch size are fuzzed alongside the
-// policies — batch > 1 drives the submissions through a submitter-sticky
-// SubmitBatch with a pending-flush buffer, exercising admitBatchLocked's
-// fast and general paths against the same invariants as per-request
-// Submit — and every input is replayed a second time as concurrent
-// offered load (several submitting goroutines racing batched completions)
+// The shard count, admission batch size and tenancy are fuzzed
+// alongside the policies. batch > 1 drives the submissions through a
+// submitter-sticky SubmitBatch with a pending-flush buffer; tenancy
+// configures 0–3 tenants, each with its own shed policy and priority
+// class and the first with a rate contract, and each request's tenant
+// comes from its op byte (values past the last tenant fold to tenant
+// 0), so chunks hold tenant runs of every length. At one shard the
+// single-lock reference, fed the same requests through Submit, must
+// agree verdict for verdict, completion for completion and in every
+// total. Every input is replayed a second time as concurrent offered
+// load (several submitting goroutines racing batched completions)
 // under which the conservation and capacity invariants must still hold
 // at quiescence — the strict depth/backlog bookkeeping is
 // sequential-only, since under concurrency the interleaving of verdicts
 // is not deterministic. Runs with the seed corpus under plain
 // `go test`; explore further with `go test -fuzz=FuzzDispatcherAdmission`.
 func FuzzDispatcherAdmission(f *testing.F) {
-	f.Add(uint8(3), uint8(2), uint8(0), uint8(0), uint8(0), uint8(1), uint8(0), []byte{0, 1, 2, 3, 4, 5})
-	f.Add(uint8(1), uint8(1), uint8(1), uint8(1), uint8(3), uint8(2), uint8(1), []byte{7, 7, 7, 3, 3})
-	f.Add(uint8(8), uint8(4), uint8(2), uint8(0), uint8(7), uint8(3), uint8(2), []byte{255, 128, 64, 32, 16, 8, 4, 2, 1})
-	f.Add(uint8(4), uint8(15), uint8(0), uint8(0), uint8(3), uint8(3), uint8(3), []byte{0, 4, 8, 12, 0, 4, 8, 3, 0, 4, 8, 12, 16, 20, 24, 28, 32, 3, 7})
-	f.Fuzz(func(t *testing.T, n, queueCap, shed, route, shards, par, batch uint8, ops []byte) {
+	f.Add(uint8(3), uint8(2), uint8(0), uint8(0), uint8(0), uint8(1), uint8(0), uint8(0), []byte{0, 1, 2, 3, 4, 5})
+	f.Add(uint8(1), uint8(1), uint8(1), uint8(1), uint8(3), uint8(2), uint8(1), uint8(0), []byte{7, 7, 7, 3, 3})
+	f.Add(uint8(8), uint8(4), uint8(2), uint8(0), uint8(7), uint8(3), uint8(2), uint8(0), []byte{255, 128, 64, 32, 16, 8, 4, 2, 1})
+	f.Add(uint8(4), uint8(15), uint8(0), uint8(0), uint8(3), uint8(3), uint8(3), uint8(0), []byte{0, 4, 8, 12, 0, 4, 8, 3, 0, 4, 8, 12, 16, 20, 24, 28, 32, 3, 7})
+	f.Add(uint8(2), uint8(7), uint8(2), uint8(0), uint8(0), uint8(1), uint8(2), uint8(3+4*1+16*2), []byte{0, 32, 64, 96, 0, 32, 3, 128, 160, 192, 224, 0, 0, 32, 7, 64, 64, 1, 33, 65, 97, 11})
+	f.Add(uint8(3), uint8(5), uint8(1), uint8(1), uint8(0), uint8(0), uint8(1), uint8(2+16*1), []byte{0, 32, 0, 32, 0, 32, 3, 7, 0, 0, 0, 32, 32, 32, 11})
+	f.Fuzz(func(t *testing.T, n, queueCap, shed, route, shards, par, batch, tenancy uint8, ops []byte) {
 		cfg := Config{
 			N:         int(n%8) + 1,
 			QueueCap:  int(queueCap%16) + 1,
@@ -43,9 +51,36 @@ func FuzzDispatcherAdmission(f *testing.F) {
 		if cfg.Shards > cfg.QueueCap {
 			cfg.Shards = cfg.QueueCap // Validate requires a slot per shard
 		}
+		for i := 0; i < int(tenancy%4); i++ {
+			cfg.Tenants = append(cfg.Tenants, TenantConfig{
+				Shed:     ShedPolicy((int(shed) + i) % 3),
+				Priority: PriorityClass((int(tenancy/4) + i) % 3),
+			})
+		}
+		if len(cfg.Tenants) > 0 {
+			cfg.Tenants[0].RateLimit = float64(tenancy/16) / 4 // requests per op; 0 = no contract
+		}
+		// policy resolves a request's shed policy and rate contract the
+		// way the dispatcher does.
+		policy := func(r Request) (ShedPolicy, bool) {
+			if len(cfg.Tenants) == 0 {
+				return cfg.Shed, false
+			}
+			k := r.Tenant
+			if k >= len(cfg.Tenants) {
+				k = 0
+			}
+			return cfg.Tenants[k].Shed, cfg.Tenants[k].RateLimit > 0
+		}
 		d, err := New(cfg)
 		if err != nil {
 			t.Fatalf("New(%+v): %v", cfg, err)
+		}
+		var ref *refDispatcher // single-lock oracle, 1-shard only
+		if cfg.Shards == 1 {
+			if ref, err = newRefDispatcher(cfg); err != nil {
+				t.Fatalf("newRefDispatcher(%+v): %v", cfg, err)
+			}
 		}
 		var id int64
 		var enqueued float64
@@ -59,6 +94,12 @@ func FuzzDispatcherAdmission(f *testing.F) {
 		account := func(k int) {
 			verdicts = sub.SubmitBatch(pending, verdicts[:0])
 			for i, v := range verdicts {
+				if ref != nil {
+					if want := ref.Submit(pending[i]); v != want {
+						t.Fatalf("op %d: verdict %+v != reference %+v", k, v, want)
+					}
+				}
+				shedPolicy, limited := policy(pending[i])
 				switch v.Outcome {
 				case Routed, Spilled:
 					if v.Worker < 0 || v.Worker >= cfg.N {
@@ -67,12 +108,16 @@ func FuzzDispatcherAdmission(f *testing.F) {
 					depths[v.Worker]++
 					enqueued += pending[i].Demand
 				case Shed:
-					if cfg.Shed == ShedBlock {
+					if shedPolicy == ShedBlock {
 						t.Fatalf("op %d: block policy shed a request", k)
 					}
 				case Blocked:
-					if cfg.Shed != ShedBlock {
-						t.Fatalf("op %d: %v policy blocked a request", k, cfg.Shed)
+					if shedPolicy != ShedBlock {
+						t.Fatalf("op %d: %v policy blocked a request", k, shedPolicy)
+					}
+				case Throttled:
+					if !limited {
+						t.Fatalf("op %d: tenant %d without a rate contract throttled", k, pending[i].Tenant)
 					}
 				default:
 					t.Fatalf("op %d: unknown outcome %v", k, v.Outcome)
@@ -86,20 +131,34 @@ func FuzzDispatcherAdmission(f *testing.F) {
 				// completions in program order.
 				account(k)
 				w := int(op>>2) % cfg.N
-				if req, ok := d.Complete(w, float64(k)); ok {
+				req, ok := d.Complete(w, float64(k))
+				if ok {
 					depths[w]--
 					enqueued -= req.Demand
+				}
+				if ref != nil {
+					if rr, okr := ref.Complete(w, float64(k)); okr != ok || rr != req {
+						t.Fatalf("op %d: complete %+v,%v != reference %+v,%v", k, req, ok, rr, okr)
+					}
 				}
 				continue
 			}
 			id++
-			pending = append(pending, Request{ID: id, Arrival: float64(k), Demand: 0.1 + float64(op%7)})
+			pending = append(pending, Request{ID: id, Arrival: float64(k), Demand: 0.1 + float64(op%7), Tenant: int(op >> 5)})
 			if len(pending) >= cfg.BatchSize {
 				account(k)
 			}
 		}
 		account(len(ops))
 		tot := d.Totals()
+		if ref != nil {
+			if want := ref.Totals(); !reflect.DeepEqual(tot, want) {
+				t.Fatalf("totals %+v != reference %+v", tot, want)
+			}
+			if got, want := d.TenantTotals(), ref.TenantTotals(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("tenant totals %+v != reference %+v", got, want)
+			}
+		}
 		var routed int64
 		for w, r := range tot.Routed {
 			if gotDepth := d.Depths()[w]; gotDepth != depths[w] {
@@ -151,7 +210,7 @@ func FuzzDispatcherAdmission(f *testing.F) {
 						}
 						continue
 					}
-					cpending = append(cpending, Request{ID: base + int64(k), Arrival: float64(k), Demand: 0.1 + float64(op%7)})
+					cpending = append(cpending, Request{ID: base + int64(k), Arrival: float64(k), Demand: 0.1 + float64(op%7), Tenant: int(op >> 5)})
 					if len(cpending) >= cfg.BatchSize {
 						cverdicts = csub.SubmitBatch(cpending, cverdicts[:0])
 						cpending = cpending[:0]
@@ -175,63 +234,6 @@ func FuzzDispatcherAdmission(f *testing.F) {
 		for w, depth := range dc.Depths() {
 			if depth > cfg.QueueCap {
 				t.Fatalf("concurrent replay: worker %d depth %d exceeds cap %d", w, depth, cfg.QueueCap)
-			}
-		}
-	})
-}
-
-// FuzzCompletionRing drives the lock-free completion turn queue with an
-// arbitrary mix of goroutines and per-goroutine turn counts and checks
-// the three properties the dispatcher's completion path stands on:
-// mutual exclusion (holding a turn really excludes every other
-// completer), FIFO granting in exact ticket order even across ring
-// wraparound (any total > completionRingSlots recycles slots), and that
-// no turn is ever lost — every acquire is eventually granted and the
-// critical-section count comes out exactly goroutines × turns. Runs
-// with the seed corpus under plain `go test` (and under -race in the
-// Makefile's fuzz smoke); explore further with
-// `go test -fuzz=FuzzCompletionRing`.
-func FuzzCompletionRing(f *testing.F) {
-	f.Add(uint8(1), uint8(1))
-	f.Add(uint8(2), uint8(5))
-	f.Add(uint8(7), uint8(31)) // 8 goroutines × 32 turns: 32 wraparounds
-	f.Add(uint8(255), uint8(255))
-	f.Fuzz(func(t *testing.T, par, turns uint8) {
-		goroutines := int(par%8) + 1
-		perG := int(turns%32) + 1
-		var ring completionRing
-		ring.init()
-		var (
-			inside  int32 // guarded by the ring, deliberately not atomic
-			count   int64 // ditto
-			granted = make([]int64, 0, goroutines*perG)
-			wg      sync.WaitGroup
-		)
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < perG; i++ {
-					tk := ring.acquire()
-					if inside != 0 {
-						panic("completion ring granted two turns at once")
-					}
-					inside = 1
-					count++
-					granted = append(granted, tk)
-					inside = 0
-					ring.release(tk)
-				}
-			}()
-		}
-		wg.Wait()
-		total := int64(goroutines * perG)
-		if count != total {
-			t.Fatalf("lost completions: %d critical sections for %d acquires", count, total)
-		}
-		for i, tk := range granted {
-			if tk != int64(i) {
-				t.Fatalf("turn %d granted ticket %d: FIFO order violated", i, tk)
 			}
 		}
 	})

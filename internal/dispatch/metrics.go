@@ -157,59 +157,6 @@ func newLiveInstruments(reg *metrics.Registry) *liveInstruments {
 	}
 }
 
-// instruments bundles the dispatcher's registry-backed metrics; nil
-// when the dispatcher is uninstrumented.
-type instruments struct {
-	arrivals        *metrics.Counter
-	routed          *metrics.CounterVec
-	shed            *metrics.CounterVec
-	spilled         *metrics.Counter
-	blocked         *metrics.Counter
-	depth           *metrics.GaugeVec
-	latency         *metrics.Histogram
-	retunes         *metrics.Counter
-	shards          *metrics.Gauge
-	shardAdmissions *metrics.CounterVec
-	shardDepth      *metrics.GaugeVec
-	batchBatches    *metrics.Counter
-	batchAdmissions *metrics.Counter
-	batchAffHits    *metrics.Counter
-	batchAffMisses  *metrics.Counter
-	tenantArrivals  *metrics.CounterVec
-	tenantRouted    *metrics.CounterVec
-	tenantShed      *metrics.CounterVec
-	tenantBlocked   *metrics.CounterVec
-	tenantCompleted *metrics.CounterVec
-}
-
-func newInstruments(reg *metrics.Registry) *instruments {
-	if reg == nil {
-		return nil
-	}
-	return &instruments{
-		arrivals:        reg.Counter(MetricArrivals, "Requests submitted to the dispatcher (including blocked attempts)."),
-		routed:          reg.CounterVec(MetricRouted, "Requests enqueued, by worker.", "worker"),
-		shed:            reg.CounterVec(MetricShed, "Requests dropped by backpressure, by reason.", "reason"),
-		spilled:         reg.Counter(MetricSpilled, "Requests rerouted to the least-loaded worker by the spill policy."),
-		blocked:         reg.Counter(MetricBlocked, "Admission attempts refused by the block policy."),
-		depth:           reg.GaugeVec(MetricQueueDepth, "Current queue depth, by worker.", "worker"),
-		latency:         reg.Histogram(MetricCompletionLatency, "Request completion latency in seconds.", latencyBuckets),
-		retunes:         reg.Counter(MetricRetunes, "Closed-loop routing weight updates applied to the dispatcher."),
-		shards:          reg.Gauge(MetricShards, "Configured number of admission shards."),
-		shardAdmissions: reg.CounterVec(MetricShardAdmissions, "Admission attempts, by shard.", "shard"),
-		shardDepth:      reg.GaugeVec(MetricShardDepth, "Queued requests, by shard.", "shard"),
-		batchBatches:    reg.Counter(MetricBatchBatches, "Batched-admission critical sections committed by SubmitBatch."),
-		batchAdmissions: reg.Counter(MetricBatchAdmissions, "Requests admitted through SubmitBatch chunks."),
-		batchAffHits:    reg.Counter(MetricBatchAffinityHits, "SubmitBatch chunks that acquired their sticky home shard uncontended."),
-		batchAffMisses:  reg.Counter(MetricBatchAffinityMisses, "SubmitBatch chunks that fell away from a contended home shard."),
-		tenantArrivals:  reg.CounterVec(MetricTenantArrivals, "Admission attempts, by tenant.", "tenant"),
-		tenantRouted:    reg.CounterVec(MetricTenantRouted, "Requests enqueued, by tenant.", "tenant"),
-		tenantShed:      reg.CounterVec(MetricTenantShed, "Requests dropped (queue pressure or rate contract), by tenant.", "tenant"),
-		tenantBlocked:   reg.CounterVec(MetricTenantBlocked, "Admission attempts refused, by tenant.", "tenant"),
-		tenantCompleted: reg.CounterVec(MetricTenantCompleted, "Requests fully served, by tenant.", "tenant"),
-	}
-}
-
 // dispatcherInstruments pre-resolves every label series the dispatcher
 // touches, so neither the scrape-time collector (sharded dispatcher)
 // nor the tests' single-lock reference (updates under its admission
@@ -246,60 +193,73 @@ type dispatcherInstruments struct {
 	tenantCompletedByT []*metrics.Counter
 }
 
-// newDispatcherInstruments resolves the per-worker series and, when
-// shards > 0, the per-shard series (the tests' reference dispatcher
-// passes 0: it predates sharding and must not export empty shard
-// series).
+// newDispatcherInstruments registers the dolbie_dispatch_* family on
+// reg (nil leaves the dispatcher uninstrumented) and resolves the
+// per-worker series and, when shards > 0, the per-shard series (the
+// tests' reference dispatcher passes 0: it predates sharding and must
+// not export empty shard series).
 // tenants carries the resolved tenant names of a multi-tenant
 // dispatcher; nil keeps the per-tenant families unexported, which is
 // how the anonymous single-stream configuration stays byte-identical
 // to its pre-tenancy scrapes.
-func newDispatcherInstruments(in *instruments, n, shards int, tenants []string) *dispatcherInstruments {
-	if in == nil {
+func newDispatcherInstruments(reg *metrics.Registry, n, shards int, tenants []string) *dispatcherInstruments {
+	if reg == nil {
 		return nil
 	}
+	routed := reg.CounterVec(MetricRouted, "Requests enqueued, by worker.", "worker")
+	depth := reg.GaugeVec(MetricQueueDepth, "Current queue depth, by worker.", "worker")
+	shed := reg.CounterVec(MetricShed, "Requests dropped by backpressure, by reason.", "reason")
 	di := &dispatcherInstruments{
-		arrivals:      in.arrivals,
+		arrivals:      reg.Counter(MetricArrivals, "Requests submitted to the dispatcher (including blocked attempts)."),
 		routedByW:     make([]*metrics.Counter, n),
 		depthByW:      make([]*metrics.Gauge, n),
-		shedReject:    in.shed.WithLabelValues("reject"),
-		shedExhausted: in.shed.WithLabelValues("spill_exhausted"),
-		spilled:       in.spilled,
-		blocked:       in.blocked,
-		latency:       in.latency,
-		retunes:       in.retunes,
-		shards:        in.shards,
+		shedReject:    shed.WithLabelValues("reject"),
+		shedExhausted: shed.WithLabelValues("spill_exhausted"),
+		spilled:       reg.Counter(MetricSpilled, "Requests rerouted to the least-loaded worker by the spill policy."),
+		blocked:       reg.Counter(MetricBlocked, "Admission attempts refused by the block policy."),
+		latency:       reg.Histogram(MetricCompletionLatency, "Request completion latency in seconds.", latencyBuckets),
+		retunes:       reg.Counter(MetricRetunes, "Closed-loop routing weight updates applied to the dispatcher."),
+		shards:        reg.Gauge(MetricShards, "Configured number of admission shards."),
 
-		batchBatches:    in.batchBatches,
-		batchAdmissions: in.batchAdmissions,
-		batchAffHits:    in.batchAffHits,
-		batchAffMisses:  in.batchAffMisses,
+		batchBatches:    reg.Counter(MetricBatchBatches, "Batched-admission critical sections committed by SubmitBatch."),
+		batchAdmissions: reg.Counter(MetricBatchAdmissions, "Requests admitted through SubmitBatch chunks."),
+		batchAffHits:    reg.Counter(MetricBatchAffinityHits, "SubmitBatch chunks that acquired their sticky home shard uncontended."),
+		batchAffMisses:  reg.Counter(MetricBatchAffinityMisses, "SubmitBatch chunks that fell away from a contended home shard."),
 	}
 	for i := 0; i < n; i++ {
-		di.routedByW[i] = in.routed.WithLabelValues(strconv.Itoa(i))
-		di.depthByW[i] = in.depth.WithLabelValues(strconv.Itoa(i))
+		di.routedByW[i] = routed.WithLabelValues(strconv.Itoa(i))
+		di.depthByW[i] = depth.WithLabelValues(strconv.Itoa(i))
 	}
 	if shards > 0 {
+		admissions := reg.CounterVec(MetricShardAdmissions, "Admission attempts, by shard.", "shard")
+		shardDepth := reg.GaugeVec(MetricShardDepth, "Queued requests, by shard.", "shard")
 		di.shardAdmByS = make([]*metrics.Counter, shards)
 		di.shardDepthByS = make([]*metrics.Gauge, shards)
 		for s := 0; s < shards; s++ {
-			di.shardAdmByS[s] = in.shardAdmissions.WithLabelValues(strconv.Itoa(s))
-			di.shardDepthByS[s] = in.shardDepth.WithLabelValues(strconv.Itoa(s))
+			di.shardAdmByS[s] = admissions.WithLabelValues(strconv.Itoa(s))
+			di.shardDepthByS[s] = shardDepth.WithLabelValues(strconv.Itoa(s))
 		}
 	}
 	if len(tenants) > 0 {
-		di.shedThrottled = in.shed.WithLabelValues("throttled")
+		var (
+			arrivals  = reg.CounterVec(MetricTenantArrivals, "Admission attempts, by tenant.", "tenant")
+			routed    = reg.CounterVec(MetricTenantRouted, "Requests enqueued, by tenant.", "tenant")
+			shedT     = reg.CounterVec(MetricTenantShed, "Requests dropped (queue pressure or rate contract), by tenant.", "tenant")
+			blocked   = reg.CounterVec(MetricTenantBlocked, "Admission attempts refused, by tenant.", "tenant")
+			completed = reg.CounterVec(MetricTenantCompleted, "Requests fully served, by tenant.", "tenant")
+		)
+		di.shedThrottled = shed.WithLabelValues("throttled")
 		di.tenantArrByT = make([]*metrics.Counter, len(tenants))
 		di.tenantRoutedByT = make([]*metrics.Counter, len(tenants))
 		di.tenantShedByT = make([]*metrics.Counter, len(tenants))
 		di.tenantBlockedByT = make([]*metrics.Counter, len(tenants))
 		di.tenantCompletedByT = make([]*metrics.Counter, len(tenants))
 		for k, name := range tenants {
-			di.tenantArrByT[k] = in.tenantArrivals.WithLabelValues(name)
-			di.tenantRoutedByT[k] = in.tenantRouted.WithLabelValues(name)
-			di.tenantShedByT[k] = in.tenantShed.WithLabelValues(name)
-			di.tenantBlockedByT[k] = in.tenantBlocked.WithLabelValues(name)
-			di.tenantCompletedByT[k] = in.tenantCompleted.WithLabelValues(name)
+			di.tenantArrByT[k] = arrivals.WithLabelValues(name)
+			di.tenantRoutedByT[k] = routed.WithLabelValues(name)
+			di.tenantShedByT[k] = shedT.WithLabelValues(name)
+			di.tenantBlockedByT[k] = blocked.WithLabelValues(name)
+			di.tenantCompletedByT[k] = completed.WithLabelValues(name)
 		}
 	}
 	return di
@@ -380,15 +340,17 @@ func (d *Dispatcher) collect() {
 	)
 	for si, s := range d.shards {
 		s.mu.Lock()
-		arrivals += s.arrivals
 		shedReject += s.shedReject
 		shedExhausted += s.shedExhausted
-		shedThrottled += s.shedThrottled
-		spilled += s.spilled
-		blocked += s.blocked
 		batches += s.batches
 		batchAdm += s.batchAdmitted
-		shardAdm[si] = s.arrivals
+		for k := range d.tenants {
+			shardAdm[si] += s.tArrivals[k]
+			shedThrottled += s.tThrottled[k]
+			spilled += s.tSpilled[k]
+			blocked += s.tBlocked[k]
+		}
+		arrivals += shardAdm[si]
 		for w, r := range s.routed {
 			routed[w] += r
 			l := s.queues[w].len()

@@ -72,7 +72,7 @@ func newRefDispatcher(cfg Config) (*refDispatcher, error) {
 	d := &refDispatcher{
 		cfg:     cfg,
 		tenants: tenants,
-		inst:    newDispatcherInstruments(newInstruments(cfg.Metrics), cfg.N, 0, names),
+		inst:    newDispatcherInstruments(cfg.Metrics, cfg.N, 0, names),
 		queues:  make([]*queue, cfg.N),
 		weights: make([][]float64, nt),
 		wrr:     make([][]float64, nt),

@@ -195,11 +195,20 @@ func serveJobConfig(rate float64, shed ShedPolicy) ServeConfig {
 // path as allocation-free: doubling the arrival rate doubles the
 // requests a job serves, yet may add only the few reallocations of the
 // growing latency record, not one allocation per arrival (a blocked
-// request is held by value, never boxed).
+// request is held by value, never boxed). The batched case covers the
+// SubmitBatch arrival path: 16-request flushes over 4 shards.
 func TestServeAllocsDoNotScaleWithArrivals(t *testing.T) {
-	for _, shed := range []ShedPolicy{ShedReject, ShedBlock} {
+	for _, tc := range []struct {
+		shed          ShedPolicy
+		shards, batch int
+	}{
+		{ShedReject, 0, 0},
+		{ShedBlock, 0, 0},
+		{ShedReject, 4, 16},
+	} {
 		allocs := func(rate float64) float64 {
-			cfg := serveJobConfig(rate, shed)
+			cfg := serveJobConfig(rate, tc.shed)
+			cfg.Shards, cfg.BatchSize = tc.shards, tc.batch
 			return testing.AllocsPerRun(5, func() {
 				if _, err := Serve(cfg); err != nil {
 					t.Fatal(err)
@@ -207,9 +216,10 @@ func TestServeAllocsDoNotScaleWithArrivals(t *testing.T) {
 			})
 		}
 		base, doubled := allocs(200), allocs(400)
-		t.Logf("%s: %.0f allocs per job at rate 200, %.0f at rate 400", shed, base, doubled)
+		t.Logf("%s, %d shards, batch %d: %.0f allocs per job at rate 200, %.0f at rate 400", tc.shed, tc.shards, tc.batch, base, doubled)
 		if doubled-base >= 16 {
-			t.Errorf("%s: allocations grew from %.0f to %.0f when the arrival rate doubled", shed, base, doubled)
+			t.Errorf("%s, %d shards, batch %d: allocations grew from %.0f to %.0f when the arrival rate doubled",
+				tc.shed, tc.shards, tc.batch, base, doubled)
 		}
 	}
 }

@@ -102,12 +102,12 @@ func TestCrossShardCompletionOrder(t *testing.T) {
 	}
 }
 
-// TestConcurrentCompletionsNeverLoseARequest replaces the old
-// stop-the-world-fallback drill: with the completion ring there is no
-// fallback path, so the property to pin is that many goroutines
-// completing the same worker concurrently — the case the ring
-// serializes — drain exactly the admitted requests, each popped once,
-// in globally increasing ID order per observer batch.
+// TestConcurrentCompletionsNeverLoseARequest pins the per-worker
+// completion lock: many goroutines completing the same worker
+// concurrently — the case the lock serializes, and under -race the
+// proof that it excludes every other popper — drain exactly the
+// admitted requests, each popped once, in increasing ID order as each
+// completer sees them.
 func TestConcurrentCompletionsNeverLoseARequest(t *testing.T) {
 	const requests = 512
 	d, err := New(Config{N: 2, QueueCap: requests * 8, Shards: 4})

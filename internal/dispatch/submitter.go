@@ -12,11 +12,12 @@ package dispatch
 // its home mutex. A Submitter is not safe for concurrent use — create
 // one per submitting goroutine (they are cheap: a pointer and an int).
 //
-// Semantics per request are identical to Submit (same drain gate, rate
-// contract, priority threshold, routing pick, and counters, committed
-// in the same shard critical section); only the shard *choice* differs,
-// which routing-wise is invisible — every shard runs the same smooth-WRR
-// over the same weights and its own exact slice of per-worker capacity.
+// Semantics per request are identical to Submit, which runs the same
+// admission body (rate contract, priority threshold, routing pick, and
+// counters, committed in one shard critical section); only the shard
+// *choice* differs, which routing-wise is invisible — every shard runs
+// the same smooth-WRR over the same weights and its own exact slice of
+// per-worker capacity.
 type Submitter struct {
 	d    *Dispatcher
 	home int
@@ -54,9 +55,9 @@ func (sub *Submitter) lockShard() (*shard, bool) {
 // SubmitBatch admits every request in rs, in order, in chunks of up to
 // Config.BatchSize per shard critical section, and appends one verdict
 // per request to out (returned like append). Each chunk costs one shard
-// lock acquire, one dispatcher depth commit, and one batch-counter
-// update regardless of width; within the chunk every request runs the
-// full per-request admission (drain gate, rate contract, priority
+// lock acquire, one drain-gate read, one dispatcher depth commit, and
+// one batch-counter update regardless of width; within the chunk every
+// request runs Submit's admission body (rate contract, priority
 // threshold, smooth-WRR pick, queue push or shed/block), so outcome
 // counting and both conservation laws are exactly those of Submit.
 //
@@ -75,7 +76,7 @@ func (sub *Submitter) SubmitBatch(rs []Request, out []Verdict) []Verdict {
 		rs = rs[n:]
 		s, hit := sub.lockShard()
 		var queued int64
-		out, queued = d.admitBatchLocked(s, chunk, out)
+		out, queued = d.admitLocked(s, chunk, out)
 		s.batches++
 		s.batchAdmitted += int64(n)
 		if queued > 0 {

@@ -29,11 +29,11 @@ type (
 	// are sharded (each request hashes to one of Shards admission shards
 	// and commits inside that shard's short critical section; batched
 	// submitters admit up to BatchSize requests per critical section
-	// through NewSubmitter), completions serialize per worker on a
-	// lock-free turn ring rather than stopping the world, and weight
-	// retunes take a brief stop-the-world epoch across all shards so
-	// every shard swaps to the new assignment at the same admission
-	// boundary.
+	// through NewSubmitter; Submit and SubmitBatch run one admission
+	// body), completions serialize on a per-worker mutex rather than
+	// stopping the world, and weight retunes take a brief
+	// stop-the-world epoch across all shards so every shard swaps to the
+	// new assignment at the same admission boundary.
 	Dispatcher = dispatch.Dispatcher
 	// Submitter is a per-goroutine batched admission handle: SubmitBatch
 	// admits chunks of up to DispatcherConfig.BatchSize requests per
