@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"context"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"dolbie/internal/core"
+	"dolbie/internal/metrics"
 	"dolbie/internal/simplex"
 	"dolbie/internal/wire"
 )
@@ -38,6 +41,48 @@ func BenchmarkMemNetSendRecv(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkMemNetParallelInstrumented measures the message path a
+// fully-distributed deployment runs: 8 peers, each on its own goroutine
+// with an instrumented Meter, share one registry and one cancelable
+// context, and send around a ring over one MemNet. An op is one message
+// sent and received by every peer, so allocs/op counts 8 messages and
+// cross-peer contention on the shared context, counters and hub shows in
+// ns/op.
+func BenchmarkMemNetParallelInstrumented(b *testing.B) {
+	const peers = 8
+	reg := metrics.NewRegistry()
+	net := NewMemNet()
+	meters := make([]*Meter, peers)
+	for i := range meters {
+		meters[i] = NewInstrumentedMeter(net.Node(i), reg, fmt.Sprintf("peer-%d", i))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for i := range meters {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			next := (i + 1) % peers
+			env := shareEnvelope(next, core.PeerShare{Round: 1, From: i, Cost: 1, LocalAlpha: 0.01})
+			for r := 0; r < b.N; r++ {
+				if _, err := meters[i].Send(ctx, next, env); err != nil {
+					b.Error(err)
+					return
+				}
+				if _, _, err := meters[i].Recv(ctx); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*peers), "ns/msg")
 }
 
 // BenchmarkTCPSendRecv measures one framed protocol message over a real

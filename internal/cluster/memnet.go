@@ -25,15 +25,26 @@ type delivery struct {
 // actually encoded, but every send is sized with the hub's codec
 // (wire.FrameSize, default binary) so metered traffic matches what a
 // real TCP deployment of the same codec would carry.
+//
+// A canceled context wins over a ready message or a free inbox slot:
+// Send and Recv then return the context's error. Closing a node makes
+// its pending and later Recv calls return ErrClosed.
 type MemNet struct {
 	mu       sync.Mutex
-	inboxes  map[int]chan delivery
-	closed   map[int]bool
+	nodes    map[int]*memNode
 	dropProb float64
 	rng      *rand.Rand
 	cut      map[[2]int]bool // severed directed links
 	buffer   int
 	codec    wire.Codec
+}
+
+// memNode is one registered endpoint of a MemNet. done is closed, once,
+// when the node is closed, which unblocks a pending recv.
+type memNode struct {
+	inbox  chan delivery
+	done   chan struct{}
+	closed bool
 }
 
 // MemNetOption configures a MemNet.
@@ -76,11 +87,10 @@ func WithCodec(c wire.Codec) MemNetOption {
 // NewMemNet constructs an empty hub.
 func NewMemNet(opts ...MemNetOption) *MemNet {
 	m := &MemNet{
-		inboxes: make(map[int]chan delivery),
-		closed:  make(map[int]bool),
-		cut:     make(map[[2]int]bool),
-		buffer:  1024,
-		codec:   wire.Default,
+		nodes:  make(map[int]*memNode),
+		cut:    make(map[[2]int]bool),
+		buffer: 1024,
+		codec:  wire.Default,
 	}
 	for _, opt := range opts {
 		opt(m)
@@ -92,8 +102,8 @@ func NewMemNet(opts ...MemNetOption) *MemNet {
 func (m *MemNet) Node(id int) Transport {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.inboxes[id]; !ok {
-		m.inboxes[id] = make(chan delivery, m.buffer)
+	if _, ok := m.nodes[id]; !ok {
+		m.nodes[id] = &memNode{inbox: make(chan delivery, m.buffer), done: make(chan struct{})}
 	}
 	return &memTransport{net: m, id: id}
 }
@@ -119,18 +129,20 @@ func (m *MemNet) Heal(from, to int) {
 	delete(m.cut, [2]int{from, to})
 }
 
+// send and recv serve memTransport, whose own id Node registered, so
+// m.nodes[from] in send and m.nodes[id] in recv always exist.
 func (m *MemNet) send(ctx context.Context, from, to int, env Envelope) (int, error) {
 	n, err := wire.FrameSize(m.codec, env)
 	if err != nil {
 		return 0, fmt.Errorf("cluster: send to %d: %w", to, err)
 	}
 	m.mu.Lock()
-	if m.closed[from] {
+	if m.nodes[from].closed {
 		m.mu.Unlock()
 		return 0, fmt.Errorf("%w (node %d)", ErrClosed, from)
 	}
-	inbox, ok := m.inboxes[to]
-	if !ok || m.closed[to] {
+	dst, ok := m.nodes[to]
+	if !ok || dst.closed {
 		m.mu.Unlock()
 		return 0, fmt.Errorf("%w: %d", ErrUnknownNode, to)
 	}
@@ -144,8 +156,23 @@ func (m *MemNet) send(ctx context.Context, from, to int, env Envelope) (int, err
 	}
 	m.mu.Unlock()
 
+	// The context is shared by every peer of a deployment, so it is
+	// polled first: a non-blocking receive takes no lock while the
+	// context is live, where a select would lock its channel on every
+	// message. The blocking select runs only when the inbox is full.
+	d := delivery{env: env, n: n}
 	select {
-	case inbox <- delivery{env: env, n: n}:
+	case <-ctx.Done():
+		return 0, fmt.Errorf("cluster: send to %d: %w", to, ctx.Err())
+	default:
+	}
+	select {
+	case dst.inbox <- d:
+		return n, nil
+	default:
+	}
+	select {
+	case dst.inbox <- d:
 		return n, nil
 	case <-ctx.Done():
 		return 0, fmt.Errorf("cluster: send to %d: %w", to, ctx.Err())
@@ -154,15 +181,29 @@ func (m *MemNet) send(ctx context.Context, from, to int, env Envelope) (int, err
 
 func (m *MemNet) recv(ctx context.Context, id int) (Envelope, int, error) {
 	m.mu.Lock()
-	inbox, ok := m.inboxes[id]
-	closed := m.closed[id]
+	node := m.nodes[id]
+	closed := node.closed
 	m.mu.Unlock()
-	if !ok || closed {
+	if closed {
 		return Envelope{}, 0, fmt.Errorf("%w (node %d)", ErrClosed, id)
 	}
+	// Same order as send: the context, then the inbox without blocking,
+	// and the blocking select only when the inbox is empty.
 	select {
-	case d := <-inbox:
+	case <-ctx.Done():
+		return Envelope{}, 0, fmt.Errorf("cluster: recv on %d: %w", id, ctx.Err())
+	default:
+	}
+	select {
+	case d := <-node.inbox:
 		return d.env, d.n, nil
+	default:
+	}
+	select {
+	case d := <-node.inbox:
+		return d.env, d.n, nil
+	case <-node.done:
+		return Envelope{}, 0, fmt.Errorf("%w (node %d)", ErrClosed, id)
 	case <-ctx.Done():
 		return Envelope{}, 0, fmt.Errorf("cluster: recv on %d: %w", id, ctx.Err())
 	}
@@ -171,7 +212,10 @@ func (m *MemNet) recv(ctx context.Context, id int) (Envelope, int, error) {
 func (m *MemNet) closeNode(id int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.closed[id] = true
+	if node := m.nodes[id]; !node.closed {
+		node.closed = true
+		close(node.done)
+	}
 	return nil
 }
 

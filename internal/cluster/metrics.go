@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"sync/atomic"
+
 	"dolbie/internal/metrics"
 )
 
@@ -58,15 +60,28 @@ const (
 	MetricRosterAggDepth = "dolbie_cluster_roster_aggregation_depth"
 )
 
+// numKinds sizes a Meter's per-kind counter cache: one slot per wire
+// kind up to the last valid one. A kind past it still counts, through
+// the family lookup.
+const numKinds = int(KindAggregate) + 1
+
+// kindCounters caches one direction's dolbie_cluster_messages_total
+// series, indexed by kind. A slot is resolved on the kind's first
+// message, so the exposition lists exactly the kinds that were sent or
+// received; after that a message costs one atomic load, with no label
+// key built and no family lock taken.
+type kindCounters [numKinds]atomic.Pointer[metrics.Counter]
+
 // netMetrics is the per-node instrument set behind an instrumented
 // Meter. A nil *netMetrics records nothing.
 type netMetrics struct {
-	node      string
 	msgsSent  *metrics.Counter
 	msgsRecv  *metrics.Counter
 	bytesSent *metrics.Counter
 	bytesRecv *metrics.Counter
 	byKind    *metrics.CounterVec
+	sent      kindCounters
+	recv      kindCounters
 }
 
 // newNetMetrics binds the cluster traffic instruments for one node.
@@ -77,13 +92,27 @@ func newNetMetrics(reg *metrics.Registry, node string) *netMetrics {
 		return nil
 	}
 	return &netMetrics{
-		node:      node,
 		msgsSent:  reg.CounterVec(MetricMsgsSent, "Protocol messages sent.", "node").WithLabelValues(node),
 		msgsRecv:  reg.CounterVec(MetricMsgsReceived, "Protocol messages received.", "node").WithLabelValues(node),
 		bytesSent: reg.CounterVec(MetricBytesSent, "Protocol wire bytes sent.", "node").WithLabelValues(node),
 		bytesRecv: reg.CounterVec(MetricBytesReceived, "Protocol wire bytes received.", "node").WithLabelValues(node),
 		byKind:    reg.CounterVec(MetricMessages, "Protocol messages by kind and direction.", "kind", "dir"),
 	}
+}
+
+// kindCounter returns the messages_total series of kind k in direction
+// dir, resolving and caching it on first use. Concurrent first uses may
+// both resolve it; the family returns the same series to each.
+func (nm *netMetrics) kindCounter(cache *kindCounters, k Kind, dir string) *metrics.Counter {
+	if int(k) >= len(cache) {
+		return nm.byKind.WithLabelValues(k.String(), dir)
+	}
+	if c := cache[k].Load(); c != nil {
+		return c
+	}
+	c := nm.byKind.WithLabelValues(k.String(), dir)
+	cache[k].Store(c)
+	return c
 }
 
 // recordSend accounts one sent envelope of n wire bytes.
@@ -93,7 +122,7 @@ func (nm *netMetrics) recordSend(env Envelope, n int) {
 	}
 	nm.msgsSent.Inc()
 	nm.bytesSent.Add(float64(n))
-	nm.byKind.WithLabelValues(env.Kind.String(), "sent").Inc()
+	nm.kindCounter(&nm.sent, env.Kind, "sent").Inc()
 }
 
 // recordRecv accounts one received envelope of n wire bytes.
@@ -103,5 +132,5 @@ func (nm *netMetrics) recordRecv(env Envelope, n int) {
 	}
 	nm.msgsRecv.Inc()
 	nm.bytesRecv.Add(float64(n))
-	nm.byKind.WithLabelValues(env.Kind.String(), "received").Inc()
+	nm.kindCounter(&nm.recv, env.Kind, "received").Inc()
 }

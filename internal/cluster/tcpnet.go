@@ -212,8 +212,25 @@ func (n *TCPNode) dropConn(to int, conn net.Conn) {
 	conn.Close() //nolint:errcheck // already failed; best-effort close
 }
 
-// Recv implements Transport.
+// Recv implements Transport. A canceled context wins over a closed
+// node, and either wins over a ready message: Recv then returns the
+// context's error or ErrClosed.
 func (n *TCPNode) Recv(ctx context.Context) (Envelope, int, error) {
+	select {
+	case <-ctx.Done():
+		return Envelope{}, 0, fmt.Errorf("cluster: recv on %d: %w", n.id, ctx.Err())
+	default:
+	}
+	select {
+	case <-n.done:
+		return Envelope{}, 0, fmt.Errorf("%w (node %d)", ErrClosed, n.id)
+	default:
+	}
+	select {
+	case d := <-n.inbox:
+		return d.env, d.n, nil
+	default:
+	}
 	select {
 	case d := <-n.inbox:
 		return d.env, d.n, nil

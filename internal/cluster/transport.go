@@ -21,7 +21,12 @@ type Transport interface {
 	// (not once it is processed).
 	Send(ctx context.Context, to int, env Envelope) (int, error)
 	// Recv blocks for the next incoming envelope and returns it together
-	// with its frame size in bytes.
+	// with its frame size in bytes. On MemNet and TCPNode a canceled
+	// context or a closed node wins over a ready message: Recv then
+	// returns the context's error or ErrClosed. Of the wrappers,
+	// Reliable returns deliveries it has already buffered before
+	// either, and a Chaos.Wrap endpoint returns released deliveries
+	// before it checks the context.
 	Recv(ctx context.Context) (Envelope, int, error)
 	// Close releases the node's resources; pending Recv calls unblock
 	// with ErrClosed.

@@ -51,7 +51,7 @@ func TestBatchedAdmissionEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					trace := gen.Trace(requests)
+					trace := pregenerate(gen, requests)
 					subB, subS := db.NewSubmitter(), ds.NewSubmitter()
 					vb := make([]Verdict, 0, block)
 					vsq := make([]Verdict, 0, block)
@@ -166,7 +166,7 @@ func TestBatchedAdmissionEquivalenceGeneralPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			trace := gen.Trace(2048)
+			trace := pregenerate(gen, 2048)
 			for i := range trace {
 				// Tenant runs of lengths 1, 2, 3 and 6, some crossing chunk
 				// boundaries.
@@ -240,7 +240,7 @@ func TestCompleteBatchMatchesSequentialCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range gen.Trace(80) {
+	for _, r := range pregenerate(gen, 80) {
 		if vb, vs := db.Submit(r), ds.Submit(r); vb != vs {
 			t.Fatalf("twin setup diverged: %+v vs %+v", vb, vs)
 		}

@@ -10,6 +10,16 @@ import (
 	"dolbie/internal/metrics"
 )
 
+// pregenerate draws the next n requests of gen in arrival order, so a
+// test can replay one realization against several dispatchers.
+func pregenerate(gen *Generator, n int) []Request {
+	out := make([]Request, n)
+	for i := range out {
+		out[i] = gen.Next()
+	}
+	return out
+}
+
 func TestParseShedPolicy(t *testing.T) {
 	cases := map[string]ShedPolicy{
 		"reject": ShedReject,

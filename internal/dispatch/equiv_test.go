@@ -103,7 +103,7 @@ func TestShards1TraceEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range gen.Trace(requests) {
+	for i, r := range pregenerate(gen, requests) {
 		vs, vr := ds.Submit(r), dr.Submit(r)
 		if vs != vr {
 			t.Fatalf("request %d: verdict %+v != reference %+v", i, vs, vr)

@@ -32,16 +32,6 @@ func NewGenerator(rate, demandMean float64, seed int64) (*Generator, error) {
 	return &Generator{rate: rate, demand: demandMean, rng: rand.New(rand.NewSource(seed))}, nil
 }
 
-// Trace pre-generates the next n requests in arrival order, so a
-// caller can replay one realization against several dispatchers.
-func (g *Generator) Trace(n int) []Request {
-	out := make([]Request, n)
-	for i := range out {
-		out[i] = g.Next()
-	}
-	return out
-}
-
 // Next returns the next request in arrival order. Arrival times are
 // strictly increasing.
 func (g *Generator) Next() Request {

@@ -534,6 +534,24 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 	return serveWith(cfg, d)
 }
 
+// maxLatencyHint caps latencyHint, so that an extreme or NaN configured
+// rate reserves at most 8 MiB up front; a run that completes more
+// requests than that grows the buffer by append.
+const maxLatencyHint = 1 << 20
+
+// latencyHint is the capacity to reserve for the completion latencies of
+// a Poisson stream offering rate requests per virtual second over the
+// whole run: the mean arrival count plus four standard deviations, so
+// the buffer is rarely regrown. Completions never outnumber arrivals.
+func latencyHint(rate float64, cfg ServeConfig) int {
+	mean := rate * float64(cfg.Rounds) * cfg.RoundDur
+	n := mean + 4*math.Sqrt(mean) + 16
+	if !(n < maxLatencyHint) {
+		return maxLatencyHint
+	}
+	return int(n)
+}
+
 // serveWith runs the closed-loop engine over an already-constructed data
 // plane. It assumes cfg has been validated. The engine is tenant-first:
 // the anonymous single stream is literally the one-tenant run of the
@@ -541,13 +559,19 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 // bit-identical.
 func serveWith(cfg ServeConfig, d dataPlane) (*ServeResult, error) {
 	tenants := cfg.resolvedServeTenants()
+	multiTenant := len(cfg.Tenants) > 0
 	trs := make([]tenantRuntime, len(tenants))
+	var totalRate float64
 	for k, tc := range tenants {
 		gen, err := NewGenerator(tc.Rate, tc.DemandMean, cfg.Seed+tenantSeedStride*int64(k))
 		if err != nil {
 			return nil, fmt.Errorf("dispatch: tenant %q: %w", tc.Name, err)
 		}
 		trs[k] = tenantRuntime{cfg: tc, gen: gen, next: gen.Next()}
+		totalRate += tc.Rate
+		if multiTenant {
+			trs[k].reqLat = make([]float64, 0, latencyHint(tc.Rate, cfg))
+		}
 		if cfg.Policy == PolicyDOLBIE || cfg.Policy == PolicyDGD {
 			ctl, err := newTenantController(cfg.N, tc, cfg.Policy)
 			if err != nil {
@@ -566,14 +590,13 @@ func serveWith(cfg ServeConfig, d dataPlane) (*ServeResult, error) {
 	}
 
 	var (
-		now         float64
-		remaining   = make([]float64, cfg.N) // work left on each in-service head
-		gamma       = make([]float64, cfg.N)
-		seq         int64 // global request IDs, assigned in arrival order
-		reqLat      []float64
-		maxLat      []float64
-		retunes     int64
-		multiTenant = len(cfg.Tenants) > 0
+		now       float64
+		remaining = make([]float64, cfg.N) // work left on each in-service head
+		gamma     = make([]float64, cfg.N)
+		seq       int64 // global request IDs, assigned in arrival order
+		reqLat    = make([]float64, 0, latencyHint(totalRate, cfg))
+		maxLat    = make([]float64, 0, cfg.Rounds)
+		retunes   int64
 	)
 
 	// admit routes one request into the dispatcher and starts service if

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -193,10 +194,11 @@ func serveJobConfig(rate float64, shed ShedPolicy) ServeConfig {
 
 // TestServeAllocsDoNotScaleWithArrivals pins the engine's per-arrival
 // path as allocation-free: doubling the arrival rate doubles the
-// requests a job serves, yet may add only the few reallocations of the
-// growing latency record, not one allocation per arrival (a blocked
-// request is held by value, never boxed). The batched case covers the
-// SubmitBatch arrival path: 16-request flushes over 4 shards.
+// requests a job serves, yet adds no allocation at all (a blocked
+// request is held by value, never boxed, and the latency records are
+// sized from the offered rate before the run, so they never regrow).
+// The batched case covers the SubmitBatch arrival path: 16-request
+// flushes over 4 shards.
 func TestServeAllocsDoNotScaleWithArrivals(t *testing.T) {
 	for _, tc := range []struct {
 		shed          ShedPolicy
@@ -217,9 +219,24 @@ func TestServeAllocsDoNotScaleWithArrivals(t *testing.T) {
 		}
 		base, doubled := allocs(200), allocs(400)
 		t.Logf("%s, %d shards, batch %d: %.0f allocs per job at rate 200, %.0f at rate 400", tc.shed, tc.shards, tc.batch, base, doubled)
-		if doubled-base >= 16 {
-			t.Errorf("%s, %d shards, batch %d: allocations grew from %.0f to %.0f when the arrival rate doubled",
+		if doubled != base {
+			t.Errorf("%s, %d shards, batch %d: allocations went from %.0f to %.0f when the arrival rate doubled",
 				tc.shed, tc.shards, tc.batch, base, doubled)
+		}
+	}
+}
+
+// TestLatencyHint checks the latency buffers' capacity hint: the Poisson
+// mean plus four standard deviations, capped for extreme and NaN rates
+// (int(NaN) is negative on amd64, and make would panic on it).
+func TestLatencyHint(t *testing.T) {
+	cfg := serveJobConfig(200, ShedReject) // 30 rounds of 1 s: mean 6000
+	if got, want := latencyHint(200, cfg), 6000+4*77+16; got < want || got > want+1 {
+		t.Errorf("latencyHint(200) = %d, want about %d", got, want)
+	}
+	for _, rate := range []float64{1e9, math.Inf(1), math.NaN()} {
+		if got := latencyHint(rate, cfg); got != maxLatencyHint {
+			t.Errorf("latencyHint(%v) = %d, want the cap %d", rate, got, maxLatencyHint)
 		}
 	}
 }

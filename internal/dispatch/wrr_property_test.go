@@ -50,7 +50,7 @@ func TestSmoothWRRProportionality(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			for _, r := range gen.Trace(admissions) {
+			for _, r := range pregenerate(gen, admissions) {
 				if v := d.Submit(r); v.Outcome != Routed {
 					t.Fatalf("%s: unexpected outcome %v (queues sized to absorb the whole trace)", name, v.Outcome)
 				}
