@@ -13,7 +13,9 @@ build:
 # vet also runs the documentation gate and a short fuzz smoke over the
 # surfaces fed by untrusted input: wire-frame decoding (arbitrary bytes
 # off the network; the seed corpus spans every kind, including the
-# membership frames join/roster-update/aggregate), dispatcher
+# membership frames join/roster-update/aggregate), the elastic Algorithm
+# 2 peer's handling of decoded frames (every buffer within its bound, in
+# flat and tree mode, from senders in and out of the roster), dispatcher
 # request admission / policy parsing (arbitrary HTTP ingest traffic and
 # operator flags, batched and per-request), the ingest handler's
 # query parameter lookup (arbitrary client query strings), and geo
@@ -25,6 +27,7 @@ vet: docs
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrameBinary -fuzztime=5s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrameJSON -fuzztime=5s ./internal/wire/
+	$(GO) test -run='^$$' -fuzz=FuzzElasticFrames -fuzztime=5s ./internal/cluster/
 	$(GO) test -run='^$$' -fuzz=FuzzDispatcherAdmission -fuzztime=5s ./internal/dispatch/
 	$(GO) test -run='^$$' -fuzz=FuzzQueryValue -fuzztime=5s ./internal/dispatch/
 	$(GO) test -run='^$$' -fuzz=FuzzTenantConfig -fuzztime=5s ./internal/dispatch/
@@ -41,7 +44,11 @@ docs:
 # dispatcher) additionally run under the race detector on every default
 # test pass, as do the chaos and join-churn soaks — fault injection,
 # fail-stop recovery, and roster churn are the most schedule-sensitive
-# paths in the repository. The dispatcher's race suite includes the
+# paths in the repository. The elastic peer's deadline drills (the
+# symmetric-deadline race, the asymmetric partition, slow-vs-dead and
+# the denied rejoin) run on the virtual-time runner, each under 24
+# scheduler seeds, so they take no wall-clock time; the crash drills
+# keep real timers to cover the loop's deadline path. The dispatcher's race suite includes the
 # live drain storm with keep-alive HTTP clients on a real socket and
 # the batched SubmitBatch/CompleteBatch/SetWeights scrape storm over
 # whole-chunk tenant runs and chunks of one-request tenant runs.
@@ -55,7 +62,9 @@ race:
 
 # flake repeats the schedule-sensitive suites 20 times to expose flaky
 # tests: both soaks and the race-enabled internal/core and
-# internal/cluster suites. It is not part of `make test`.
+# internal/cluster suites (the virtual-time drills among them are
+# deterministic; the real-timer crash drills and deployments are not).
+# It is not part of `make test`.
 flake:
 	$(GO) test -race -count=20 -run 'TestSoakChaosFullyDistributed|TestSoakJoinChurnElastic' .
 	$(GO) test -race -count=20 ./internal/core ./internal/cluster
@@ -113,7 +122,8 @@ repro-csv:
 
 # Short fuzzing pass over the numerical kernels (including the
 # selection-based percentile against its sort-based definition), the
-# wire codecs, the dispatcher's admission path and ingest query lookup,
+# wire codecs, the elastic peer's frame handling and buffer bounds, the
+# dispatcher's admission path and ingest query lookup,
 # and the policies' UnmarshalText/String round trips (one go test
 # invocation per target: -fuzz only accepts a single match).
 fuzz:
@@ -123,6 +133,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzRoundToUnits -fuzztime=10s ./internal/simplex/
 	$(GO) test -fuzz=FuzzDecodeFrameBinary -fuzztime=10s ./internal/wire/
 	$(GO) test -fuzz=FuzzDecodeFrameJSON -fuzztime=10s ./internal/wire/
+	$(GO) test -run='^$$' -fuzz=FuzzElasticFrames -fuzztime=10s ./internal/cluster/
 	$(GO) test -fuzz=FuzzDispatcherAdmission -fuzztime=10s ./internal/dispatch/
 	$(GO) test -fuzz=FuzzQueryValue -fuzztime=10s ./internal/dispatch/
 	$(GO) test -run='^$$' -fuzz=FuzzParsePolicies -fuzztime=10s ./internal/dispatch/

@@ -51,10 +51,10 @@ type (
 	// bytes in both directions).
 	TrafficStats = cluster.TrafficStats
 	// MemNet is the in-memory network hub for tests and single-process
-	// deployments, with deterministic fault injection.
+	// deployments; faults are injected by wrapping its nodes with Chaos.
 	MemNet = cluster.MemNet
-	// MemNetOption configures a MemNet (see WithDropProb, WithInboxBuffer
-	// and WithCodec).
+	// MemNetOption configures a MemNet (see WithInboxBuffer and
+	// WithCodec).
 	MemNetOption = cluster.MemNetOption
 	// TCPNode is a TCP transport endpoint (length-prefixed frames over
 	// real sockets, encoded by the node's codec; see WithTCPCodec).
@@ -98,9 +98,8 @@ type (
 	// the roster version it produced and the round it took effect.
 	RosterEvent = cluster.RosterEvent
 	// ElasticPeerConfig parameterizes RunElasticPeer and JoinElasticPeer:
-	// collection deadline (zero waits forever), minimum survivor count,
-	// aggregation topology and fanout, and join admission rate. Its zero
-	// value is the paper's Algorithm 2.
+	// collection deadline (zero waits forever), aggregation topology and
+	// fanout. Its zero value is the paper's Algorithm 2.
 	ElasticPeerConfig = cluster.ElasticPeerConfig
 	// ElasticPeerResult summarizes one peer's run of Algorithm 2: its
 	// played shares and costs, how it ended (completed, crashed or
@@ -121,14 +120,11 @@ var (
 	// ErrChaosCrashed is returned by a chaos-wrapped transport after its
 	// scheduled fail-stop crash fired.
 	ErrChaosCrashed = cluster.ErrChaosCrashed
-	// ErrTooFewPeers aborts a fail-stop peer when evictions push the
-	// survivor count below ElasticPeerConfig.MinPeers.
-	ErrTooFewPeers = cluster.ErrTooFewPeers
 	// ErrJoinDenied is returned by JoinElasticPeer when the coordinator
 	// rejects the join — an evicted identity can never rejoin.
 	ErrJoinDenied = cluster.ErrJoinDenied
 	// ErrJoinTimeout is returned by JoinElasticPeer when no admission
-	// decision arrives within ElasticPeerConfig.JoinTimeout.
+	// decision arrives within 10 RoundTimeouts.
 	ErrJoinTimeout = cluster.ErrJoinTimeout
 )
 
@@ -161,11 +157,6 @@ func CodecByName(name string) (Codec, error) { return wire.ByName(name) }
 // NewMemNet constructs an in-memory network hub. Obtain per-node
 // transports with its Node method.
 func NewMemNet(opts ...MemNetOption) *MemNet { return cluster.NewMemNet(opts...) }
-
-// WithDropProb makes a MemNet drop each message independently with
-// probability p, using a deterministic seeded source — pair it with
-// NewReliable to exercise lossy-network deployments.
-func WithDropProb(p float64, seed int64) MemNetOption { return cluster.WithDropProb(p, seed) }
 
 // WithInboxBuffer overrides a MemNet's per-node inbox capacity.
 func WithInboxBuffer(n int) MemNetOption { return cluster.WithInboxBuffer(n) }
@@ -273,11 +264,11 @@ func WithChaos(cfg ChaosConfig, transports []Transport) ([]Transport, *Chaos) {
 // ElasticPeerConfig runs the paper's protocol. A positive RoundTimeout
 // adds fail-stop handling: peers that miss the collection deadline are
 // declared crashed, announced to the whole deployment, and their frozen
-// workload share folds back into the straggler's remainder. The
-// membership fields add versioned joins (admitted by the coordinator,
-// the lowest live id) and, under TopologyTree, hierarchical round
-// aggregation that reduces the per-round message cost from O(N^2) to
-// ~3N with bit-identical consensus.
+// workload share folds back into the straggler's remainder. Joiners
+// are admitted by the coordinator (the lowest live id), one per round,
+// and TopologyTree adds hierarchical round aggregation that reduces the
+// per-round message cost from O(N^2) to ~3N with bit-identical
+// consensus.
 func RunElasticPeer(ctx context.Context, tr Transport, id int, x0 []float64, rounds int, src CostSource, ec ElasticPeerConfig, opts ...Option) (ElasticPeerResult, error) {
 	return cluster.RunElasticPeer(ctx, tr, id, x0, rounds, src, ec, opts...)
 }
@@ -286,7 +277,7 @@ func RunElasticPeer(ctx context.Context, tr Transport, id int, x0 []float64, rou
 // member, waits for the coordinator's admission grant (ErrJoinDenied or
 // ErrJoinTimeout otherwise), adopts the granted roster snapshot, and
 // participates like any incumbent from the granted round to the end of
-// the deployment.
+// the deployment. Joiner ids must lie in [0, 65536).
 func JoinElasticPeer(ctx context.Context, tr Transport, id, contact, rounds int, src CostSource, ec ElasticPeerConfig, opts ...Option) (ElasticPeerResult, error) {
 	return cluster.JoinElasticPeer(ctx, tr, id, contact, rounds, src, ec, opts...)
 }

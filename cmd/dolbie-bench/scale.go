@@ -187,3 +187,9 @@ func scaleRun(topo cluster.Topology, n int) (scaleRunStats, error) {
 	stats.FinalGapPct = (finalMax - opt.Value) / opt.Value * 100
 	return stats, nil
 }
+
+func closeTransports(ts []cluster.Transport) {
+	for _, tr := range ts {
+		tr.Close() //nolint:errcheck // best-effort teardown
+	}
+}

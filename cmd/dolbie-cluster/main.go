@@ -110,9 +110,12 @@ func run(args []string, out io.Writer) error {
 		n: *n, rounds: *rounds, roundTimeout: *roundTimeout, detector: -1,
 		transport: transportName(*useTCP), codec: codec.Name(),
 	}
+	// -drop injects its losses through the same seeded chaos layer as the
+	// drills, below the reliable delivery layer that masks them.
 	var chaosCfg *cluster.ChaosConfig
-	if *crashRound > 0 || *chaosDelay > 0 || *partition != "" {
-		chaosCfg = &cluster.ChaosConfig{Seed: *seed, Delay: *chaosDelay}
+	drills := *crashRound > 0 || *chaosDelay > 0 || *partition != ""
+	if drills || *dropProb > 0 {
+		chaosCfg = &cluster.ChaosConfig{Seed: *seed, Delay: *chaosDelay, DropProb: *dropProb}
 		if *crashRound > 0 {
 			if *crashID < 0 || *crashID >= *n {
 				return fmt.Errorf("crash-worker %d out of range [0, %d)", *crashID, *n)
@@ -152,11 +155,15 @@ func run(args []string, out io.Writer) error {
 			}
 		}()
 	}
+	var chaos *cluster.Chaos
 	if chaosCfg != nil {
 		chaosCfg.Metrics = reg
-		d.chaos = cluster.NewChaos(*chaosCfg)
+		chaos = cluster.NewChaos(*chaosCfg)
+		if drills {
+			d.chaos = chaos
+		}
 	}
-	transports, cleanup, err := buildTransports(nodes, *dropProb, *seed, *useTCP, codec, d.chaos, reg)
+	transports, cleanup, err := buildTransports(nodes, *dropProb > 0, *useTCP, codec, chaos, reg)
 	if err != nil {
 		return err
 	}
@@ -361,8 +368,8 @@ func (d deployment) runFullyDistributed(ctx context.Context, out io.Writer) erro
 	return nil
 }
 
-// printChaos reports the faults the chaos layer injected, if one is
-// configured.
+// printChaos reports the faults the chaos layer injected, if a crash,
+// delay or partition drill is configured.
 func (d deployment) printChaos(out io.Writer) {
 	if d.chaos == nil {
 		return
@@ -379,11 +386,11 @@ func transportName(tcp bool) string {
 }
 
 // buildTransports returns count node transports: TCP sockets on
-// localhost or in-memory nodes (dropping messages with probability
-// dropProb), wrapped by the chaos layer when one is configured and then,
-// when dropProb > 0, by the reliable delivery layer. A non-nil registry
-// instruments the reliability layer's retransmission/duplicate counters.
-func buildTransports(count int, dropProb float64, seed int64, useTCP bool, codec wire.Codec, chaos *cluster.Chaos, reg *metrics.Registry) ([]cluster.Transport, func(), error) {
+// localhost or in-memory nodes, wrapped by the chaos layer when one is
+// configured and then, when lossy, by the reliable delivery layer. A
+// non-nil registry instruments the reliability layer's
+// retransmission/duplicate counters.
+func buildTransports(count int, lossy, useTCP bool, codec wire.Codec, chaos *cluster.Chaos, reg *metrics.Registry) ([]cluster.Transport, func(), error) {
 	transports := make([]cluster.Transport, count)
 	if useTCP {
 		nodes := make([]*cluster.TCPNode, count)
@@ -404,11 +411,7 @@ func buildTransports(count int, dropProb float64, seed int64, useTCP bool, codec
 			transports[i] = node
 		}
 	} else {
-		memOpts := []cluster.MemNetOption{cluster.WithCodec(codec)}
-		if dropProb > 0 {
-			memOpts = append(memOpts, cluster.WithDropProb(dropProb, seed))
-		}
-		net := cluster.NewMemNet(memOpts...)
+		net := cluster.NewMemNet(cluster.WithCodec(codec))
 		for i := range transports {
 			transports[i] = net.Node(i)
 		}
@@ -417,7 +420,7 @@ func buildTransports(count int, dropProb float64, seed int64, useTCP bool, codec
 		if chaos != nil {
 			transports[i] = chaos.Wrap(i, transports[i])
 		}
-		if dropProb > 0 {
+		if lossy {
 			transports[i] = cluster.NewReliableWithMetrics(i, transports[i], 10*time.Millisecond, reg)
 		}
 	}

@@ -241,8 +241,9 @@ func TestDeploymentFailsCleanlyOnLossyNetwork(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 400*time.Millisecond)
 	defer cancel()
 
-	net := NewMemNet(WithDropProb(0.2, 7))
-	transports := memTransports(net, n+1)
+	chaos := NewChaos(ChaosConfig{Seed: 7, DropProb: 0.2})
+	transports := chaos.WrapAll(memTransports(NewMemNet(), n+1))
+	defer closeAll(t, transports)
 	sources := make([]CostSource, n)
 	for i := range sources {
 		sources[i] = instSource(i)
@@ -265,10 +266,10 @@ func TestDeploymentFailsCleanlyOnPartition(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 
-	net := NewMemNet()
 	// Sever worker 2 -> master: its cost reports vanish.
-	net.Cut(2, MasterID(n))
-	transports := memTransports(net, n+1)
+	chaos := NewChaos(ChaosConfig{Partitions: []ChaosPartition{{From: 2, To: MasterID(n), FromRound: 1, ToRound: rounds}}})
+	transports := chaos.WrapAll(memTransports(NewMemNet(), n+1))
+	defer closeAll(t, transports)
 	sources := make([]CostSource, n)
 	for i := range sources {
 		sources[i] = instSource(i)
@@ -339,30 +340,6 @@ func TestMemNetClose(t *testing.T) {
 	}
 	if _, _, err := b.Recv(context.Background()); !errors.Is(err, ErrClosed) {
 		t.Errorf("recv on closed node = %v, want ErrClosed", err)
-	}
-}
-
-func TestMemNetHeal(t *testing.T) {
-	net := NewMemNet()
-	a := net.Node(0)
-	net.Node(1)
-	net.Cut(0, 1)
-	env := NewEnvelope(KindCost, 0, 1, core.CostReport{Round: 1})
-	if _, err := a.Send(context.Background(), 1, env); err != nil {
-		t.Fatalf("cut link should drop silently, got %v", err)
-	}
-	net.Heal(0, 1)
-	if _, err := a.Send(context.Background(), 1, env); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	got, _, err := net.Node(1).Recv(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Kind != KindCost {
-		t.Errorf("kind = %s", got.Kind)
 	}
 }
 

@@ -144,6 +144,127 @@ func FullyDistributedDeployment(ctx context.Context, transports []Transport, x0 
 	return res, nil
 }
 
+// ElasticJoin schedules one joiner of an ElasticDeployment.
+type ElasticJoin struct {
+	// ID is the joiner's peer id; joiners must be numbered contiguously
+	// after the incumbents (len(X0), len(X0)+1, ...), matching their
+	// transport index.
+	ID int
+	// Contact is the incumbent the join request is sent to.
+	Contact int
+	// Round is the earliest round the coordinator admits this joiner
+	// (the admission applies two rounds later), making churn timing
+	// deterministic.
+	Round int
+	// Source is the joiner's cost stream.
+	Source CostSource
+}
+
+// ElasticDeploymentConfig parameterizes ElasticDeployment.
+type ElasticDeploymentConfig struct {
+	// X0 is the incumbents' initial simplex point (one entry per
+	// incumbent).
+	X0 []float64
+	// Rounds is the deployment length.
+	Rounds int
+	// Sources holds one cost stream per incumbent.
+	Sources []CostSource
+	// Joiners schedules elastic joins (may be empty).
+	Joiners []ElasticJoin
+	// Peer is the per-peer runtime configuration.
+	Peer ElasticPeerConfig
+}
+
+// ElasticDeployment runs a complete elastic Algorithm 2 deployment:
+// incumbent i on transports[i] and scheduled joiner k on
+// transports[len(X0)+k], each in its own goroutine. Unlike
+// FullyDistributedDeployment, one peer's death does not cancel the
+// others: crashed and self-evicted peers are reported in their results
+// while the survivors keep balancing, and the returned error joins only
+// genuine failures (configuration or protocol errors).
+func ElasticDeployment(ctx context.Context, transports []Transport, dc ElasticDeploymentConfig, opts ...core.Option) ([]ElasticPeerResult, error) {
+	n := len(dc.X0)
+	total := n + len(dc.Joiners)
+	if len(transports) != total {
+		return nil, fmt.Errorf("cluster: need %d transports, got %d", total, len(transports))
+	}
+	if len(dc.Sources) != n {
+		return nil, fmt.Errorf("cluster: need %d cost sources, got %d", n, len(dc.Sources))
+	}
+	var schedule map[int]int
+	if len(dc.Joiners) > 0 {
+		schedule = make(map[int]int, len(dc.Joiners))
+		for k, j := range dc.Joiners {
+			if j.ID != n+k {
+				return nil, fmt.Errorf("cluster: joiner %d must have id %d, got %d", k, n+k, j.ID)
+			}
+			if j.Contact < 0 || j.Contact >= n {
+				return nil, fmt.Errorf("cluster: joiner %d contact %d out of range", j.ID, j.Contact)
+			}
+			if j.Source == nil {
+				return nil, fmt.Errorf("cluster: joiner %d has nil cost source", j.ID)
+			}
+			schedule[j.ID] = j.Round
+		}
+	}
+	machines := make([]*elasticMachine, total)
+	for i := range dc.X0 {
+		m, err := incumbentMachine(i, dc.X0, dc.Rounds, dc.Sources[i], dc.Peer, schedule, opts)
+		if err != nil {
+			return nil, fmt.Errorf("peer %d: %w", i, err)
+		}
+		machines[i] = m
+	}
+	for _, j := range dc.Joiners {
+		m, err := joinerMachine(j.ID, j.Contact, dc.Rounds, j.Source, dc.Peer, schedule, opts)
+		if err != nil {
+			return nil, fmt.Errorf("joiner %d: %w", j.ID, err)
+		}
+		machines[j.ID] = m
+	}
+	var (
+		wg        sync.WaitGroup
+		requested sync.WaitGroup
+		mu        sync.Mutex
+		errs      []error
+		res       = make([]ElasticPeerResult, total)
+	)
+	run := func(i int, started func()) {
+		defer wg.Done()
+		r, err := runElastic(ctx, transports[i], machines[i], started)
+		mu.Lock()
+		defer mu.Unlock()
+		res[i] = r
+		if err != nil {
+			kind := "peer"
+			if i >= n {
+				kind = "joiner"
+			}
+			errs = append(errs, fmt.Errorf("%s %d: %w", kind, i, err))
+		}
+	}
+	// Every joiner sends its request before any incumbent starts, so the
+	// request already waits in its contact's inbox at round 1 and the
+	// coordinator admits it exactly at its scheduled Round. Otherwise a
+	// joiner the scheduler runs late is admitted rounds late, or finds a
+	// short deployment already finished.
+	for _, j := range dc.Joiners {
+		wg.Add(1)
+		requested.Add(1)
+		go run(j.ID, requested.Done)
+	}
+	requested.Wait()
+	for i := range dc.X0 {
+		wg.Add(1)
+		go run(i, nil)
+	}
+	wg.Wait()
+	if len(errs) > 0 {
+		return res, errors.Join(errs...)
+	}
+	return res, nil
+}
+
 // Trajectory reassembles the per-round decision vectors from a set of
 // worker or peer results (Played[t] of each node). All results must cover
 // the same number of rounds.

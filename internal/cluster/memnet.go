@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"dolbie/internal/wire"
@@ -20,23 +19,21 @@ type delivery struct {
 // MemNet is an in-memory network hub for tests and single-process
 // simulations. Every registered node gets a buffered inbox; Send enqueues
 // directly, so delivery preserves per-receiver FIFO order of the send
-// operations. Deterministic fault injection (message drops and node
-// partitions) is available for failure testing. Messages are not
-// actually encoded, but every send is sized with the hub's codec
-// (wire.FrameSize, default binary) so metered traffic matches what a
-// real TCP deployment of the same codec would carry.
+// operations. Faults are injected by wrapping its nodes with the Chaos
+// transport, whose every decision is a pure function of its seed and the
+// message, never of goroutine order. Messages are not actually encoded,
+// but every send is sized with the hub's codec (wire.FrameSize, default
+// binary) so metered traffic matches what a real TCP deployment of the
+// same codec would carry.
 //
 // A canceled context wins over a ready message or a free inbox slot:
 // Send and Recv then return the context's error. Closing a node makes
 // its pending and later Recv calls return ErrClosed.
 type MemNet struct {
-	mu       sync.Mutex
-	nodes    map[int]*memNode
-	dropProb float64
-	rng      *rand.Rand
-	cut      map[[2]int]bool // severed directed links
-	buffer   int
-	codec    wire.Codec
+	mu     sync.Mutex
+	nodes  map[int]*memNode
+	buffer int
+	codec  wire.Codec
 }
 
 // memNode is one registered endpoint of a MemNet. done is closed, once,
@@ -49,21 +46,6 @@ type memNode struct {
 
 // MemNetOption configures a MemNet.
 type MemNetOption func(*MemNet)
-
-// WithDropProb drops each message independently with probability p, using
-// a deterministic seeded source. The DOLBIE protocols stall forever on a
-// single lost message, so a lossy MemNet must run beneath a Reliable
-// wrapper, which masks the drops with retransmission — on its own this
-// option only simulates an unusable network. For richer, per-link fault
-// injection (delay, duplication, reordering, round-gated partitions,
-// crashes) use the Chaos wrapper instead, which composes over any
-// Transport.
-func WithDropProb(p float64, seed int64) MemNetOption {
-	return func(m *MemNet) {
-		m.dropProb = p
-		m.rng = rand.New(rand.NewSource(seed))
-	}
-}
 
 // WithInboxBuffer overrides the per-node inbox capacity (default 1024).
 func WithInboxBuffer(n int) MemNetOption {
@@ -88,7 +70,6 @@ func WithCodec(c wire.Codec) MemNetOption {
 func NewMemNet(opts ...MemNetOption) *MemNet {
 	m := &MemNet{
 		nodes:  make(map[int]*memNode),
-		cut:    make(map[[2]int]bool),
 		buffer: 1024,
 		codec:  wire.Default,
 	}
@@ -108,27 +89,6 @@ func (m *MemNet) Node(id int) Transport {
 	return &memTransport{net: m, id: id}
 }
 
-// Cut severs the directed link from -> to; messages sent over it are
-// silently dropped until Heal. Unlike WithDropProb's losses, a cut is
-// NOT masked by a Reliable wrapper — retransmissions die on the severed
-// link just like first attempts — so the protocols stall until Heal or,
-// under the fail-stop extension, until the silent peer is evicted. For
-// partitions that start and end at protocol-round boundaries (and are
-// therefore reproducible independent of scheduling) use the Chaos
-// wrapper's ChaosPartition instead.
-func (m *MemNet) Cut(from, to int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.cut[[2]int{from, to}] = true
-}
-
-// Heal restores the directed link from -> to.
-func (m *MemNet) Heal(from, to int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.cut, [2]int{from, to})
-}
-
 // send and recv serve memTransport, whose own id Node registered, so
 // m.nodes[from] in send and m.nodes[id] in recv always exist.
 func (m *MemNet) send(ctx context.Context, from, to int, env Envelope) (int, error) {
@@ -145,14 +105,6 @@ func (m *MemNet) send(ctx context.Context, from, to int, env Envelope) (int, err
 	if !ok || dst.closed {
 		m.mu.Unlock()
 		return 0, fmt.Errorf("%w: %d", ErrUnknownNode, to)
-	}
-	if m.cut[[2]int{from, to}] {
-		m.mu.Unlock()
-		return n, nil // silently dropped: partition
-	}
-	if m.rng != nil && m.rng.Float64() < m.dropProb {
-		m.mu.Unlock()
-		return n, nil // silently dropped: lossy link
 	}
 	m.mu.Unlock()
 

@@ -10,11 +10,20 @@ import (
 	"dolbie/internal/simplex"
 )
 
-func reliableNodes(t *testing.T, net *MemNet, count int, retry time.Duration) []Transport {
+// reliableNodes stacks the reliability layer over count MemNet nodes,
+// each first wrapped by a chaos layer dropping every delivery attempt
+// with probability drop (none when zero).
+func reliableNodes(t *testing.T, count int, drop float64, seed int64, retry time.Duration) []Transport {
 	t.Helper()
+	net := NewMemNet()
+	chaos := NewChaos(ChaosConfig{Seed: seed, DropProb: drop})
 	transports := make([]Transport, count)
 	for i := range transports {
-		r := NewReliable(i, net.Node(i), retry)
+		var inner Transport = net.Node(i)
+		if drop > 0 {
+			inner = chaos.Wrap(i, inner)
+		}
+		r := NewReliable(i, inner, retry)
 		t.Cleanup(func() { r.Close() }) //nolint:errcheck // test teardown
 		transports[i] = r
 	}
@@ -24,8 +33,7 @@ func reliableNodes(t *testing.T, net *MemNet, count int, retry time.Duration) []
 func TestReliableDeliversOverLossyLink(t *testing.T) {
 	// 40% drop probability: raw delivery would stall almost immediately;
 	// the reliability layer must still deliver every message exactly once.
-	net := NewMemNet(WithDropProb(0.4, 42))
-	transports := reliableNodes(t, net, 2, 5*time.Millisecond)
+	transports := reliableNodes(t, 2, 0.4, 42, 5*time.Millisecond)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -59,8 +67,7 @@ func TestReliableDeliversOverLossyLink(t *testing.T) {
 
 func TestReliablePreservesPerPairContent(t *testing.T) {
 	// Without drops the layer is just framing: everything flows through.
-	net := NewMemNet()
-	transports := reliableNodes(t, net, 2, 50*time.Millisecond)
+	transports := reliableNodes(t, 2, 0, 0, 50*time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
@@ -108,8 +115,7 @@ func TestDeploymentSucceedsOnLossyNetworkWithReliability(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	net := NewMemNet(WithDropProb(0.2, 7)) // same loss as the failing raw test
-	transports := reliableNodes(t, net, n+1, 5*time.Millisecond)
+	transports := reliableNodes(t, n+1, 0.2, 7, 5*time.Millisecond) // same loss as the failing raw test
 
 	sources := make([]CostSource, n)
 	for i := range sources {
@@ -140,8 +146,7 @@ func TestFullyDistributedOnLossyNetworkWithReliability(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	net := NewMemNet(WithDropProb(0.15, 3))
-	transports := reliableNodes(t, net, n, 5*time.Millisecond)
+	transports := reliableNodes(t, n, 0.15, 3, 5*time.Millisecond)
 	sources := make([]CostSource, n)
 	for i := range sources {
 		sources[i] = instSource(i)
@@ -208,9 +213,10 @@ func TestReliableComposesOverTCP(t *testing.T) {
 func TestReliableRandomLossProperty(t *testing.T) {
 	for _, drop := range []float64{0.05, 0.3, 0.6} {
 		for seed := int64(0); seed < 3; seed++ {
-			net := NewMemNet(WithDropProb(drop, seed))
-			a := NewReliable(0, net.Node(0), 2*time.Millisecond)
-			b := NewReliable(1, net.Node(1), 2*time.Millisecond)
+			net := NewMemNet()
+			chaos := NewChaos(ChaosConfig{Seed: seed, DropProb: drop})
+			a := NewReliable(0, chaos.Wrap(0, net.Node(0)), 2*time.Millisecond)
+			b := NewReliable(1, chaos.Wrap(1, net.Node(1)), 2*time.Millisecond)
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 
 			const total = 20
