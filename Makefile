@@ -18,9 +18,11 @@ build:
 # flat and tree mode, from senders in and out of the roster), dispatcher
 # request admission / policy parsing (arbitrary HTTP ingest traffic and
 # operator flags, batched and per-request), the ingest handler's
-# query parameter lookup (arbitrary client query strings), and geo
-# topology validation (operator-supplied region/RTT configs). One
-# invocation per target: -fuzz matches only one.
+# query parameter lookup (arbitrary client query strings), the
+# /admin/weights and /admin/cap decoders (routing state stays finite,
+# queue rings follow occupancy), and geo topology validation
+# (operator-supplied region/RTT configs). One invocation per target:
+# -fuzz matches only one.
 vet: docs
 	$(GO) vet ./...
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
@@ -30,6 +32,7 @@ vet: docs
 	$(GO) test -run='^$$' -fuzz=FuzzElasticFrames -fuzztime=5s ./internal/cluster/
 	$(GO) test -run='^$$' -fuzz=FuzzDispatcherAdmission -fuzztime=5s ./internal/dispatch/
 	$(GO) test -run='^$$' -fuzz=FuzzQueryValue -fuzztime=5s ./internal/dispatch/
+	$(GO) test -run='^$$' -fuzz=FuzzAdminDecoders -fuzztime=5s ./internal/dispatch/
 	$(GO) test -run='^$$' -fuzz=FuzzTenantConfig -fuzztime=5s ./internal/dispatch/
 	$(GO) test -run='^$$' -fuzz=FuzzGeoConfig -fuzztime=5s ./internal/geo/
 
@@ -90,8 +93,10 @@ cover:
 		{ echo "FAIL: internal/geo coverage $$pct% below $(GEO_COVER_FLOOR)%"; exit 1; }
 
 # bench also regenerates the committed benchmark reports: BENCH_wire.json
-# (bytes/round per protocol per codec on real TCP, allocs/op, and the
-# metering path's allocation overhead), BENCH_chaos.json (fail-stop
+# (messages and bytes per round per protocol per codec on real TCP; the
+# hop's ns/op and allocs/op are BenchmarkTCPSendRecv above, and the
+# metering path's zero allocations TestInstrumentedMessageAllocatesNothing
+# in make test), BENCH_chaos.json (fail-stop
 # recovery under the deterministic chaos transport; reproduces bit for
 # bit), BENCH_serve.json (data-plane dispatch: DOLBIE's closed loop
 # vs uniform WRR vs JSQ on p99 max-worker latency), BENCH_scale.json
@@ -123,7 +128,7 @@ repro-csv:
 # Short fuzzing pass over the numerical kernels (including the
 # selection-based percentile against its sort-based definition), the
 # wire codecs, the elastic peer's frame handling and buffer bounds, the
-# dispatcher's admission path and ingest query lookup,
+# dispatcher's admission path, ingest query lookup and admin decoders,
 # and the policies' UnmarshalText/String round trips (one go test
 # invocation per target: -fuzz only accepts a single match).
 fuzz:
@@ -136,6 +141,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzElasticFrames -fuzztime=10s ./internal/cluster/
 	$(GO) test -fuzz=FuzzDispatcherAdmission -fuzztime=10s ./internal/dispatch/
 	$(GO) test -fuzz=FuzzQueryValue -fuzztime=10s ./internal/dispatch/
+	$(GO) test -run='^$$' -fuzz=FuzzAdminDecoders -fuzztime=10s ./internal/dispatch/
 	$(GO) test -run='^$$' -fuzz=FuzzParsePolicies -fuzztime=10s ./internal/dispatch/
 	$(GO) test -fuzz=FuzzTenantConfig -fuzztime=10s ./internal/dispatch/
 	$(GO) test -fuzz=FuzzGeoConfig -fuzztime=10s ./internal/geo/

@@ -37,8 +37,8 @@ type (
 	CostSource = cluster.CostSource
 	// FuncSource adapts a plain function to a CostSource.
 	FuncSource = cluster.FuncSource
-	// MasterConfig parameterizes RunMaster's fail-stop handling (round
-	// deadline, where zero waits forever, and minimum live worker count).
+	// MasterConfig parameterizes RunMaster's fail-stop handling (the
+	// round deadline, where zero waits forever).
 	MasterConfig = cluster.MasterConfig
 	// MasterResult summarizes a completed master run of Algorithm 1,
 	// including the workers declared crashed and the survivors.

@@ -19,10 +19,12 @@
 // profiling the long Monte-Carlo sweeps.
 //
 // The -wire mode sidesteps the figure machinery entirely: it runs both
-// DOLBIE protocols over real localhost TCP under each wire codec,
-// records bytes/round, single-hop allocations, and the metering-path
-// allocation overhead, and writes the report to -out (default
-// BENCH_wire.json).
+// DOLBIE protocols over real localhost TCP under each wire codec and
+// writes messages and bytes per round to -out (default
+// BENCH_wire.json). The codec layer's timings and allocations are Go
+// benchmarks and tests instead: go test ./internal/cluster -bench
+// TCPSendRecv -benchmem for a single TCP hop, and
+// TestInstrumentedMessageAllocatesNothing for the metering path.
 //
 // The -chaos mode runs the fail-stop-tolerant fully-distributed
 // deployment under the deterministic chaos transport, one scenario per
@@ -51,11 +53,14 @@
 //
 // The -scale mode sweeps elastic Algorithm 2 deployments over the
 // in-memory network at N in {8, 64, 512, 4096}, flat all-to-all
-// aggregation against the hierarchical tree overlay, and writes rounds
-// per second, per-worker traffic, aggregation depth, and the final
-// min-max gap against the offline optimum to -out (default
-// BENCH_scale.json). Per-worker bytes per round stay O(1) under the
-// tree overlay while growing O(N) flat.
+// aggregation against the hierarchical tree overlay, and writes
+// per-worker traffic, aggregation depth, and the final min-max gap
+// against the offline optimum to -out (default BENCH_scale.json).
+// Per-worker bytes per round stay O(1) under the tree overlay while
+// growing O(N) flat.
+//
+// No report records a wall-clock timing, so each run rewrites the
+// committed files byte for byte.
 //
 // Wall-clock timing of the admission path and the HTTP ingest path is
 // the separate perfbench module's job (perfbench/run.sh, workloads
@@ -99,7 +104,6 @@ func run() error {
 		serveBench   = flag.Bool("serve", false, "run the data-plane serving benchmark (DOLBIE vs WRR vs JSQ dispatch) instead of a figure")
 		scaleBench   = flag.Bool("scale", false, "run the scaling benchmark (flat vs tree aggregation across deployment sizes) instead of a figure")
 		geoBench     = flag.Bool("geo", false, "run the geo-distributed serving benchmark (RTT-penalized vs latency-blind DOLBIE, DGD baseline, region-outage drill) instead of a figure")
-		codecName    = flag.String("codec", "all", "wire codec to benchmark in -wire mode: all, or a registry name")
 		outPath      = flag.String("out", "", "output file for the benchmark modes (default BENCH_<mode>.json; \"-\" prints without writing)")
 	)
 	flag.Parse()
@@ -109,7 +113,7 @@ func run() error {
 		if out == "" {
 			out = "BENCH_wire.json"
 		}
-		return runWireBench(*codecName, out, os.Stdout)
+		return runWireBench(out, os.Stdout)
 	}
 	if *chaosBench {
 		out := *outPath

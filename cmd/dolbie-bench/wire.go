@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"testing"
 	"time"
 
 	"dolbie/internal/cluster"
@@ -16,12 +15,14 @@ import (
 	"dolbie/internal/wire"
 )
 
-// This file implements the -wire benchmark mode: it measures the wire
-// codec layer end to end — bytes/round for both DOLBIE protocols on a
-// real 8-worker TCP deployment, single-hop transport latency and
-// allocations, and the metering path's allocation overhead (which must
-// be re-marshal-free) — and writes the results to a JSON file so the
-// perf trajectory of the codec layer is tracked in-repo.
+// This file implements the -wire benchmark mode: it counts the protocol
+// messages and bytes per round of both DOLBIE protocols on a real
+// 8-worker TCP deployment under every wire codec, and writes them to a
+// JSON file so the traffic of the codec layer is tracked in-repo. Every
+// field is a pure function of the seeded sources, so the report
+// reproduces byte for byte. The codec layer's timings and allocations
+// are Go benchmarks instead: BenchmarkTCPSendRecv in internal/cluster,
+// and TestInstrumentedMessageAllocatesNothing for the metering path.
 
 const (
 	wireWorkers = 8
@@ -34,52 +35,26 @@ type wireProtocolStats struct {
 	BytesPerRound float64 `json:"bytes_per_round"`
 }
 
-// wireTransportStats is the single-hop TCP send+recv cost under one codec.
-type wireTransportStats struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"alloc_bytes_per_op"`
-}
-
-// wireMeteringStats compares a metered hop against a raw one: the
-// overhead must be free of marshaling work.
-type wireMeteringStats struct {
-	RawAllocsPerOp      int64 `json:"raw_allocs_per_op"`
-	MeteredAllocsPerOp  int64 `json:"metered_allocs_per_op"`
-	OverheadAllocsPerOp int64 `json:"overhead_allocs_per_op"`
-}
-
 // wireReport is the BENCH_wire.json document.
 type wireReport struct {
-	Workers          int                           `json:"workers"`
-	Rounds           int                           `json:"rounds"`
-	MasterWorker     map[string]wireProtocolStats  `json:"master_worker_tcp"`
-	FullyDistributed map[string]wireProtocolStats  `json:"fully_distributed_tcp"`
-	Transport        map[string]wireTransportStats `json:"transport_hop_tcp"`
-	Metering         map[string]wireMeteringStats  `json:"metering_overhead_memnet"`
-	MWBytesRatio     float64                       `json:"mw_bytes_json_over_binary"`
-	FDBytesRatio     float64                       `json:"fd_bytes_json_over_binary"`
+	Workers          int                          `json:"workers"`
+	Rounds           int                          `json:"rounds"`
+	MasterWorker     map[string]wireProtocolStats `json:"master_worker_tcp"`
+	FullyDistributed map[string]wireProtocolStats `json:"fully_distributed_tcp"`
+	MWBytesRatio     float64                      `json:"mw_bytes_json_over_binary"`
+	FDBytesRatio     float64                      `json:"fd_bytes_json_over_binary"`
 }
 
-// runWireBench measures every registered codec (or just the named one)
-// and writes the report to outPath.
-func runWireBench(codecName, outPath string, out io.Writer) error {
-	names := wire.Names()
-	if codecName != "all" {
-		if _, err := wire.ByName(codecName); err != nil {
-			return err
-		}
-		names = []string{codecName}
-	}
+// runWireBench measures every registered codec and writes the report to
+// outPath.
+func runWireBench(outPath string, out io.Writer) error {
 	rep := wireReport{
 		Workers:          wireWorkers,
 		Rounds:           wireRounds,
 		MasterWorker:     make(map[string]wireProtocolStats),
 		FullyDistributed: make(map[string]wireProtocolStats),
-		Transport:        make(map[string]wireTransportStats),
-		Metering:         make(map[string]wireMeteringStats),
 	}
-	for _, name := range names {
+	for _, name := range wire.Names() {
 		codec, err := wire.ByName(name)
 		if err != nil {
 			return err
@@ -95,14 +70,7 @@ func runWireBench(codecName, outPath string, out io.Writer) error {
 			return err
 		}
 		rep.FullyDistributed[name] = fd
-		tp, err := wireTransportHop(codec)
-		if err != nil {
-			return err
-		}
-		rep.Transport[name] = tp
-		rep.Metering[name] = wireMeteringOverhead(codec)
-		fmt.Fprintf(out, "  mw %.0f B/round, fd %.0f B/round, hop %d allocs/op, metering overhead %+d allocs/op\n",
-			mw.BytesPerRound, fd.BytesPerRound, tp.AllocsPerOp, rep.Metering[name].OverheadAllocsPerOp)
+		fmt.Fprintf(out, "  mw %.0f B/round, fd %.0f B/round\n", mw.BytesPerRound, fd.BytesPerRound)
 	}
 	if j, ok := rep.MasterWorker["json"]; ok {
 		if b, ok := rep.MasterWorker["binary"]; ok && b.BytesPerRound > 0 {
@@ -226,68 +194,4 @@ func wireFullyDistributedTCP(codec wire.Codec) (wireProtocolStats, error) {
 		MsgsPerRound:  float64(msgs) / wireRounds,
 		BytesPerRound: float64(bytes) / wireRounds,
 	}, nil
-}
-
-// wireTransportHop benchmarks one framed protocol message over a real
-// localhost TCP connection (send + matching recv).
-func wireTransportHop(codec wire.Codec) (wireTransportStats, error) {
-	nodes, cleanup, err := wireTCPNodes(2, codec)
-	if err != nil {
-		return wireTransportStats{}, err
-	}
-	defer cleanup()
-	ctx := context.Background()
-	env := cluster.NewEnvelope(cluster.KindCost, 0, 1, core.CostReport{Round: 1, From: 0, Cost: 1.25})
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := nodes[0].Send(ctx, 1, env); err != nil {
-				b.Fatal(err)
-			}
-			if _, _, err := nodes[1].Recv(ctx); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	return wireTransportStats{
-		NsPerOp:     float64(res.NsPerOp()),
-		AllocsPerOp: res.AllocsPerOp(),
-		BytesPerOp:  res.AllocedBytesPerOp(),
-	}, nil
-}
-
-// wireMeteringOverhead compares a raw in-memory hop against a metered
-// one under the same codec. The difference is the full cost of traffic
-// accounting; since Meter uses the transport-reported frame size, the
-// overhead contains no marshaling (0 allocs/op for the binary codec,
-// whose frame sizes are pure arithmetic).
-func wireMeteringOverhead(codec wire.Codec) wireMeteringStats {
-	ctx := context.Background()
-	env := cluster.NewEnvelope(cluster.KindCost, 0, 1, core.CostReport{Round: 1, From: 0, Cost: 1.25})
-	hop := func(metered bool) int64 {
-		net := cluster.NewMemNet(cluster.WithCodec(codec))
-		send, recv := net.Node(0), net.Node(1)
-		if metered {
-			send, recv = cluster.NewMeter(send), cluster.NewMeter(recv)
-		}
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := send.Send(ctx, 1, env); err != nil {
-					b.Fatal(err)
-				}
-				if _, _, err := recv.Recv(ctx); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		return res.AllocsPerOp()
-	}
-	raw := hop(false)
-	metered := hop(true)
-	return wireMeteringStats{
-		RawAllocsPerOp:      raw,
-		MeteredAllocsPerOp:  metered,
-		OverheadAllocsPerOp: metered - raw,
-	}
 }

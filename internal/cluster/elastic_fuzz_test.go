@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"bytes"
+	"container/heap"
+	"reflect"
 	"testing"
 	"time"
 
 	"dolbie/internal/core"
+	"dolbie/internal/simplex"
 	"dolbie/internal/wire"
 )
 
@@ -85,11 +88,67 @@ func fuzzFrames(t testing.TB, envs ...Envelope) []byte {
 	return buf.Bytes()
 }
 
+// rejectedFrames returns frames from peer 1 that peer 0's core state
+// machine refuses in round 1 of an n-peer deployment: a share two rounds
+// ahead, two copies of peer 1's own round-1 share (the second a
+// duplicate) and a decision for a later round.
+func rejectedFrames(t testing.TB, n, rounds int) []Envelope {
+	twin, err := incumbentMachine(1, simplex.Uniform(n), rounds, instSource(1), ElasticPeerConfig{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin.start()
+	first, _ := twin.next() // its round-1 share, to peer 0
+	return []Envelope{
+		shareEnvelope(0, core.PeerShare{Round: 3, From: 1, Cost: 9, LocalAlpha: 0.5}),
+		first.env,
+		first.env,
+		peerDecisionEnvelope(core.PeerDecision{Round: 3, From: 1, To: 0, Next: 0.5}),
+	}
+}
+
+// TestElasticDropsRejectedFrames delivers rejectedFrames to peer 0 of a
+// flat and a tree deployment before any other traffic: the core refuses
+// each on arrival, the peer drops it, and every peer finishes with the
+// Played and Costs of an undisturbed run.
+func TestElasticDropsRejectedFrames(t *testing.T) {
+	const n, rounds = 4, 6
+	for _, topo := range []Topology{TopologyFlat, TopologyTree} {
+		t.Run(topo.String(), func(t *testing.T) {
+			ec := func(int) ElasticPeerConfig { return ElasticPeerConfig{Topology: topo, Fanout: 2} }
+			want, _ := simPeers(t, 1, ChaosConfig{}, n, rounds, instSource, ec)
+			s := newSimNet(t, 1, ChaosConfig{}, n)
+			for _, env := range rejectedFrames(t, n, rounds) {
+				heap.Push(&s.nodes[0].inbox, simMsg{at: s.now, seq: s.seq, env: env})
+				s.seq++
+			}
+			for i := 0; i < n; i++ {
+				m, err := incumbentMachine(i, simplex.Uniform(n), rounds, instSource(i), ec(i), nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.add(i, m)
+			}
+			s.run(nil)
+			got, errs := s.results()
+			for i := range got {
+				if errs[i] != nil {
+					t.Fatalf("peer %d: %v", i, errs[i])
+				}
+				if got[i].Rounds != rounds || !reflect.DeepEqual(got[i].Played, want[i].Played) || !reflect.DeepEqual(got[i].Costs, want[i].Costs) {
+					t.Fatalf("peer %d diverged from the undisturbed run:\n got %+v\nwant %+v", i, got[i], want[i])
+				}
+			}
+		})
+	}
+}
+
 // FuzzElasticFrames feeds arbitrary decoded frames of every Algorithm 2
 // kind, from senders in and out of the roster, into a flat and a tree
 // machine: neither may panic, and every buffer must stay within its
-// bound. The seeds are a healthy first round, a join, an eviction, and
-// frames far outside the protocol's windows.
+// bound. The seeds are a healthy first round, a join, an eviction,
+// frames far outside the protocol's windows, and frames the core
+// refuses on arrival.
 func FuzzElasticFrames(f *testing.F) {
 	agg := func(from, round int, epoch uint64, down bool) Envelope {
 		return aggregateEnvelope(0, core.PeerAggregate{Round: round, From: from, Epoch: epoch, Down: down, Count: 1, Straggler: from, MaxCost: 1, MinAlpha: 0.1})
@@ -108,6 +167,7 @@ func FuzzElasticFrames(f *testing.F) {
 	f.Add(fuzzFrames(f, evictEnvelope(0, core.PeerEvict{Round: 1, From: 1, Evicted: 3}), agg(2, 1, 1, false), share(9, 1), tick))
 	f.Add(fuzzFrames(f, agg(1, 1<<30, 0, false), agg(1, 1, 1<<40, true), roster(1, 1<<30, 7, 1), roster(1, 2, 1<<30, 1),
 		joinEnvelope(0, core.JoinRequest{From: 1 << 30}), roster(1, 2, 6, 1<<50)))
+	f.Add(fuzzFrames(f, rejectedFrames(f, 4, 6)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		feedFrames(t, fuzzMachine(t, TopologyFlat), data)
 		feedFrames(t, fuzzMachine(t, TopologyTree), data)

@@ -357,9 +357,14 @@ func (m *elasticMachine) handleEnvelope(env Envelope) (bool, error) {
 	return false, nil
 }
 
-// progress queues the outputs of a core transition.
+// progress queues the outputs of a core transition. A frame the core
+// refused on arrival is dropped and does not count as progress, like
+// any other frame outside the protocol's windows.
 func (m *elasticMachine) progress(outs []core.PeerOutput, err error) (bool, error) {
-	if err != nil {
+	switch {
+	case errors.Is(err, core.ErrRejected):
+		return false, nil
+	case err != nil:
 		return false, fmt.Errorf("cluster: peer %d: %w", m.id, err)
 	}
 	m.outs.push(outs...)

@@ -39,9 +39,6 @@ type MasterConfig struct {
 	// and their frozen workload folds into the straggler's remainder.
 	// Zero waits forever, as the paper's reliable worker set allows.
 	RoundTimeout time.Duration
-	// MinWorkers aborts the run with ErrTooFewWorkers when fewer workers
-	// survive (default 1).
-	MinWorkers int
 }
 
 // MasterResult summarizes a completed master run.
@@ -58,8 +55,8 @@ type MasterResult struct {
 	Traffic TrafficStats
 }
 
-// ErrTooFewWorkers is returned when crashes reduce the live worker set
-// below MasterConfig.MinWorkers.
+// ErrTooFewWorkers is returned when every worker has been declared
+// crashed.
 var ErrTooFewWorkers = errors.New("cluster: too few live workers")
 
 // RunMaster executes the master side of Algorithm 1 for the given number
@@ -76,9 +73,6 @@ func RunMaster(ctx context.Context, tr Transport, x0 []float64, rounds int, mc M
 	}
 	if mc.RoundTimeout < 0 {
 		return MasterResult{}, errors.New("cluster: RoundTimeout must not be negative")
-	}
-	if mc.MinWorkers <= 0 {
-		mc.MinWorkers = 1
 	}
 	reg := core.RegistryFrom(opts...)
 	meter := NewInstrumentedMeter(tr, reg, "master")
@@ -127,8 +121,8 @@ func RunMaster(ctx context.Context, tr Transport, x0 []float64, rounds int, mc M
 	// dispatch transmits the state machine's outputs, including any that
 	// evictions unlock along the way.
 	dispatch := func(outs []core.MasterOutput) error {
-		if m.AliveCount() < mc.MinWorkers {
-			return fmt.Errorf("%w: %d alive, need %d", ErrTooFewWorkers, m.AliveCount(), mc.MinWorkers)
+		if m.AliveCount() == 0 {
+			return ErrTooFewWorkers
 		}
 		for len(outs) > 0 {
 			o := outs[0]
@@ -174,7 +168,10 @@ func RunMaster(ctx context.Context, tr Transport, x0 []float64, rounds int, mc M
 		if cancel != nil {
 			cancel()
 		}
-		var outs []core.MasterOutput
+		var (
+			outs    []core.MasterOutput
+			handled error
+		)
 		expired := err != nil && ctx.Err() == nil && errors.Is(err, context.DeadlineExceeded)
 		switch {
 		case expired:
@@ -194,22 +191,19 @@ func RunMaster(ctx context.Context, tr Transport, x0 []float64, rounds int, mc M
 			return finish(fmt.Errorf("cluster: master recv (round %d): %w", m.Round(), err))
 		case env.Kind == KindCost:
 			var r core.CostReport
-			if err := env.Decode(&r); err != nil {
-				return finish(err)
-			}
-			if outs, err = m.HandleCost(r); err != nil {
-				return finish(fmt.Errorf("cluster: master: %w", err))
+			if handled = env.Decode(&r); handled == nil {
+				outs, handled = m.HandleCost(r)
 			}
 		case env.Kind == KindDecision:
 			var r core.DecisionReport
-			if err := env.Decode(&r); err != nil {
-				return finish(err)
+			if handled = env.Decode(&r); handled == nil {
+				outs, handled = m.HandleDecision(r)
 			}
-			if outs, err = m.HandleDecision(r); err != nil {
-				return finish(fmt.Errorf("cluster: master: %w", err))
-			}
-		default:
-			return finish(fmt.Errorf("cluster: master received unexpected %s from %d", env.Kind, env.From))
+		}
+		// A frame of another kind, or a report the state machine refused
+		// on arrival, is dropped and does not count as progress.
+		if handled != nil && !errors.Is(handled, core.ErrRejected) {
+			return finish(fmt.Errorf("cluster: master: %w", handled))
 		}
 		if err := dispatch(outs); err != nil {
 			return finish(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -132,34 +133,78 @@ func TestResilientMasterSurvivesWorkerCrash(t *testing.T) {
 	}
 }
 
-func TestResilientMasterAbortsBelowMinWorkers(t *testing.T) {
+// replayTransport feeds the master frames it must drop: a queue of
+// injected frames before any real one, and a second copy of the first
+// cost report it receives.
+type replayTransport struct {
+	Transport
+	queue      []Envelope
+	duplicated bool
+}
+
+func (r *replayTransport) Recv(ctx context.Context) (Envelope, int, error) {
+	if len(r.queue) > 0 {
+		env := r.queue[0]
+		r.queue = r.queue[1:]
+		return env, 0, nil
+	}
+	env, size, err := r.Transport.Recv(ctx)
+	if err == nil && env.Kind == KindCost && !r.duplicated {
+		r.duplicated = true
+		r.queue = append(r.queue, env)
+	}
+	return env, size, err
+}
+
+// TestMasterDropsRejectedFrames hands the master a decision for a later
+// round, a frame of a kind it does not handle and a duplicate cost
+// report: it drops each, and every worker finishes with the Played and
+// Costs of an undisturbed run.
+func TestMasterDropsRejectedFrames(t *testing.T) {
+	const n, rounds = 4, 8
+	run := func(master func(Transport) Transport) []WorkerResult {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		ts := memTransports(NewMemNet(), n+1)
+		ts[n] = master(ts[n])
+		srcs := make([]CostSource, n)
+		for i := range srcs {
+			srcs[i] = instSource(i)
+		}
+		_, workers, err := MasterWorkerDeployment(ctx, ts, simplex.Uniform(n), rounds, srcs, core.WithInitialAlpha(0.05))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return workers
+	}
+	want := run(func(tr Transport) Transport { return tr })
+	got := run(func(tr Transport) Transport {
+		return &replayTransport{Transport: tr, queue: []Envelope{
+			decisionEnvelope(n, core.DecisionReport{Round: 3, From: 1, Next: 0.5}),
+			shareEnvelope(n, core.PeerShare{Round: 1, From: 1, Cost: 1, LocalAlpha: 0.5}),
+		}}
+	})
+	for i := range want {
+		if !reflect.DeepEqual(got[i].Played, want[i].Played) || !reflect.DeepEqual(got[i].Costs, want[i].Costs) {
+			t.Fatalf("worker %d diverged from the undisturbed run:\n got %+v\nwant %+v", i, got[i], want[i])
+		}
+	}
+}
+
+func TestResilientMasterAbortsWithNoWorkers(t *testing.T) {
+	// No worker ever starts: the first deadline evicts all three, and the
+	// master aborts instead of running rounds over an empty set.
 	const n, rounds = 3, 20
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-
 	net := NewMemNet()
-	transports := make([]Transport, n+1)
-	for i := range transports {
-		transports[i] = net.Node(i)
-	}
-	x0 := simplex.Uniform(n)
-	mc := MasterConfig{RoundTimeout: 150 * time.Millisecond, MinWorkers: 3}
-
-	var wg sync.WaitGroup
-	// Only workers 0 and 1 run; worker 2 never starts (instant "crash").
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// The run ends early when the master aborts; ignore errors.
-			_, _ = RunWorker(ctx, transports[i], i, n, x0[i], rounds, instSource(i)) //nolint:errcheck
-		}(i)
-	}
-	_, err := RunMaster(ctx, transports[n], x0, rounds, mc, core.WithInitialAlpha(0.05))
-	cancel() // release the surviving workers
-	wg.Wait()
+	mc := MasterConfig{RoundTimeout: 50 * time.Millisecond}
+	res, err := RunMaster(ctx, net.Node(n), simplex.Uniform(n), rounds, mc, core.WithInitialAlpha(0.05))
 	if !errors.Is(err, ErrTooFewWorkers) {
 		t.Errorf("err = %v, want ErrTooFewWorkers", err)
+	}
+	if len(res.Crashed) != n || len(res.Survivors) != 0 {
+		t.Errorf("crashed %v, survivors %v: want all %d workers crashed", res.Crashed, res.Survivors, n)
 	}
 }
 

@@ -83,6 +83,18 @@ type Algorithm interface {
 // workers the algorithm was constructed with.
 var ErrBadDimension = errors.New("core: dimension mismatch")
 
+// ErrRejected wraps every refusal of a protocol message on arrival: one
+// from an unknown sender, stale, too far ahead, misaddressed or a
+// duplicate. A refused message leaves the state machine as it was, so a
+// driver can drop it and carry on; any other error from a Handle method
+// means applying an accepted message failed.
+var ErrRejected = errors.New("core: message rejected")
+
+// reject returns an ErrRejected error with the formatted reason.
+func reject(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrRejected}, args...)...)
+}
+
 // drainEps is the threshold below which a straggler's remainder workload
 // is treated as fully drained (floating-point dust from the feasibility
 // guard); rule (7)'s step-size shrink is skipped in that degenerate case

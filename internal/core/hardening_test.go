@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -313,10 +314,10 @@ func TestFarFutureFramesRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.HandleCost(CostReport{Round: far, From: 1, Cost: 1}); err == nil {
+	if _, err := m.HandleCost(CostReport{Round: far, From: 1, Cost: 1}); !errors.Is(err, ErrRejected) {
 		t.Error("master accepted a cost report for round 1e9")
 	}
-	if _, err := m.HandleDecision(DecisionReport{Round: far, From: 1, Next: 0.5}); err == nil {
+	if _, err := m.HandleDecision(DecisionReport{Round: far, From: 1, Next: 0.5}); !errors.Is(err, ErrRejected) {
 		t.Error("master accepted a decision for round 1e9")
 	}
 	for i, seen := range m.nextSeen {
@@ -329,10 +330,10 @@ func TestFarFutureFramesRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.HandleShare(PeerShare{Round: far, From: 1, Cost: 1, LocalAlpha: 0.1}); err == nil {
+	if _, err := p.HandleShare(PeerShare{Round: far, From: 1, Cost: 1, LocalAlpha: 0.1}); !errors.Is(err, ErrRejected) {
 		t.Error("peer accepted a share for round 1e9")
 	}
-	if _, err := p.HandleDecision(PeerDecision{Round: far, From: 1, To: 0, Next: 0.5}); err == nil {
+	if _, err := p.HandleDecision(PeerDecision{Round: far, From: 1, To: 0, Next: 0.5}); !errors.Is(err, ErrRejected) {
 		t.Error("peer accepted a decision for round 1e9")
 	}
 	if len(p.pendingShares) != 0 || p.decCount != 0 {

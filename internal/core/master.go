@@ -194,32 +194,32 @@ func (m *MasterState) liveDeciders() int {
 // messages). Reports from evicted workers are dropped.
 func (m *MasterState) HandleCost(r CostReport) ([]MasterOutput, error) {
 	if r.From < 0 || r.From >= m.n {
-		return nil, fmt.Errorf("core: cost report from unknown worker %d", r.From)
+		return nil, reject("cost report from unknown worker %d", r.From)
 	}
 	if !m.alive[r.From] {
 		return nil, nil
 	}
 	switch {
 	case r.Round < m.round:
-		return nil, fmt.Errorf("core: stale cost report for round %d (master at round %d)", r.Round, m.round)
+		return nil, reject("stale cost report for round %d (master at round %d)", r.Round, m.round)
 	case r.Round > m.round+1:
-		return nil, fmt.Errorf("core: cost report for round %d more than one round ahead of round %d", r.Round, m.round)
+		return nil, reject("cost report for round %d more than one round ahead of round %d", r.Round, m.round)
 	case r.Round == m.round+1:
 		if m.nextSeen[r.From] {
-			return nil, fmt.Errorf("core: duplicate cost report from worker %d in round %d", r.From, r.Round)
+			return nil, reject("duplicate cost report from worker %d in round %d", r.From, r.Round)
 		}
 		m.nextSeen[r.From] = true
 		m.nextCosts[r.From] = r.Cost
 		return nil, nil
 	case m.inDecide:
-		return nil, fmt.Errorf("core: duplicate cost report from worker %d in round %d", r.From, m.round)
+		return nil, reject("duplicate cost report from worker %d in round %d", r.From, m.round)
 	}
 	return m.acceptCost(r.From, r.Cost)
 }
 
 func (m *MasterState) acceptCost(from int, cost float64) ([]MasterOutput, error) {
 	if m.costSeen[from] {
-		return nil, fmt.Errorf("core: duplicate cost report from worker %d in round %d", from, m.round)
+		return nil, reject("duplicate cost report from worker %d in round %d", from, m.round)
 	}
 	m.costSeen[from] = true
 	m.costs[from] = cost
@@ -268,20 +268,20 @@ func (m *MasterState) completeCosts() ([]MasterOutput, error) {
 // Decisions from evicted workers are dropped.
 func (m *MasterState) HandleDecision(r DecisionReport) ([]MasterOutput, error) {
 	if r.From < 0 || r.From >= m.n {
-		return nil, fmt.Errorf("core: decision report from unknown worker %d", r.From)
+		return nil, reject("decision report from unknown worker %d", r.From)
 	}
 	if !m.alive[r.From] {
 		return nil, nil
 	}
 	switch {
 	case r.Round < m.round:
-		return nil, fmt.Errorf("core: stale decision report for round %d (master at round %d)", r.Round, m.round)
+		return nil, reject("stale decision report for round %d (master at round %d)", r.Round, m.round)
 	case r.Round > m.round || !m.inDecide:
-		return nil, fmt.Errorf("core: decision report for round %d before its coordinate (master at round %d)", r.Round, m.round)
+		return nil, reject("decision report for round %d before its coordinate (master at round %d)", r.Round, m.round)
 	case r.From == m.straggler:
-		return nil, fmt.Errorf("core: straggler %d must not send a decision in round %d", r.From, m.round)
+		return nil, reject("straggler %d must not send a decision in round %d", r.From, m.round)
 	case m.decSeen[r.From]:
-		return nil, fmt.Errorf("core: duplicate decision from worker %d in round %d", r.From, m.round)
+		return nil, reject("duplicate decision from worker %d in round %d", r.From, m.round)
 	}
 	m.decSeen[r.From] = true
 	m.decisions[r.From] = r.Next

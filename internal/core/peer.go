@@ -423,7 +423,7 @@ func (p *PeerState) Observe(cost float64, f costfn.Func) ([]PeerOutput, error) {
 // may trail its eviction.
 func (p *PeerState) HandleShare(s PeerShare) ([]PeerOutput, error) {
 	if s.From < 0 || s.From >= p.n {
-		return nil, fmt.Errorf("core: peer %d: share from unknown peer %d", p.id, s.From)
+		return nil, reject("peer %d: share from unknown peer %d", p.id, s.From)
 	}
 	if !p.alive[s.From] {
 		return nil, nil
@@ -436,18 +436,18 @@ func (p *PeerState) HandleShare(s PeerShare) ([]PeerOutput, error) {
 	}
 	switch {
 	case s.Round < p.round:
-		return nil, fmt.Errorf("core: peer %d: stale share for round %d (at round %d)", p.id, s.Round, p.round)
+		return nil, reject("peer %d: stale share for round %d (at round %d)", p.id, s.Round, p.round)
 	case s.Round > ahead:
-		return nil, fmt.Errorf("core: peer %d: share for round %d ahead of its own share (at round %d)", p.id, s.Round, p.round)
+		return nil, reject("peer %d: share for round %d ahead of its own share (at round %d)", p.id, s.Round, p.round)
 	case s.Round > p.round || p.phase == peerPlay:
 		if p.pendingFrom[s.From] {
-			return nil, fmt.Errorf("core: peer %d: duplicate share from %d in round %d", p.id, s.From, s.Round)
+			return nil, reject("peer %d: duplicate share from %d in round %d", p.id, s.From, s.Round)
 		}
 		p.pendingFrom[s.From] = true
 		p.pendingShares = append(p.pendingShares, s)
 		return nil, nil
 	case p.phase == peerDecision:
-		return nil, fmt.Errorf("core: peer %d: share from %d after consensus in round %d", p.id, s.From, p.round)
+		return nil, reject("peer %d: share from %d after consensus in round %d", p.id, s.From, p.round)
 	}
 	return p.acceptShare(s)
 }
@@ -457,7 +457,7 @@ func (p *PeerState) acceptShare(s PeerShare) ([]PeerOutput, error) {
 		return nil, nil // evicted while buffered
 	}
 	if p.shareSeen[s.From] {
-		return nil, fmt.Errorf("core: peer %d: duplicate share from %d in round %d", p.id, s.From, p.round)
+		return nil, reject("peer %d: duplicate share from %d in round %d", p.id, s.From, p.round)
 	}
 	p.shareSeen[s.From] = true
 	p.costs[s.From] = s.Cost
@@ -567,23 +567,23 @@ func (p *PeerState) applyConsensus(straggler int, alpha, l, renorm float64) ([]P
 // evicted peers are ignored, mirroring HandleShare.
 func (p *PeerState) HandleDecision(d PeerDecision) ([]PeerOutput, error) {
 	if d.From < 0 || d.From >= p.n {
-		return nil, fmt.Errorf("core: peer %d: decision from unknown peer %d", p.id, d.From)
+		return nil, reject("peer %d: decision from unknown peer %d", p.id, d.From)
 	}
 	if d.To != p.id {
-		return nil, fmt.Errorf("core: peer %d: decision addressed to %d", p.id, d.To)
+		return nil, reject("peer %d: decision addressed to %d", p.id, d.To)
 	}
 	if !p.alive[d.From] {
 		return nil, nil
 	}
 	switch {
 	case d.Round < p.round:
-		return nil, fmt.Errorf("core: peer %d: stale decision for round %d (at round %d)", p.id, d.Round, p.round)
+		return nil, reject("peer %d: stale decision for round %d (at round %d)", p.id, d.Round, p.round)
 	case d.Round > p.round:
-		return nil, fmt.Errorf("core: peer %d: decision for later round %d (at round %d)", p.id, d.Round, p.round)
+		return nil, reject("peer %d: decision for later round %d (at round %d)", p.id, d.Round, p.round)
 	case d.From == p.id:
-		return nil, fmt.Errorf("core: peer %d: decision from self", p.id)
+		return nil, reject("peer %d: decision from self", p.id)
 	case p.decSeen[d.From]:
-		return nil, fmt.Errorf("core: peer %d: duplicate decision from %d in round %d", p.id, d.From, p.round)
+		return nil, reject("peer %d: duplicate decision from %d in round %d", p.id, d.From, p.round)
 	}
 	p.decSeen[d.From] = true
 	p.decVals[d.From] = d.Next

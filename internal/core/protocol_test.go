@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -290,22 +291,22 @@ func TestMasterValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.HandleCost(CostReport{Round: 1, From: 9, Cost: 1}); err == nil {
+	if _, err := m.HandleCost(CostReport{Round: 1, From: 9, Cost: 1}); !errors.Is(err, ErrRejected) {
 		t.Error("unknown worker should error")
 	}
-	if _, err := m.HandleCost(CostReport{Round: 0, From: 0, Cost: 1}); err == nil {
+	if _, err := m.HandleCost(CostReport{Round: 0, From: 0, Cost: 1}); !errors.Is(err, ErrRejected) {
 		t.Error("stale round should error")
 	}
 	if _, err := m.HandleCost(CostReport{Round: 1, From: 0, Cost: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.HandleCost(CostReport{Round: 1, From: 0, Cost: 1}); err == nil {
+	if _, err := m.HandleCost(CostReport{Round: 1, From: 0, Cost: 1}); !errors.Is(err, ErrRejected) {
 		t.Error("duplicate cost should error")
 	}
-	if _, err := m.HandleDecision(DecisionReport{Round: 1, From: 9}); err == nil {
+	if _, err := m.HandleDecision(DecisionReport{Round: 1, From: 9}); !errors.Is(err, ErrRejected) {
 		t.Error("unknown worker decision should error")
 	}
-	if _, err := m.HandleDecision(DecisionReport{Round: 0, From: 0}); err == nil {
+	if _, err := m.HandleDecision(DecisionReport{Round: 0, From: 0}); !errors.Is(err, ErrRejected) {
 		t.Error("stale decision should error")
 	}
 }
@@ -465,13 +466,13 @@ func TestPeerValidation(t *testing.T) {
 	if _, err := p.Observe(1, nil); err == nil {
 		t.Error("nil func should error")
 	}
-	if _, err := p.HandleShare(PeerShare{Round: 1, From: 9}); err == nil {
+	if _, err := p.HandleShare(PeerShare{Round: 1, From: 9}); !errors.Is(err, ErrRejected) {
 		t.Error("unknown peer share should error")
 	}
-	if _, err := p.HandleShare(PeerShare{Round: 0, From: 1}); err == nil {
+	if _, err := p.HandleShare(PeerShare{Round: 0, From: 1}); !errors.Is(err, ErrRejected) {
 		t.Error("stale share should error")
 	}
-	if _, err := p.HandleDecision(PeerDecision{Round: 1, From: 1, To: 2}); err == nil {
+	if _, err := p.HandleDecision(PeerDecision{Round: 1, From: 1, To: 2}); !errors.Is(err, ErrRejected) {
 		t.Error("misaddressed decision should error")
 	}
 }

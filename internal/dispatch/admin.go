@@ -145,8 +145,9 @@ func (l *Live) adminPost(do func(req *http.Request) error) http.HandlerFunc {
 	}
 }
 
-// writeStatus renders the current admin status. The admin path is not
-// the hot path, so it uses encoding/json directly.
+// writeStatus renders the current admin status, or answers 500 when it
+// cannot be encoded. The admin path is not the hot path, so it uses
+// encoding/json directly.
 func (l *Live) writeStatus(w http.ResponseWriter) {
 	d := l.d
 	st := adminStatus{
@@ -164,10 +165,13 @@ func (l *Live) writeStatus(w http.ResponseWriter) {
 			Weights: d.TenantWeights(k),
 		}
 	}
+	body, err := json.MarshalIndent(st, "", "  ")
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(st)
+	w.Write(append(body, '\n')) //nolint:errcheck // the client may have gone
 }
 
 // formInt parses an optional integer query parameter, returning def

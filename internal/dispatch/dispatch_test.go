@@ -228,6 +228,11 @@ func TestShedSpill(t *testing.T) {
 	}
 }
 
+// TestSetWeightsValidation checks that malformed weight vectors are
+// refused and leave the routing state as it was. An accepted infinite
+// weight, or a sum that overflows, would turn the smooth-WRR
+// accumulators NaN or -Inf and send almost every later request to
+// worker 0, even after a valid retune.
 func TestSetWeightsValidation(t *testing.T) {
 	d, err := New(Config{N: 2, QueueCap: 1})
 	if err != nil {
@@ -238,10 +243,16 @@ func TestSetWeightsValidation(t *testing.T) {
 		{1, -0.5},
 		{0, 0},
 		{math.NaN(), 1},
+		{math.Inf(1), 1},
+		{1e308, 1e308},
+		{math.MaxFloat64 / 2, 0},
 	} {
 		if err := d.SetWeights(w); err == nil {
 			t.Errorf("SetWeights(%v) should fail", w)
 		}
+	}
+	if got := d.Weights(); got[0] != 0.5 || got[1] != 0.5 {
+		t.Errorf("weights after refused updates = %v, want the initial [0.5 0.5]", got)
 	}
 }
 

@@ -140,7 +140,8 @@ func shardCapSlice(total, si, ns int) int {
 // conservation law Arrivals == sum(Routed) + Shed + Blocked holds for
 // every snapshot (spilled requests are counted in Routed on the queue
 // they landed on): each admission commits atomically inside one shard's
-// critical section, and Totals stops the world across all shards.
+// critical section, and the snapshot sums the shards one at a time,
+// each under its own mutex.
 type Totals struct {
 	// Arrivals counts every Submit call.
 	Arrivals int64
@@ -161,8 +162,7 @@ type Totals struct {
 // mutex. A whole admission (arrival count, routing pick, queue push or
 // shed/block, outcome count) commits inside one critical section, so
 // every per-shard snapshot satisfies the conservation law exactly — the
-// property the scrape-time aggregation and the stop-the-world Totals
-// both build on.
+// property every sum of the shards builds on.
 type shard struct {
 	mu       sync.Mutex
 	queues   []*queue    // one bounded slice of each worker's capacity
@@ -174,11 +174,11 @@ type shard struct {
 	tlast    []float64   // per-tenant last token refill time
 
 	// Counters, guarded by mu. Plain (non-atomic) on purpose: they are
-	// only read under mu (scrape-time collection and stop-the-world
-	// snapshots), which keeps the admission critical section as cheap as
-	// possible. The aggregate arrival, throttle, spill, block and
-	// completion counts are sums of the per-tenant slots below; only the
-	// per-worker routed counts and the shed reasons are kept apart.
+	// only read under mu (by sum), which keeps the admission critical
+	// section as cheap as possible. The aggregate arrival, throttle,
+	// spill, block and completion counts are sums of the per-tenant slots
+	// below; only the per-worker routed counts and the shed reasons are
+	// kept apart.
 	routed        []int64
 	shedReject    int64
 	shedExhausted int64
@@ -270,8 +270,10 @@ type paddedMutex struct {
 // calls on different shards never contend. Cross-shard coordination is
 // either a per-worker completion lock (completion discovers the oldest
 // head via atomic per-queue head keys) or a brief stop-the-world epoch
-// across all shards (SetWeights, Totals, Depths, Backlog — the
-// round-boundary repartition operations).
+// across all shards (SetWeights, SetQueueCap, SetTenantShed and
+// Backlog). Every other reader of the counters (Totals, TenantTotals,
+// BatchStats, Depths and the metrics scrape) goes through sum, which
+// takes one shard at a time.
 type Dispatcher struct {
 	cfg     Config
 	tenants []TenantConfig // resolved: at least one entry, names filled
@@ -297,7 +299,10 @@ type Dispatcher struct {
 	// workers never wait on each other.
 	popLocks []paddedMutex
 	inst     *dispatcherInstruments
-	col      *collector
+	// last is the sum the previous scrape exported; each scrape advances
+	// the registry series by the difference. Scrapes never overlap (the
+	// registry serializes WriteText), so it needs no lock.
+	last counts
 
 	// nextHome assigns home shards to Submitters round-robin, so a set of
 	// submitter goroutines spreads sticky affinity across every shard.
@@ -392,10 +397,10 @@ func New(cfg Config) (*Dispatcher, error) {
 		}
 		d.inst = newDispatcherInstruments(cfg.Metrics, cfg.N, ns, names)
 		d.inst.shards.Set(float64(ns))
-		d.col = newCollector(cfg.N, ns, len(names))
 		for _, s := range d.shards {
 			s.latCounts = make([]int64, len(latencyBuckets))
 		}
+		d.last = d.sum()
 		cfg.Metrics.OnCollect(d.collect)
 	}
 	return d, nil
@@ -457,20 +462,25 @@ func (d *Dispatcher) unlockAll() {
 	}
 }
 
-// validateWeights checks a routing weight vector for SetWeights.
+// validateWeights checks a routing weight vector for SetWeights. Every
+// weight must be finite and non-negative, and the sum positive and
+// small enough that n+1 times it is finite: a smooth-WRR accumulator
+// stays within n times the largest sum installed, so no accumulator can
+// overflow, and a weight vector that is refused leaves the routing state
+// as it was.
 func validateWeights(w []float64, n int) error {
 	if len(w) != n {
 		return fmt.Errorf("dispatch: got %d weights for %d workers", len(w), n)
 	}
 	var sum float64
 	for i, v := range w {
-		if v < 0 || v != v {
-			return fmt.Errorf("dispatch: weight[%d] = %v must be non-negative", i, v)
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("dispatch: weight[%d] = %v must be finite and non-negative", i, v)
 		}
 		sum += v
 	}
-	if sum <= 0 {
-		return fmt.Errorf("dispatch: weights sum to %v, want > 0", sum)
+	if !(sum > 0) || math.IsInf(sum*float64(n+1), 1) {
+		return fmt.Errorf("dispatch: weights sum to %v, want a positive sum that %d times itself keeps finite", sum, n+1)
 	}
 	return nil
 }
@@ -936,22 +946,104 @@ func (d *Dispatcher) pop(worker, n int, now float64) (Request, int) {
 	return last, done
 }
 
-// Depths returns the current queue depth of every worker (summed over
-// shards), collected in one stop-the-world epoch.
-func (d *Dispatcher) Depths() []int {
-	d.lockAll()
-	defer d.unlockAll()
-	out := make([]int, d.cfg.N)
-	for _, s := range d.shards {
-		for w, q := range s.queues {
-			out[w] += q.len()
-		}
-	}
-	return out
+// counts is one sum of every shard's counters.
+type counts struct {
+	tenants       []TenantTotals // per tenant, names filled in
+	routed        []int64        // per worker
+	depths        []int          // per worker
+	shardAdm      []int64        // per shard
+	shardDepth    []int          // per shard
+	shedReject    int64
+	shedExhausted int64
+	batches       int64
+	batchAdmitted int64
+	// affHits and affMisses are dispatcher-level atomics, read lock-free:
+	// no shard owns a chunk's choice of shard.
+	affHits   int64
+	affMisses int64
+	latCounts []int64 // nil when uninstrumented
+	latInf    int64
+	latSum    float64
+	latCount  int64
 }
 
+// sum adds up every shard's counters, reading each shard under its own
+// mutex and never holding two. Each admission and each completion
+// commits inside one shard's critical section, so every shard's part
+// satisfies both conservation laws, and so does the sum. Writers are
+// not stopped: a sum taken mid-storm is exact, but not one instant.
+func (d *Dispatcher) sum() counts {
+	c := counts{
+		tenants:    make([]TenantTotals, len(d.tenants)),
+		routed:     make([]int64, d.cfg.N),
+		depths:     make([]int, d.cfg.N),
+		shardAdm:   make([]int64, len(d.shards)),
+		shardDepth: make([]int, len(d.shards)),
+		affHits:    d.affinityHits.Load(),
+		affMisses:  d.affinityMisses.Load(),
+	}
+	if d.inst != nil {
+		c.latCounts = make([]int64, len(latencyBuckets))
+	}
+	for k := range c.tenants {
+		c.tenants[k].Name = d.tenants[k].Name
+	}
+	for si, s := range d.shards {
+		s.mu.Lock()
+		c.shedReject += s.shedReject
+		c.shedExhausted += s.shedExhausted
+		c.batches += s.batches
+		c.batchAdmitted += s.batchAdmitted
+		for k := range c.tenants {
+			t := &c.tenants[k]
+			t.Arrivals += s.tArrivals[k]
+			t.Routed += s.tRouted[k]
+			t.Shed += s.tShed[k]
+			t.Throttled += s.tThrottled[k]
+			t.Spilled += s.tSpilled[k]
+			t.Blocked += s.tBlocked[k]
+			t.Completed += s.tCompleted[k]
+			c.shardAdm[si] += s.tArrivals[k]
+		}
+		for w, q := range s.queues {
+			c.routed[w] += s.routed[w]
+			c.depths[w] += q.len()
+			c.shardDepth[si] += q.len()
+		}
+		for b, n := range s.latCounts {
+			c.latCounts[b] += n
+		}
+		c.latInf += s.latInf
+		c.latSum += s.latSum
+		c.latCount += s.latCount
+		s.mu.Unlock()
+	}
+	return c
+}
+
+// all adds up the per-tenant totals (Name stays empty).
+func (c *counts) all() TenantTotals {
+	var a TenantTotals
+	for _, t := range c.tenants {
+		a.Arrivals += t.Arrivals
+		a.Routed += t.Routed
+		a.Shed += t.Shed
+		a.Throttled += t.Throttled
+		a.Spilled += t.Spilled
+		a.Blocked += t.Blocked
+		a.Completed += t.Completed
+	}
+	return a
+}
+
+// Depths returns the current queue depth of every worker, summed over
+// shards.
+func (d *Dispatcher) Depths() []int { return d.sum().depths }
+
 // Backlog returns every worker's queued work in demand units (including
-// the in-service head), collected in one stop-the-world epoch.
+// the in-service head), collected in one stop-the-world epoch. The
+// serving engine reads it every round, so it sums only the queues
+// instead of paying for a full sum.
 func (d *Dispatcher) Backlog() []float64 {
 	d.lockAll()
 	defer d.unlockAll()
@@ -964,50 +1056,22 @@ func (d *Dispatcher) Backlog() []float64 {
 	return out
 }
 
-// Totals returns a consistent snapshot of the dispatcher's counters,
-// collected in one stop-the-world epoch across all shards. Shed
-// includes rate-contract throttles.
+// Totals returns a consistent snapshot of the dispatcher's counters.
+// Shed includes rate-contract throttles.
 func (d *Dispatcher) Totals() Totals {
-	d.lockAll()
-	defer d.unlockAll()
-	t := Totals{Routed: make([]int64, d.cfg.N)}
-	for _, s := range d.shards {
-		t.Shed += s.shedReject + s.shedExhausted
-		for k := range d.tenants {
-			t.Arrivals += s.tArrivals[k]
-			t.Shed += s.tThrottled[k]
-			t.Spilled += s.tSpilled[k]
-			t.Blocked += s.tBlocked[k]
-			t.Completed += s.tCompleted[k]
-		}
-		for w, r := range s.routed {
-			t.Routed[w] += r
-		}
+	c := d.sum()
+	a := c.all()
+	return Totals{
+		Arrivals:  a.Arrivals,
+		Routed:    c.routed,
+		Shed:      a.Shed + a.Throttled,
+		Spilled:   a.Spilled,
+		Blocked:   a.Blocked,
+		Completed: a.Completed,
 	}
-	return t
 }
 
 // TenantTotals returns a consistent per-tenant snapshot of the
-// dispatcher's counters, collected in one stop-the-world epoch across
-// all shards. The per-tenant conservation law Arrivals == Routed +
-// Shed + Throttled + Blocked holds for every snapshot.
-func (d *Dispatcher) TenantTotals() []TenantTotals {
-	d.lockAll()
-	defer d.unlockAll()
-	out := make([]TenantTotals, len(d.tenants))
-	for k, t := range d.tenants {
-		out[k].Name = t.Name
-	}
-	for _, s := range d.shards {
-		for k := range out {
-			out[k].Arrivals += s.tArrivals[k]
-			out[k].Routed += s.tRouted[k]
-			out[k].Shed += s.tShed[k]
-			out[k].Throttled += s.tThrottled[k]
-			out[k].Spilled += s.tSpilled[k]
-			out[k].Blocked += s.tBlocked[k]
-			out[k].Completed += s.tCompleted[k]
-		}
-	}
-	return out
-}
+// dispatcher's counters. The per-tenant conservation law Arrivals ==
+// Routed + Shed + Throttled + Blocked holds for every snapshot.
+func (d *Dispatcher) TenantTotals() []TenantTotals { return d.sum().tenants }

@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -98,8 +99,8 @@ func queryValue(rawQuery, key string) string {
 //
 //	200 OK                   routed or spilled — the request is queued
 //	                         on the verdict's worker
-//	400 Bad Request          malformed "demand" (not a positive float)
-//	                         or out-of-range "tenant" parameter
+//	400 Bad Request          malformed "demand" (not a positive finite
+//	                         float) or out-of-range "tenant" parameter
 //	405 Method Not Allowed   any method other than POST
 //	429 Too Many Requests    shed (queue backpressure under ShedReject
 //	                         or spill exhaustion) or throttled (tenant
@@ -134,7 +135,7 @@ func ingestCore(d *Dispatcher, submit func(Request) Verdict, now func() float64)
 		demand := 1.0
 		if s := queryValue(req.URL.RawQuery, "demand"); s != "" {
 			v, err := strconv.ParseFloat(s, 64)
-			if err != nil || v <= 0 || v != v {
+			if err != nil || !(v > 0) || math.IsInf(v, 1) {
 				http.Error(w, fmt.Sprintf("bad demand %q", s), http.StatusBadRequest)
 				return
 			}

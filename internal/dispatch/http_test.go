@@ -68,6 +68,7 @@ func TestIngestStatusTable(t *testing.T) {
 
 	// 400 bad demand and bad tenant; 405 non-POST.
 	hit(ingestStatus(t, h, http.MethodPost, "/ingest?demand=-1"), 400, "bad demand")
+	hit(ingestStatus(t, h, http.MethodPost, "/ingest?demand=Inf"), 400, "bad demand")
 	hit(ingestStatus(t, h, http.MethodPost, "/ingest?tenant=7"), 400, "bad tenant")
 	hit(ingestStatus(t, h, http.MethodGet, "/ingest"), 405, "GET")
 

@@ -382,10 +382,10 @@ func TestAdminHotReloadRoundTrip(t *testing.T) {
 }
 
 // TestSetQueueCapGrowShrink pins the soft-capacity semantics: raising
-// the cap grows the ring lazily on the next push (preserving FIFO
-// order), shrinking below occupancy refuses new pushes without dropping
-// anything until the queue drains under the new limit, and invalid caps
-// are rejected.
+// the cap grows the ring on the pushes that need it, to at most twice
+// its occupancy (preserving FIFO order), shrinking below occupancy
+// refuses new pushes without dropping anything until the queue drains
+// under the new limit, and invalid caps are rejected.
 func TestSetQueueCapGrowShrink(t *testing.T) {
 	d, err := New(Config{N: 1, QueueCap: 2, Shed: ShedReject})
 	if err != nil {
@@ -444,5 +444,25 @@ func TestSetQueueCapGrowShrink(t *testing.T) {
 	}
 	if err := ds.SetQueueCap(6); err != nil {
 		t.Fatalf("valid sharded cap reload rejected: %v", err)
+	}
+
+	// A raise allocates nothing up front: nine requests queued after a
+	// raise to 4,000,000 hold a ring of at most 18 slots, not 4,000,000
+	// (128 MB).
+	if err := d.SetQueueCap(4000000); err != nil {
+		t.Fatal(err)
+	}
+	for id := int64(300); id < 308; id++ { // request 200 is still queued
+		if got := submit(id); got != Routed {
+			t.Fatalf("push %d after a large raise: outcome %v, want Routed", id, got)
+		}
+	}
+	if got := len(d.shards[0].queues[0].buf); got > 18 {
+		t.Fatalf("ring holds %d slots for 9 queued requests, want at most 18", got)
+	}
+	for _, want := range []int64{200, 300, 301} {
+		if r, ok := d.Complete(0, 0); !ok || r.ID != want {
+			t.Fatalf("Complete after a regrow = (%v, %v), want request %d", r.ID, ok, want)
+		}
 	}
 }

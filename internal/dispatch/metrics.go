@@ -2,7 +2,6 @@ package dispatch
 
 import (
 	"strconv"
-	"sync"
 
 	"dolbie/internal/metrics"
 )
@@ -158,9 +157,9 @@ func newLiveInstruments(reg *metrics.Registry) *liveInstruments {
 }
 
 // dispatcherInstruments pre-resolves every label series the dispatcher
-// touches, so neither the scrape-time collector (sharded dispatcher)
-// nor the tests' single-lock reference (updates under its admission
-// mutex) ever takes the registry's family locks.
+// touches, so neither the scrape hook (sharded dispatcher) nor the
+// tests' single-lock reference (updates under its admission mutex) ever
+// takes the registry's family locks.
 type dispatcherInstruments struct {
 	arrivals      *metrics.Counter
 	routedByW     []*metrics.Counter
@@ -265,169 +264,48 @@ func newDispatcherInstruments(reg *metrics.Registry, n, shards int, tenants []st
 	return di
 }
 
-// collector carries the last-exported snapshot of the sharded
-// dispatcher's counters, so each scrape advances the registry's
-// monotonic counters by exact deltas. Guarded by its mutex (scrapes may
-// overlap); the per-shard snapshots it sums are each taken under that
-// shard's own mutex, and every admission commits atomically inside one
-// such critical section — which is why the exported family values
-// satisfy arrivals == sum(routed) + shed + blocked at every scrape,
-// even mid-load.
-type collector struct {
-	mu                sync.Mutex
-	lastArrivals      int64
-	lastRouted        []int64
-	lastShedReject    int64
-	lastShedExhausted int64
-	lastShedThrottled int64
-	lastSpilled       int64
-	lastBlocked       int64
-	lastShardAdm      []int64
-	lastBatches       int64
-	lastBatchAdm      int64
-	lastAffHits       int64
-	lastAffMisses     int64
-	lastLatCounts     []int64
-	lastLatInf        int64
-	lastLatSum        float64
-	lastLatCount      int64
-
-	// Per-tenant last-exported snapshots; zero-length on single-stream
-	// dispatchers (the per-tenant families are not exported there).
-	lastTenantArr       []int64
-	lastTenantRouted    []int64
-	lastTenantShed      []int64
-	lastTenantBlocked   []int64
-	lastTenantCompleted []int64
-}
-
-func newCollector(n, shards, tenants int) *collector {
-	return &collector{
-		lastRouted:          make([]int64, n),
-		lastShardAdm:        make([]int64, shards),
-		lastLatCounts:       make([]int64, len(latencyBuckets)),
-		lastTenantArr:       make([]int64, tenants),
-		lastTenantRouted:    make([]int64, tenants),
-		lastTenantShed:      make([]int64, tenants),
-		lastTenantBlocked:   make([]int64, tenants),
-		lastTenantCompleted: make([]int64, tenants),
-	}
-}
-
-// collect refreshes the registry series from the shard counters. It is
-// registered as the registry's OnCollect hook, so every /metrics scrape
-// sees one consistent snapshot; the collector mutex serializes
-// overlapping scrapes.
+// collect is the registry's OnCollect hook: it advances every series by
+// the difference between a fresh sum and the one the previous scrape
+// exported. Every sum satisfies both conservation laws, so every scrape
+// does too, even mid-load.
 func (d *Dispatcher) collect() {
-	d.col.mu.Lock()
-	defer d.col.mu.Unlock()
-	n, ns, nt := d.cfg.N, len(d.shards), len(d.col.lastTenantArr)
-	var (
-		arrivals, shedReject, shedExhausted, shedThrottled, spilled, blocked int64
-		batches, batchAdm                                                    int64
-		latInf, latCount                                                     int64
-		latSum                                                               float64
-		routed                                                               = make([]int64, n)
-		depths                                                               = make([]int, n)
-		shardAdm                                                             = make([]int64, ns)
-		shardDepth                                                           = make([]int, ns)
-		latCounts                                                            = make([]int64, len(latencyBuckets))
-		tenantArr                                                            = make([]int64, nt)
-		tenantRouted                                                         = make([]int64, nt)
-		tenantShed                                                           = make([]int64, nt)
-		tenantBlocked                                                        = make([]int64, nt)
-		tenantCompleted                                                      = make([]int64, nt)
-	)
-	for si, s := range d.shards {
-		s.mu.Lock()
-		shedReject += s.shedReject
-		shedExhausted += s.shedExhausted
-		batches += s.batches
-		batchAdm += s.batchAdmitted
-		for k := range d.tenants {
-			shardAdm[si] += s.tArrivals[k]
-			shedThrottled += s.tThrottled[k]
-			spilled += s.tSpilled[k]
-			blocked += s.tBlocked[k]
-		}
-		arrivals += shardAdm[si]
-		for w, r := range s.routed {
-			routed[w] += r
-			l := s.queues[w].len()
-			depths[w] += l
-			shardDepth[si] += l
-		}
-		for k := 0; k < nt; k++ {
-			tenantArr[k] += s.tArrivals[k]
-			tenantRouted[k] += s.tRouted[k]
-			tenantShed[k] += s.tShed[k] + s.tThrottled[k]
-			tenantBlocked[k] += s.tBlocked[k]
-			tenantCompleted[k] += s.tCompleted[k]
-		}
-		for b, c := range s.latCounts {
-			latCounts[b] += c
-		}
-		latInf += s.latInf
-		latSum += s.latSum
-		latCount += s.latCount
-		s.mu.Unlock()
+	c, was, in := d.sum(), d.last, d.inst
+	d.last = c
+	add := func(ctr *metrics.Counter, now, prev int64) { ctr.Add(float64(now - prev)) }
+	a, p := c.all(), was.all()
+	add(in.arrivals, a.Arrivals, p.Arrivals)
+	add(in.shedReject, c.shedReject, was.shedReject)
+	add(in.shedExhausted, c.shedExhausted, was.shedExhausted)
+	if in.shedThrottled != nil {
+		add(in.shedThrottled, a.Throttled, p.Throttled)
 	}
-	c := d.col
-	d.inst.arrivals.Add(float64(arrivals - c.lastArrivals))
-	c.lastArrivals = arrivals
-	d.inst.shedReject.Add(float64(shedReject - c.lastShedReject))
-	c.lastShedReject = shedReject
-	d.inst.shedExhausted.Add(float64(shedExhausted - c.lastShedExhausted))
-	c.lastShedExhausted = shedExhausted
-	if d.inst.shedThrottled != nil {
-		d.inst.shedThrottled.Add(float64(shedThrottled - c.lastShedThrottled))
-		c.lastShedThrottled = shedThrottled
+	add(in.spilled, a.Spilled, p.Spilled)
+	add(in.blocked, a.Blocked, p.Blocked)
+	add(in.batchBatches, c.batches, was.batches)
+	add(in.batchAdmissions, c.batchAdmitted, was.batchAdmitted)
+	add(in.batchAffHits, c.affHits, was.affHits)
+	add(in.batchAffMisses, c.affMisses, was.affMisses)
+	for k := range in.tenantArrByT { // empty on single-stream dispatchers
+		t, tp := c.tenants[k], was.tenants[k]
+		add(in.tenantArrByT[k], t.Arrivals, tp.Arrivals)
+		add(in.tenantRoutedByT[k], t.Routed, tp.Routed)
+		add(in.tenantShedByT[k], t.Shed+t.Throttled, tp.Shed+tp.Throttled)
+		add(in.tenantBlockedByT[k], t.Blocked, tp.Blocked)
+		add(in.tenantCompletedByT[k], t.Completed, tp.Completed)
 	}
-	d.inst.spilled.Add(float64(spilled - c.lastSpilled))
-	c.lastSpilled = spilled
-	d.inst.blocked.Add(float64(blocked - c.lastBlocked))
-	c.lastBlocked = blocked
-	d.inst.batchBatches.Add(float64(batches - c.lastBatches))
-	c.lastBatches = batches
-	d.inst.batchAdmissions.Add(float64(batchAdm - c.lastBatchAdm))
-	c.lastBatchAdm = batchAdm
-	// The affinity counters are dispatcher-level atomics (a chunk's shard
-	// acquisition is not owned by any one shard); they are read lock-free
-	// and advanced by the same delta pattern as the shard counters.
-	affHits, affMisses := d.affinityHits.Load(), d.affinityMisses.Load()
-	d.inst.batchAffHits.Add(float64(affHits - c.lastAffHits))
-	c.lastAffHits = affHits
-	d.inst.batchAffMisses.Add(float64(affMisses - c.lastAffMisses))
-	c.lastAffMisses = affMisses
-	for k := 0; k < nt; k++ {
-		d.inst.tenantArrByT[k].Add(float64(tenantArr[k] - c.lastTenantArr[k]))
-		c.lastTenantArr[k] = tenantArr[k]
-		d.inst.tenantRoutedByT[k].Add(float64(tenantRouted[k] - c.lastTenantRouted[k]))
-		c.lastTenantRouted[k] = tenantRouted[k]
-		d.inst.tenantShedByT[k].Add(float64(tenantShed[k] - c.lastTenantShed[k]))
-		c.lastTenantShed[k] = tenantShed[k]
-		d.inst.tenantBlockedByT[k].Add(float64(tenantBlocked[k] - c.lastTenantBlocked[k]))
-		c.lastTenantBlocked[k] = tenantBlocked[k]
-		d.inst.tenantCompletedByT[k].Add(float64(tenantCompleted[k] - c.lastTenantCompleted[k]))
-		c.lastTenantCompleted[k] = tenantCompleted[k]
+	for w := range c.routed {
+		add(in.routedByW[w], c.routed[w], was.routed[w])
+		in.depthByW[w].Set(float64(c.depths[w]))
 	}
-	for w := 0; w < n; w++ {
-		d.inst.routedByW[w].Add(float64(routed[w] - c.lastRouted[w]))
-		c.lastRouted[w] = routed[w]
-		d.inst.depthByW[w].Set(float64(depths[w]))
+	for si := range c.shardAdm {
+		add(in.shardAdmByS[si], c.shardAdm[si], was.shardAdm[si])
+		in.shardDepthByS[si].Set(float64(c.shardDepth[si]))
 	}
-	for si := 0; si < ns; si++ {
-		d.inst.shardAdmByS[si].Add(float64(shardAdm[si] - c.lastShardAdm[si]))
-		c.lastShardAdm[si] = shardAdm[si]
-		d.inst.shardDepthByS[si].Set(float64(shardDepth[si]))
-	}
-	if latCount != c.lastLatCount {
-		deltas := make([]uint64, len(latCounts))
-		for b := range latCounts {
-			deltas[b] = uint64(latCounts[b] - c.lastLatCounts[b])
-			c.lastLatCounts[b] = latCounts[b]
+	if c.latCount != was.latCount {
+		deltas := make([]uint64, len(c.latCounts))
+		for b := range deltas {
+			deltas[b] = uint64(c.latCounts[b] - was.latCounts[b])
 		}
-		d.inst.latency.Merge(deltas, uint64(latInf-c.lastLatInf), latSum-c.lastLatSum, uint64(latCount-c.lastLatCount))
-		c.lastLatInf, c.lastLatSum, c.lastLatCount = latInf, latSum, latCount
+		in.latency.Merge(deltas, uint64(c.latInf-was.latInf), c.latSum-was.latSum, uint64(c.latCount-was.latCount))
 	}
 }

@@ -24,10 +24,11 @@ type queue struct {
 	head  int
 	count int
 	// capLimit is the admission capacity, tracked separately from
-	// len(buf) so the cap can be retuned at runtime (see setCap): the
-	// ring grows lazily on the next push after a raise, and a shrink
-	// below the current occupancy simply refuses new pushes until the
-	// queue drains under the new limit.
+	// len(buf) so the cap can be retuned at runtime (see setCap): after a
+	// raise the ring doubles on each push that finds it full, up to the
+	// cap, so its memory follows occupancy rather than the cap, and a
+	// shrink below the current occupancy simply refuses new pushes until
+	// the queue drains under the new limit.
 	capLimit int
 	// work is the total demand currently queued (including the
 	// in-service head); the engine uses it as the worker's backlog.
@@ -53,7 +54,8 @@ func (q *queue) len() int { return q.count }
 // setCap retunes the admission capacity. Queued requests are never
 // dropped: shrinking below the current occupancy only stops new pushes
 // until the queue drains below the new limit, and the backing ring is
-// grown lazily by push when a raise needs the room.
+// grown by push, at most to twice its occupancy, when a raise needs the
+// room.
 func (q *queue) setCap(capacity int) { q.capLimit = capacity }
 
 // push appends a request; it must not be called on a full queue.
@@ -62,9 +64,10 @@ func (q *queue) push(r Request) {
 		panic("dispatch: push on full queue")
 	}
 	if q.count == len(q.buf) {
-		// The cap was raised past the ring's physical size; regrow to the
-		// current limit, unwinding the ring into arrival order.
-		nb := make([]Request, q.capLimit)
+		// The cap was raised past the ring's physical size; double it (at
+		// most to the current limit), unwinding the ring into arrival
+		// order.
+		nb := make([]Request, min(2*len(q.buf), q.capLimit))
 		for i := 0; i < q.count; i++ {
 			nb[i] = q.buf[(q.head+i)%len(q.buf)]
 		}

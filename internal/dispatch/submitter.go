@@ -105,19 +105,8 @@ type BatchStats struct {
 	AffinityMisses int64
 }
 
-// BatchStats returns the batched-admission counters: the per-shard
-// batch tally under a stop-the-world epoch (consistent with Totals) and
-// the lock-free affinity counters.
+// BatchStats returns the batched-admission counters.
 func (d *Dispatcher) BatchStats() BatchStats {
-	st := BatchStats{
-		AffinityHits:   d.affinityHits.Load(),
-		AffinityMisses: d.affinityMisses.Load(),
-	}
-	d.lockAll()
-	for _, s := range d.shards {
-		st.Batches += s.batches
-		st.Admitted += s.batchAdmitted
-	}
-	d.unlockAll()
-	return st
+	c := d.sum()
+	return BatchStats{Batches: c.batches, Admitted: c.batchAdmitted, AffinityHits: c.affHits, AffinityMisses: c.affMisses}
 }

@@ -52,26 +52,17 @@ func (p PriorityClass) MarshalText() ([]byte, error) {
 // UnmarshalText implements encoding.TextUnmarshaler, accepting "gold",
 // "silver", "bronze" (case-insensitive).
 func (p *PriorityClass) UnmarshalText(text []byte) error {
-	parsed, err := ParsePriorityClass(string(text))
-	if err != nil {
-		return err
-	}
-	*p = parsed
-	return nil
-}
-
-// ParsePriorityClass parses a priority class name: "gold", "silver",
-// "bronze" (case-insensitive).
-func ParsePriorityClass(s string) (PriorityClass, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
+	switch strings.ToLower(strings.TrimSpace(string(text))) {
 	case "gold":
-		return PriorityGold, nil
+		*p = PriorityGold
 	case "silver":
-		return PrioritySilver, nil
+		*p = PrioritySilver
 	case "bronze":
-		return PriorityBronze, nil
+		*p = PriorityBronze
+	default:
+		return fmt.Errorf("dispatch: unknown priority class %q (want gold, silver, or bronze)", text)
 	}
-	return 0, fmt.Errorf("dispatch: unknown priority class %q (want gold, silver, or bronze)", s)
+	return nil
 }
 
 // queueLimit returns the class's admission depth threshold for a queue

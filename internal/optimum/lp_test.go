@@ -23,12 +23,12 @@ func TestObjectiveParseRoundTrip(t *testing.T) {
 		{"l1", Lp(1)},
 	}
 	for _, c := range cases {
-		got, err := ParseObjective(c.in)
-		if err != nil {
-			t.Fatalf("ParseObjective(%q): %v", c.in, err)
+		var got Objective
+		if err := got.UnmarshalText([]byte(c.in)); err != nil {
+			t.Fatalf("UnmarshalText(%q): %v", c.in, err)
 		}
 		if got != c.want {
-			t.Fatalf("ParseObjective(%q) = %v, want %v", c.in, got, c.want)
+			t.Fatalf("UnmarshalText(%q) = %v, want %v", c.in, got, c.want)
 		}
 		// Text round trip.
 		b, err := got.MarshalText()
@@ -44,8 +44,8 @@ func TestObjectiveParseRoundTrip(t *testing.T) {
 		}
 	}
 	for _, bad := range []string{"", "l0.5", "l-2", "lnan", "huh", "l"} {
-		if _, err := ParseObjective(bad); err == nil {
-			t.Errorf("ParseObjective(%q) succeeded, want error", bad)
+		if err := new(Objective).UnmarshalText([]byte(bad)); err == nil {
+			t.Errorf("UnmarshalText(%q) succeeded, want error", bad)
 		}
 	}
 }

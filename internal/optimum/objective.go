@@ -23,7 +23,7 @@ import (
 type Objective struct {
 	// p is 0 for min-max (the zero value) and the norm order >= 1 for
 	// lp objectives. Kept unexported so every constructed value is
-	// either the zero value or went through Lp/ParseObjective.
+	// either the zero value or went through Lp/UnmarshalText.
 	p float64
 }
 
@@ -73,25 +73,15 @@ func (o Objective) MarshalText() ([]byte, error) {
 	return []byte(o.String()), nil
 }
 
-// UnmarshalText implements encoding.TextUnmarshaler, accepting the
-// String spellings ("minmax", "max", "l2", "l1.5"; case-insensitive).
-func (o *Objective) UnmarshalText(text []byte) error {
-	parsed, err := ParseObjective(string(text))
-	if err != nil {
-		return err
-	}
-	*o = parsed
-	return nil
-}
-
-// ParseObjective parses an objective name: "minmax" (or "max",
-// "makespan") and "l<p>" (or "lp<p>") for the lp family,
+// UnmarshalText implements encoding.TextUnmarshaler, accepting "minmax"
+// (or "max", "makespan") and "l<p>" (or "lp<p>") for the lp family,
 // case-insensitive.
-func ParseObjective(s string) (Objective, error) {
-	t := strings.ToLower(strings.TrimSpace(s))
+func (o *Objective) UnmarshalText(text []byte) error {
+	t := strings.ToLower(strings.TrimSpace(string(text)))
 	switch t {
 	case "minmax", "max", "makespan":
-		return MinMax(), nil
+		*o = MinMax()
+		return nil
 	}
 	digits := ""
 	switch {
@@ -103,14 +93,15 @@ func ParseObjective(s string) (Objective, error) {
 	if digits != "" {
 		p, err := strconv.ParseFloat(digits, 64)
 		if err == nil {
-			o := Lp(p)
-			if verr := o.Validate(); verr != nil {
-				return Objective{}, verr
+			parsed := Lp(p)
+			if verr := parsed.Validate(); verr != nil {
+				return verr
 			}
-			return o, nil
+			*o = parsed
+			return nil
 		}
 	}
-	return Objective{}, fmt.Errorf("optimum: unknown objective %q (want minmax or l<p>, e.g. l2)", s)
+	return fmt.Errorf("optimum: unknown objective %q (want minmax or l<p>, e.g. l2)", text)
 }
 
 // Global aggregates realized per-worker costs under the objective:

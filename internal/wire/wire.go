@@ -98,17 +98,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// KindFromString maps a wire name back to its Kind; ok is false for
-// unknown names and for "invalid".
-func KindFromString(s string) (Kind, bool) {
-	for k := KindCost; k < kindCount; k++ {
-		if kindNames[k] == s {
-			return k, true
-		}
-	}
-	return KindInvalid, false
-}
-
 // MarshalText implements encoding.TextMarshaler so the JSON framing
 // writes kinds as their names.
 func (k Kind) MarshalText() ([]byte, error) {
@@ -118,15 +107,16 @@ func (k Kind) MarshalText() ([]byte, error) {
 	return []byte(kindNames[k]), nil
 }
 
-// UnmarshalText implements encoding.TextUnmarshaler; unknown names are
-// a decode error, never a silent zero value.
+// UnmarshalText implements encoding.TextUnmarshaler; unknown names,
+// and "invalid", are a decode error, never a silent zero value.
 func (k *Kind) UnmarshalText(text []byte) error {
-	v, ok := KindFromString(string(text))
-	if !ok {
-		return fmt.Errorf("wire: unknown message kind %q", text)
+	for v := KindCost; v < kindCount; v++ {
+		if kindNames[v] == string(text) {
+			*k = v
+			return nil
+		}
 	}
-	*k = v
-	return nil
+	return fmt.Errorf("wire: unknown message kind %q", text)
 }
 
 // Envelope is the in-memory wire unit: a typed, routed protocol

@@ -36,16 +36,15 @@ func allCodecs() []Codec { return []Codec{JSON, Binary} }
 
 func TestKindStringRoundTrip(t *testing.T) {
 	for k := KindCost; k < kindCount; k++ {
-		got, ok := KindFromString(k.String())
-		if !ok || got != k {
-			t.Errorf("KindFromString(%q) = %v, %v; want %v", k.String(), got, ok, k)
+		var got Kind
+		if err := got.UnmarshalText([]byte(k.String())); err != nil || got != k {
+			t.Errorf("UnmarshalText(%q) = %v, %v; want %v", k.String(), got, err, k)
 		}
 	}
-	if _, ok := KindFromString("invalid"); ok {
-		t.Error("KindFromString accepted \"invalid\"")
-	}
-	if _, ok := KindFromString("bogus"); ok {
-		t.Error("KindFromString accepted \"bogus\"")
+	for _, bad := range []string{"invalid", "bogus"} {
+		if err := new(Kind).UnmarshalText([]byte(bad)); err == nil {
+			t.Errorf("UnmarshalText accepted %q", bad)
+		}
 	}
 	if s := Kind(200).String(); !strings.Contains(s, "200") {
 		t.Errorf("out-of-range Kind.String() = %q", s)
