@@ -10,19 +10,20 @@ import (
 
 	"dolbie/internal/cluster"
 	"dolbie/internal/core"
-	"dolbie/internal/costfn"
-	"dolbie/internal/simplex"
+	"dolbie/internal/experiments"
 	"dolbie/internal/wire"
 )
 
 // This file implements the -wire benchmark mode: it counts the protocol
 // messages and bytes per round of both DOLBIE protocols on a real
 // 8-worker TCP deployment under every wire codec, and writes them to a
-// JSON file so the traffic of the codec layer is tracked in-repo. Every
-// field is a pure function of the seeded sources, so the report
-// reproduces byte for byte. The codec layer's timings and allocations
-// are Go benchmarks instead: BenchmarkTCPSendRecv in internal/cluster,
-// and TestInstrumentedMessageAllocatesNothing for the metering path.
+// JSON file so the traffic of the codec layer is tracked in-repo. It
+// runs the traffic harness of -fig comms (experiments.Traffic) over
+// localhost TCP nodes instead of a MemNet. Every field is a pure
+// function of the seeded sources, so the report reproduces byte for
+// byte. The codec layer's timings and allocations are Go benchmarks
+// instead: BenchmarkTCPSendRecv in internal/cluster, and
+// TestInstrumentedMessageAllocatesNothing for the metering path.
 
 const (
 	wireWorkers = 8
@@ -60,12 +61,12 @@ func runWireBench(outPath string, out io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(out, "wire bench: %s codec (TCP, %d workers, %d rounds)\n", name, wireWorkers, wireRounds)
-		mw, err := wireMasterWorkerTCP(codec)
+		mw, err := wireTraffic(codec, true)
 		if err != nil {
 			return err
 		}
 		rep.MasterWorker[name] = mw
-		fd, err := wireFullyDistributedTCP(codec)
+		fd, err := wireTraffic(codec, false)
 		if err != nil {
 			return err
 		}
@@ -96,26 +97,31 @@ func runWireBench(outPath string, out io.Writer) error {
 	return nil
 }
 
-// wireSources mirrors the deterministic affine sources of the comms
-// experiment so byte counts are reproducible run to run.
-func wireSources(n int) []cluster.CostSource {
-	sources := make([]cluster.CostSource, n)
-	for i := range sources {
-		i := i
-		sources[i] = cluster.FuncSource(func(round int, x float64) (float64, costfn.Func, error) {
-			f := costfn.Affine{
-				Slope:     1 + float64((i*13+round*5)%17),
-				Intercept: 0.05 * float64((i+round)%7),
-			}
-			return f.Eval(x), f, nil
-		})
+// wireTraffic measures one protocol of wireWorkers workers under codec
+// on localhost TCP nodes, with the traffic harness of -fig comms.
+func wireTraffic(codec wire.Codec, masterWorker bool) (wireProtocolStats, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	count := wireWorkers
+	if masterWorker {
+		count++ // the master
 	}
-	return sources
+	transports, cleanup, err := wireTCPNodes(count, codec)
+	if err != nil {
+		return wireProtocolStats{}, err
+	}
+	defer cleanup()
+	msgs, bytes, err := experiments.Traffic(ctx, transports, masterWorker, wireRounds, core.WithInitialAlpha(0.05))
+	if err != nil {
+		return wireProtocolStats{}, fmt.Errorf("TCP bench: %w", err)
+	}
+	return wireProtocolStats{MsgsPerRound: msgs, BytesPerRound: bytes}, nil
 }
 
 // wireTCPNodes builds count connected localhost TCP nodes on codec.
-func wireTCPNodes(count int, codec wire.Codec) ([]*cluster.TCPNode, func(), error) {
+func wireTCPNodes(count int, codec wire.Codec) ([]cluster.Transport, func(), error) {
 	nodes := make([]*cluster.TCPNode, count)
+	transports := make([]cluster.Transport, count)
 	registry := make(map[int]string, count)
 	for i := 0; i < count; i++ {
 		node, err := cluster.ListenTCP(i, "127.0.0.1:0", cluster.WithTCPCodec(codec))
@@ -125,7 +131,7 @@ func wireTCPNodes(count int, codec wire.Codec) ([]*cluster.TCPNode, func(), erro
 			}
 			return nil, nil, err
 		}
-		nodes[i] = node
+		nodes[i], transports[i] = node, node
 		registry[i] = node.Addr()
 	}
 	for _, node := range nodes {
@@ -136,62 +142,5 @@ func wireTCPNodes(count int, codec wire.Codec) ([]*cluster.TCPNode, func(), erro
 			node.Close() //nolint:errcheck // best-effort teardown
 		}
 	}
-	return nodes, cleanup, nil
-}
-
-func wireMasterWorkerTCP(codec wire.Codec) (wireProtocolStats, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	nodes, cleanup, err := wireTCPNodes(wireWorkers+1, codec)
-	if err != nil {
-		return wireProtocolStats{}, err
-	}
-	defer cleanup()
-	transports := make([]cluster.Transport, len(nodes))
-	for i, node := range nodes {
-		transports[i] = node
-	}
-	masterRes, workerRes, err := cluster.MasterWorkerDeployment(ctx, transports,
-		simplex.Uniform(wireWorkers), wireRounds, wireSources(wireWorkers), core.WithInitialAlpha(0.05))
-	if err != nil {
-		return wireProtocolStats{}, fmt.Errorf("master-worker TCP bench: %w", err)
-	}
-	msgs := masterRes.Traffic.MsgsSent
-	bytes := masterRes.Traffic.BytesSent
-	for _, wr := range workerRes {
-		msgs += wr.Traffic.MsgsSent
-		bytes += wr.Traffic.BytesSent
-	}
-	return wireProtocolStats{
-		MsgsPerRound:  float64(msgs) / wireRounds,
-		BytesPerRound: float64(bytes) / wireRounds,
-	}, nil
-}
-
-func wireFullyDistributedTCP(codec wire.Codec) (wireProtocolStats, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	nodes, cleanup, err := wireTCPNodes(wireWorkers, codec)
-	if err != nil {
-		return wireProtocolStats{}, err
-	}
-	defer cleanup()
-	transports := make([]cluster.Transport, len(nodes))
-	for i, node := range nodes {
-		transports[i] = node
-	}
-	res, err := cluster.FullyDistributedDeployment(ctx, transports,
-		simplex.Uniform(wireWorkers), wireRounds, wireSources(wireWorkers), core.WithInitialAlpha(0.05))
-	if err != nil {
-		return wireProtocolStats{}, fmt.Errorf("fully-distributed TCP bench: %w", err)
-	}
-	var msgs, bytes int
-	for _, pr := range res {
-		msgs += pr.Traffic.MsgsSent
-		bytes += pr.Traffic.BytesSent
-	}
-	return wireProtocolStats{
-		MsgsPerRound:  float64(msgs) / wireRounds,
-		BytesPerRound: float64(bytes) / wireRounds,
-	}, nil
+	return transports, cleanup, nil
 }

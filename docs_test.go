@@ -219,6 +219,9 @@ func TestPackageCommentsPresent(t *testing.T) {
 // the destination.
 var markdownLink = regexp.MustCompile(`!?\[[^\]]*\]\(([^)\s]+)[^)]*\)`)
 
+// inlineCode matches a code span, whose text is never a link.
+var inlineCode = regexp.MustCompile("`[^`]*`")
+
 // TestMarkdownLinksResolve checks every relative link in the repository's
 // markdown files: the linked file (or directory) must exist. External
 // URLs and intra-document anchors are out of scope — this is about
@@ -263,7 +266,7 @@ func TestMarkdownLinksResolve(t *testing.T) {
 			if inFence {
 				continue
 			}
-			for _, m := range markdownLink.FindAllStringSubmatch(text, -1) {
+			for _, m := range markdownLink.FindAllStringSubmatch(inlineCode.ReplaceAllString(text, ""), -1) {
 				dest := m[1]
 				if strings.Contains(dest, "://") || strings.HasPrefix(dest, "mailto:") || strings.HasPrefix(dest, "#") {
 					continue

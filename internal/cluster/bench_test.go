@@ -17,8 +17,7 @@ func BenchmarkEnvelopeRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		env := NewEnvelope(KindCost, 3, 30, core.CostReport{Round: i, From: 3, Cost: 1.25})
-		var r core.CostReport
-		if err := env.Decode(&r); err != nil {
+		if _, err := wire.Payload[core.CostReport](env); err != nil {
 			b.Fatal(err)
 		}
 	}

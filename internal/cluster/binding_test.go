@@ -39,9 +39,9 @@ func bindingRows() []bindingRow {
 		{"evict", KindEvict, core.PeerEvict{Round: 7, From: 2, Evicted: 5}, 2, 4, true, false, 22, 7, true, true},
 		{"join", KindJoin, core.JoinRequest{Round: 4, From: 9}, 9, 0, true, false, 18, 4, true, true},
 		// A roster update announced in round 10 applies at round 12.
-		{"roster-update", KindRosterUpdate, core.RosterUpdate{Version: 5, Round: 12, From: 0, Join: 8, Weight: 0.015625, Alpha: 0.046875}, 0, 2, true, false, 50, 12, true, true},
-		{"roster-grant", KindRosterUpdate, core.RosterUpdate{Version: 5, Round: 12, From: 0, Join: 8, Weight: 0.015625, Alpha: 0.046875, Members: []int{0, 1, 2, 8}}, 0, 8, true, false, 66, 12, true, true},
-		{"roster-denial", KindRosterUpdate, core.RosterUpdate{From: 0, Join: 8}, 0, 8, true, false, 50, 0, true, true},
+		{"roster-update", KindRosterUpdate, core.RosterUpdate{Version: 5, Round: 12, From: 0, Join: 8, Weight: 0.015625, Alpha: 0.046875}, 0, 2, true, false, 50, 10, true, true},
+		{"roster-grant", KindRosterUpdate, core.RosterUpdate{Version: 5, Round: 12, From: 0, Join: 8, Weight: 0.015625, Alpha: 0.046875, Members: []int{0, 1, 2, 8}}, 0, 8, true, false, 66, 10, true, true},
+		{"roster-denial", KindRosterUpdate, core.RosterUpdate{From: 0, Join: 8}, 0, 8, true, false, 50, 0, false, true},
 		{"aggregate", KindAggregate, core.PeerAggregate{Round: 9, From: 3, Epoch: 4, Down: true, Count: 5, MaxCost: 2.5, Straggler: 2, MinAlpha: 0.125, MaxRenorm: 1.5}, 3, 1, true, false, 59, 9, true, true},
 		{"reliable-ack", wire.KindReliable, wire.ReliableFrame{Seq: 42, Ack: true}, 3, 1, false, false, 23, 0, false, false},
 		{"reliable-empty", wire.KindReliable, wire.ReliableFrame{Seq: 43}, 3, 1, false, false, 23, 0, false, false},
@@ -91,7 +91,7 @@ func encodes(t *testing.T, codec wire.Codec, env Envelope) (int, bool) {
 // reliable data frame, and acknowledged.
 func TestWireBinding(t *testing.T) {
 	codecs := []wire.Codec{wire.Binary, wire.JSON}
-	roundOf := chaosRound
+	roundOf := wire.Round
 	for _, r := range bindingRows() {
 		for _, codec := range codecs {
 			for _, k := range bindingKinds() {

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"dolbie/internal/core"
 	"dolbie/internal/metrics"
 	"dolbie/internal/trace"
 	"dolbie/internal/wire"
@@ -22,11 +21,12 @@ var ErrChaosCrashed = errors.New("cluster: node crashed (chaos-injected)")
 
 // ChaosPartition severs the directed link From -> To for every protocol
 // message belonging to a round in [FromRound, ToRound] (inclusive).
-// Filtering is by the message's own round, so the fault is deterministic
-// regardless of timing; an asymmetric partition is simply a single
-// direction (add the mirrored entry for a symmetric one). Messages
-// without a round of their own (reliability-layer acks) use the link's
-// highest round observed so far.
+// Filtering is by the message's own round (wire.Round: a roster update
+// counts in the round it was sent, not the one it applies at), so the
+// fault is deterministic regardless of timing; an asymmetric partition
+// is simply a single direction (add the mirrored entry for a symmetric
+// one). Messages without a round of their own (reliability-layer acks,
+// join denials) use the link's highest round observed so far.
 //
 // Note that a round-gated partition never "heals" for the frames it
 // caught: a round-R frame stays filtered forever because its round never
@@ -43,13 +43,13 @@ type ChaosPartition struct {
 }
 
 // ChaosCrash fail-stops Node the moment it first tries to send a
-// protocol message belonging to a round >= Round: no message of that
-// round (or any later one) leaves the node, and its transport returns
-// ErrChaosCrashed from then on. Gating on the node's own sends — never
-// on inbound traffic from peers that may already be a round ahead —
-// pins the crash point to the node's own protocol progress: the victim
-// always finishes round Round-1 completely and then dies, no matter how
-// goroutines are scheduled.
+// protocol message belonging to a round >= Round (by wire.Round, as for
+// partitions): no message of that round (or any later one) leaves the
+// node, and its transport returns ErrChaosCrashed from then on. Gating
+// on the node's own sends — never on inbound traffic from peers that may
+// already be a round ahead — pins the crash point to the node's own
+// protocol progress: the victim always finishes round Round-1 completely
+// and then dies, no matter how goroutines are scheduled.
 type ChaosCrash struct {
 	Node  int
 	Round int
@@ -264,7 +264,7 @@ func (t *chaosTransport) Send(ctx context.Context, to int, env Envelope) (int, e
 		return 0, fmt.Errorf("%w (chaos node %d)", ErrClosed, t.id)
 	}
 	if !t.crashed && t.crashRound >= 0 {
-		if round, ok := chaosRound(env); ok && round >= t.crashRound {
+		if round, ok := wire.Round(env); ok && round >= t.crashRound {
 			t.crashLocked()
 		}
 	}
@@ -381,7 +381,7 @@ func (t *chaosTransport) pump() {
 			t.mu.Unlock()
 			continue // dead node: swallow inbound silently
 		}
-		round, hasRound := chaosRound(env)
+		round, hasRound := wire.Round(env)
 		if hasRound {
 			if round > t.highRound[env.From] {
 				t.highRound[env.From] = round
@@ -565,38 +565,6 @@ func chaosKeyFor(env Envelope, round int) chaosMsgKey {
 		}
 	}
 	return key
-}
-
-// chaosRound extracts the protocol round a message belongs to,
-// unwrapping reliability frames. Acks (and unknown payloads) have none.
-func chaosRound(env Envelope) (int, bool) {
-	switch m := env.Msg.(type) {
-	case core.CostReport:
-		return m.Round, true
-	case core.Coordinate:
-		return m.Round, true
-	case core.DecisionReport:
-		return m.Round, true
-	case core.StragglerAssign:
-		return m.Round, true
-	case core.PeerShare:
-		return m.Round, true
-	case core.PeerDecision:
-		return m.Round, true
-	case core.PeerEvict:
-		return m.Round, true
-	case core.JoinRequest:
-		return m.Round, true
-	case core.RosterUpdate:
-		return m.Round, true
-	case core.PeerAggregate:
-		return m.Round, true
-	case wire.ReliableFrame:
-		if m.Data != nil {
-			return chaosRound(*m.Data)
-		}
-	}
-	return 0, false
 }
 
 // chaosHash mixes the seed and message identity into a uniform [0,1)

@@ -8,6 +8,7 @@ import (
 	"dolbie/internal/core"
 	"dolbie/internal/geo"
 	"dolbie/internal/trace"
+	"dolbie/internal/wire"
 )
 
 // TestChaosDelayModelPerLink checks the lazy per-link contract of
@@ -104,8 +105,8 @@ func TestChaosDelayModelClampAndNil(t *testing.T) {
 		if err != nil {
 			t.Fatalf("from %d: %v", from, err)
 		}
-		var s core.PeerShare
-		if err := env.Decode(&s); err != nil {
+		s, err := wire.Payload[core.PeerShare](env)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if s.From != from {

@@ -8,6 +8,7 @@ import (
 
 	"dolbie/internal/core"
 	"dolbie/internal/simplex"
+	"dolbie/internal/wire"
 )
 
 // chaosStack builds the lossy-chaos stack for node i: the reliability
@@ -116,8 +117,8 @@ func TestChaosCrashTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var s core.PeerShare
-	if err := env.Decode(&s); err != nil {
+	s, err := wire.Payload[core.PeerShare](env)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Round != 2 {

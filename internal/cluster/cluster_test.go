@@ -355,14 +355,14 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 			t.Errorf("%s wire bytes should be positive", codec.Name())
 		}
 	}
-	var got core.Coordinate
-	if err := env.Decode(&got); err != nil {
+	got, err := wire.Payload[core.Coordinate](env)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
 		t.Errorf("round trip = %+v, want %+v", got, want)
 	}
-	if err := env.Decode(&core.CostReport{}); err == nil {
+	if _, err := wire.Payload[core.CostReport](env); err == nil {
 		t.Error("type mismatch should error")
 	}
 }

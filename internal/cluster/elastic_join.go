@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"dolbie/internal/core"
+	"dolbie/internal/wire"
 )
 
 // This file is the elastic machine's membership protocol: the
@@ -101,11 +102,12 @@ func (m *elasticMachine) memberSnapshot(join int) []int {
 
 // drainJoinQueue runs at the coordinator at the top of round r, before
 // any of its own round traffic: it announces the first due request,
-// applying at round r+2 (one joiner per round). A request is due once
-// its scheduled round is reached (or at once if unscheduled); a
-// not-yet-due request stays queued without blocking later arrivals
-// whose schedule comes earlier — join requests race in at deployment
-// start, so queue position must not override the schedule.
+// applying at round r+core.AnnounceLead (one joiner per round). A
+// request is due once its scheduled round is reached (or at once if
+// unscheduled); a not-yet-due request stays queued without blocking
+// later arrivals whose schedule comes earlier — join requests race in
+// at deployment start, so queue position must not override the
+// schedule.
 func (m *elasticMachine) drainJoinQueue(r int) {
 	if len(m.joinQueue) == 0 || m.id != m.rost.Coordinator() || len(m.pendingAdmissions) >= maxPendingAdmissions {
 		return
@@ -122,7 +124,7 @@ func (m *elasticMachine) drainJoinQueue(r int) {
 		}
 		u := core.RosterUpdate{
 			Version: m.rost.Version() + uint64(len(m.pendingAdmissions)) + 1,
-			Round:   r + 2,
+			Round:   r + core.AnnounceLead,
 			From:    m.id,
 			Join:    j.From,
 			Weight:  1 / float64(m.p.AliveCount()+len(m.pendingAdmissions)+1),
@@ -229,7 +231,7 @@ func (m *elasticMachine) awaitGrant(env Envelope) {
 	if env.Kind != KindRosterUpdate {
 		return
 	}
-	u, err := decode[core.RosterUpdate](env)
+	u, err := wire.Payload[core.RosterUpdate](env)
 	switch {
 	case err != nil:
 		m.fail(err)

@@ -7,6 +7,7 @@ import (
 
 	"dolbie/internal/core"
 	"dolbie/internal/metrics"
+	"dolbie/internal/wire"
 )
 
 // elasticMachine is one Algorithm 2 peer with every protocol decision
@@ -317,13 +318,13 @@ func (m *elasticMachine) handleEnvelope(env Envelope) (bool, error) {
 	}
 	switch env.Kind {
 	case KindShare:
-		s, err := decode[core.PeerShare](env)
+		s, err := wire.Payload[core.PeerShare](env)
 		if err != nil || m.tree != nil || s.Round < m.p.Round() {
 			return false, err // tree mode aggregates instead; or stale
 		}
 		return m.progress(m.p.HandleShare(s))
 	case KindPeerDecision:
-		d, err := decode[core.PeerDecision](env)
+		d, err := wire.Payload[core.PeerDecision](env)
 		if err != nil || d.Round < m.p.Round() || d.To != m.id {
 			// Stale, or routed under a diverged straggler view that an
 			// in-flight eviction is about to reconcile.
@@ -331,7 +332,7 @@ func (m *elasticMachine) handleEnvelope(env Envelope) (bool, error) {
 		}
 		return m.progress(m.p.HandleDecision(d))
 	case KindEvict:
-		ev, err := decode[core.PeerEvict](env)
+		ev, err := wire.Payload[core.PeerEvict](env)
 		if err == nil && ev.Evicted == m.id {
 			err = errSelfEvicted // fail-stop: a survivor declared us crashed
 		}
@@ -342,16 +343,16 @@ func (m *elasticMachine) handleEnvelope(env Envelope) (bool, error) {
 		m.redrain = true
 		return true, nil
 	case KindJoin:
-		j, err := decode[core.JoinRequest](env)
+		j, err := wire.Payload[core.JoinRequest](env)
 		if err == nil {
 			m.handleJoin(j)
 		}
 		return false, err
 	case KindRosterUpdate:
-		u, err := decode[core.RosterUpdate](env)
+		u, err := wire.Payload[core.RosterUpdate](env)
 		return err == nil && m.handleRosterUpdate(u), err
 	case KindAggregate:
-		a, err := decode[core.PeerAggregate](env)
+		a, err := wire.Payload[core.PeerAggregate](env)
 		return err == nil && m.handleAggregate(a), err
 	}
 	return false, nil
@@ -369,13 +370,6 @@ func (m *elasticMachine) progress(outs []core.PeerOutput, err error) (bool, erro
 	}
 	m.outs.push(outs...)
 	return true, nil
-}
-
-// decode extracts an envelope's payload.
-func decode[T any](env Envelope) (T, error) {
-	var v T
-	err := env.Decode(&v)
-	return v, err
 }
 
 // result is the peer's summary so far; the loop adds its traffic.

@@ -14,6 +14,7 @@ import (
 	"dolbie/internal/core"
 	"dolbie/internal/costfn"
 	"dolbie/internal/trace"
+	"dolbie/internal/wire"
 )
 
 // simNet runs elastic machines on one goroutine in virtual time. Each
@@ -97,7 +98,7 @@ func (s *simNet) flush(id int) {
 // schedules the delivery.
 func (s *simNet) send(from, to int, env Envelope) error {
 	src := s.nodes[from]
-	round, _ := chaosRound(env)
+	round, _ := wire.Round(env)
 	if !src.crashed && s.cfg.crashRound(from) >= 0 && round >= s.cfg.crashRound(from) {
 		src.crashed = true
 		src.inbox = nil
@@ -502,6 +503,60 @@ func TestElasticJoinAnnouncementRace(t *testing.T) {
 		for _, i := range []int{0, 2, 3} {
 			if res[i].Rounds != rounds || !reflect.DeepEqual(res[i].Survivors, []int{0, 2, 3}) {
 				t.Fatalf("seed %d: peer %d should finish all %d rounds with [0 2 3]: %+v", seed, i, rounds, res[i])
+			}
+		}
+	}
+}
+
+// TestElasticCrashCountsAnnouncementInItsSendRound pins the round a
+// chaos crash counts a join announcement in. The coordinator, peer 0,
+// announces joiner 4 in round 3 for round 5. A crash of peer 0 at round
+// R must let it finish round R-1, so the announcement goes out for both
+// R = 4 and R = 5 and every incumbent survivor admits the joiner at
+// round 5. Counting the announcement in its apply round crashed the
+// coordinator on that send, in round 3. With R = 5 the joiner and the
+// survivors then play to the end together. With R = 4 the survivors
+// spend one deadline on the crash while the joiner, granted two rounds
+// ahead, waits out its own, and under some seeds it evicts them first,
+// so only the admission is checked there. Under every scheduler seed.
+func TestElasticCrashCountsAnnouncementInItsSendRound(t *testing.T) {
+	const n, rounds, joiner = 4, 10, 4
+	ec := ElasticPeerConfig{RoundTimeout: 200 * time.Millisecond}
+	schedule := map[int]int{joiner: 3}
+	x0 := []float64{0.25, 0.25, 0.25, 0.25}
+	for _, crash := range []int{4, 5} {
+		cfg := ChaosConfig{Crashes: []ChaosCrash{{Node: 0, Round: crash}}}
+		for seed := int64(0); seed < simSeeds; seed++ {
+			s := newSimNet(t, seed, cfg, n+1)
+			m, err := joinerMachine(joiner, 1, rounds, instSource(joiner), ec, schedule, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.add(joiner, m)
+			for i := 0; i < n; i++ {
+				m, err := incumbentMachine(i, x0, rounds, instSource(i), ec, schedule, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.add(i, m)
+			}
+			s.run(nil)
+			res, errs := s.results()
+			if !res[0].Crashed || res[0].Rounds != crash-1 {
+				t.Fatalf("crash round %d, seed %d: coordinator completed %d rounds (crashed %v), want %d", crash, seed, res[0].Rounds, res[0].Crashed, crash-1)
+			}
+			for _, i := range []int{1, 2, 3} {
+				if got := res[i].AdmissionRound[joiner]; got != 5 {
+					t.Fatalf("crash round %d, seed %d: peer %d admitted the joiner at round %d, want 5", crash, seed, i, got)
+				}
+			}
+			if crash == 4 {
+				continue
+			}
+			for _, i := range []int{1, 2, 3, joiner} {
+				if errs[i] != nil || res[i].Rounds != rounds || !reflect.DeepEqual(res[i].Survivors, []int{1, 2, 3, joiner}) {
+					t.Fatalf("crash round %d, seed %d: peer %d should finish all %d rounds with [1 2 3 4] (err %v): %+v", crash, seed, i, rounds, errs[i], res[i])
+				}
 			}
 		}
 	}

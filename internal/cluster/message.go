@@ -2,13 +2,14 @@
 // master-worker protocol (Algorithm 1) and the fully-distributed protocol
 // (Algorithm 2) as real concurrent nodes exchanging messages over a
 // pluggable transport. Two transports are provided: an in-memory network
-// with deterministic fault injection (drops, partitions) for tests and
-// simulation, and a TCP transport with length-prefixed frames for actual
-// multi-process deployments. Message encoding is owned by internal/wire:
-// every transport accepts a wire.Codec (compact versioned binary by
-// default, JSON for debugging) and all traffic metering uses the frame
-// sizes the codec actually produced — envelopes are never re-marshaled
-// to be counted.
+// for tests and simulation, and a TCP transport with length-prefixed
+// frames for actual multi-process deployments. Faults (drops,
+// duplicates, delays, partitions, crashes) come only from wrapping
+// either in the deterministic Chaos transport. Message encoding is owned
+// by internal/wire: every transport accepts a wire.Codec (compact
+// versioned binary by default, JSON for debugging) and all traffic
+// metering uses the frame sizes the codec actually produced — envelopes
+// are never re-marshaled to be counted.
 //
 // The protocol logic itself lives in internal/core as pure state
 // machines; this package only moves bytes, enforces deadlines via

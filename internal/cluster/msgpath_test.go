@@ -39,6 +39,29 @@ func TestInstrumentedMessageAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestElasticStaleShareAllocatesNothing pins the receive path of the
+// Algorithm 2 peer: taking a payload out of its envelope copies it, so a
+// peer that drops a stale share allocates nothing for it.
+func TestElasticStaleShareAllocatesNothing(t *testing.T) {
+	m, err := incumbentMachine(0, []float64{0.25, 0.25, 0.25, 0.25}, 10, instSource(0), ElasticPeerConfig{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.start()
+	for {
+		if _, ok := m.next(); !ok {
+			break
+		}
+	}
+	stale := shareEnvelope(0, core.PeerShare{Round: 0, From: 1, Cost: 0.5, LocalAlpha: 0.01})
+	if got := testing.AllocsPerRun(200, func() { m.handle(stale) }); got != 0 {
+		t.Errorf("handling a stale share allocates %.1f times per frame, want 0", got)
+	}
+	if m.finished || m.p.Round() != 1 {
+		t.Fatalf("a stale share moved the peer: finished %v, round %d", m.finished, m.p.Round())
+	}
+}
+
 // loopback is a Transport whose Recv returns the envelopes its Send
 // accepted, in order, each sized at frameBytes. It isolates a Meter from
 // any real network.

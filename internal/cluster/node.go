@@ -9,6 +9,7 @@ import (
 	"dolbie/internal/core"
 	"dolbie/internal/costfn"
 	"dolbie/internal/metrics"
+	"dolbie/internal/wire"
 )
 
 // CostSource provides a node's local cost feedback: after playing
@@ -191,12 +192,12 @@ func RunMaster(ctx context.Context, tr Transport, x0 []float64, rounds int, mc M
 			return finish(fmt.Errorf("cluster: master recv (round %d): %w", m.Round(), err))
 		case env.Kind == KindCost:
 			var r core.CostReport
-			if handled = env.Decode(&r); handled == nil {
+			if r, handled = wire.Payload[core.CostReport](env); handled == nil {
 				outs, handled = m.HandleCost(r)
 			}
 		case env.Kind == KindDecision:
 			var r core.DecisionReport
-			if handled = env.Decode(&r); handled == nil {
+			if r, handled = wire.Payload[core.DecisionReport](env); handled == nil {
 				outs, handled = m.HandleDecision(r)
 			}
 		}
@@ -273,8 +274,8 @@ func RunWorker(ctx context.Context, tr Transport, id, n int, x0 float64, rounds 
 			}
 			switch env.Kind {
 			case KindCoordinate:
-				var c core.Coordinate
-				if err := env.Decode(&c); err != nil {
+				c, err := wire.Payload[core.Coordinate](env)
+				if err != nil {
 					return WorkerResult{}, err
 				}
 				dec, err := w.HandleCoordinate(c)
@@ -288,8 +289,8 @@ func RunWorker(ctx context.Context, tr Transport, id, n int, x0 float64, rounds 
 					roundDone = true
 				}
 			case KindAssign:
-				var a core.StragglerAssign
-				if err := env.Decode(&a); err != nil {
+				a, err := wire.Payload[core.StragglerAssign](env)
+				if err != nil {
 					return WorkerResult{}, err
 				}
 				if err := w.HandleAssign(a); err != nil {

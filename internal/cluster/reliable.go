@@ -12,11 +12,11 @@ import (
 )
 
 // Reliable wraps a lossy Transport with acknowledgements, deduplication,
-// and retransmission, turning at-most-once delivery (e.g. a MemNet with
-// drop injection, or a radio link) into at-least-once delivery with
-// duplicate suppression — effectively exactly-once for the protocol
-// layer. DOLBIE's one-message-per-phase pattern stalls forever on a
-// single dropped message, so this wrapper is what makes deployments
+// and retransmission, turning at-most-once delivery (e.g. a Chaos
+// transport that drops frames, or a radio link) into at-least-once
+// delivery with duplicate suppression — effectively exactly-once for the
+// protocol layer. DOLBIE's one-message-per-phase pattern stalls forever
+// on a single dropped message, so this wrapper is what makes deployments
 // survive lossy networks (see the lossy deployment tests).
 //
 // Wire format: every data frame carries a per-destination sequence
@@ -189,8 +189,8 @@ func (r *Reliable) recvLoop() {
 			}
 			continue
 		}
-		var frame wire.ReliableFrame
-		if err := env.Decode(&frame); err != nil {
+		frame, err := wire.Payload[wire.ReliableFrame](env)
+		if err != nil {
 			continue // corrupt frame; drop (sender will retransmit)
 		}
 		from := env.From

@@ -8,6 +8,7 @@ import (
 
 	"dolbie/internal/core"
 	"dolbie/internal/simplex"
+	"dolbie/internal/wire"
 )
 
 // reliableNodes stacks the reliability layer over count MemNet nodes,
@@ -54,8 +55,8 @@ func TestReliableDeliversOverLossyLink(t *testing.T) {
 		if err != nil {
 			t.Fatalf("received %d of %d before failure: %v", len(seen), total, err)
 		}
-		var r core.CostReport
-		if err := env.Decode(&r); err != nil {
+		r, err := wire.Payload[core.CostReport](env)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if seen[r.Round] {
@@ -80,8 +81,8 @@ func TestReliablePreservesPerPairContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c core.Coordinate
-	if err := got.Decode(&c); err != nil {
+	c, err := wire.Payload[core.Coordinate](got)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if c != want {
@@ -233,8 +234,8 @@ func TestReliableRandomLossProperty(t *testing.T) {
 				if err != nil {
 					t.Fatalf("drop=%v seed=%d: delivery %d failed: %v", drop, seed, i, err)
 				}
-				var r core.CostReport
-				if err := env.Decode(&r); err != nil {
+				r, err := wire.Payload[core.CostReport](env)
+				if err != nil {
 					t.Fatal(err)
 				}
 				if r.Round != i+1 {

@@ -84,6 +84,44 @@ func TestTCPRejectsOversizedFrameDeclaration(t *testing.T) {
 	}
 }
 
+// TestTCPJSONRejectsMisroutedFrame writes one JSON frame whose cost
+// report names a different sender than its envelope. A JSON-codec node
+// must count it as a frame error, deliver nothing, and drop the
+// connection, as for any malformed frame.
+func TestTCPJSONRejectsMisroutedFrame(t *testing.T) {
+	node, err := ListenTCP(8, "127.0.0.1:0", WithTCPCodec(wire.JSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close() //nolint:errcheck // test teardown
+	conn, err := net.Dial("tcp", node.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close() //nolint:errcheck // test teardown
+
+	body := []byte(`{"kind":"cost","from":0,"to":8,"payload":{"round":1,"from":5,"cost":1}}`)
+	frame := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
+	if _, err := conn.Write(append(frame, body...)); err != nil {
+		t.Fatal(err)
+	}
+	if ferr := waitFrameErr(t, node); ferr == nil || !strings.Contains(ferr.Error(), "From") {
+		t.Fatalf("frame error = %v, want a From routing mismatch", ferr)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if env, _, err := node.Recv(ctx); err == nil {
+		t.Fatalf("misrouted frame was delivered: %+v", env)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	var one [1]byte
+	if _, err := conn.Read(one[:]); err == nil {
+		t.Fatal("connection still open after a misrouted frame")
+	}
+}
+
 // TestTCPCodecMismatchDescriptiveError wires a binary-codec sender to a
 // json-codec receiver (and the reverse): the receiver must surface a
 // decode error that names the peer's codec instead of delivering a

@@ -107,7 +107,8 @@ type JoinRequest struct {
 // consensus stays non-increasing across churn. Members is the full
 // roster snapshot and is populated only on the copy sent to the joiner
 // itself (incumbents already hold the roster); a RosterUpdate with
-// Round == 0 is a denial.
+// Round == 0 is a denial. A coordinator sends an admission AnnounceLead
+// rounds before its apply round.
 type RosterUpdate struct {
 	Version uint64  `json:"version"`
 	Round   int     `json:"round"`
@@ -117,6 +118,10 @@ type RosterUpdate struct {
 	Alpha   float64 `json:"alpha"`
 	Members []int   `json:"members,omitempty"`
 }
+
+// AnnounceLead is how many rounds a RosterUpdate's apply round lies past
+// the round its coordinator sends it in.
+const AnnounceLead = 2
 
 // PeerAggregate is one hop of the hierarchical round reduction: instead
 // of the O(N^2) all-to-all PeerShare broadcast, peers arranged in a

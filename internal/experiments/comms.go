@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dolbie/internal/cluster"
+	"dolbie/internal/core"
 	"dolbie/internal/costfn"
 	"dolbie/internal/simplex"
 	"dolbie/internal/wire"
@@ -29,19 +30,19 @@ func CommsTable(cfg Config) (Table, error) {
 	const rounds = 10
 	sizes := []int{5, 10, 20, 30}
 	for _, n := range sizes {
-		mwMsgs, mwJSON, err := measureMasterWorker(n, rounds, wire.JSON, cfg)
+		mwMsgs, mwJSON, err := memTraffic(n, rounds, wire.JSON, true, cfg)
 		if err != nil {
 			return Table{}, err
 		}
-		_, mwBin, err := measureMasterWorker(n, rounds, wire.Binary, cfg)
+		_, mwBin, err := memTraffic(n, rounds, wire.Binary, true, cfg)
 		if err != nil {
 			return Table{}, err
 		}
-		fdMsgs, fdJSON, err := measureFullyDistributed(n, rounds, wire.JSON, cfg)
+		fdMsgs, fdJSON, err := memTraffic(n, rounds, wire.JSON, false, cfg)
 		if err != nil {
 			return Table{}, err
 		}
-		_, fdBin, err := measureFullyDistributed(n, rounds, wire.Binary, cfg)
+		_, fdBin, err := memTraffic(n, rounds, wire.Binary, false, cfg)
 		if err != nil {
 			return Table{}, err
 		}
@@ -77,47 +78,54 @@ func deterministicSources(n int) []cluster.CostSource {
 	return sources
 }
 
-func measureMasterWorker(n, rounds int, codec wire.Codec, cfg Config) (msgsPerRound, bytesPerRound float64, err error) {
+// memTraffic measures one protocol of n workers over a MemNet on codec.
+func memTraffic(n, rounds int, codec wire.Codec, masterWorker bool, cfg Config) (msgsPerRound, bytesPerRound float64, err error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	net := cluster.NewMemNet(cluster.WithCodec(codec))
-	transports := make([]cluster.Transport, n+1)
+	count := n
+	if masterWorker {
+		count++ // the master
+	}
+	transports := make([]cluster.Transport, count)
 	for i := range transports {
 		transports[i] = net.Node(i)
 	}
-	x0 := simplex.Uniform(n)
-	masterRes, workerRes, err := cluster.MasterWorkerDeployment(ctx, transports, x0, rounds, deterministicSources(n),
-		clusterAlphaOpt(cfg)...)
-	if err != nil {
-		return 0, 0, fmt.Errorf("experiments: master-worker N=%d: %w", n, err)
-	}
-	msgs := masterRes.Traffic.MsgsSent
-	bytes := masterRes.Traffic.BytesSent
-	for _, wr := range workerRes {
-		msgs += wr.Traffic.MsgsSent
-		bytes += wr.Traffic.BytesSent
-	}
-	return float64(msgs) / float64(rounds), float64(bytes) / float64(rounds), nil
+	return Traffic(ctx, transports, masterWorker, rounds, clusterAlphaOpt(cfg)...)
 }
 
-func measureFullyDistributed(n, rounds int, codec wire.Codec, cfg Config) (msgsPerRound, bytesPerRound float64, err error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	net := cluster.NewMemNet(cluster.WithCodec(codec))
-	transports := make([]cluster.Transport, n)
-	for i := range transports {
-		transports[i] = net.Node(i)
-	}
-	x0 := simplex.Uniform(n)
-	res, err := cluster.FullyDistributedDeployment(ctx, transports, x0, rounds, deterministicSources(n),
-		clusterAlphaOpt(cfg)...)
-	if err != nil {
-		return 0, 0, fmt.Errorf("experiments: fully-distributed N=%d: %w", n, err)
+// Traffic runs one deployment over transports for rounds rounds on the
+// deterministic affine sources and returns the protocol messages and
+// bytes its nodes sent per round: Algorithm 1 with the last transport
+// as the master when masterWorker is set, Algorithm 2 otherwise. The
+// counts are a pure function of the transports' codec and opts (JSON
+// frames spell out the step sizes opts set).
+func Traffic(ctx context.Context, transports []cluster.Transport, masterWorker bool, rounds int, opts ...core.Option) (msgsPerRound, bytesPerRound float64, err error) {
+	var sent []cluster.TrafficStats
+	if masterWorker {
+		n := len(transports) - 1
+		master, workers, err := cluster.MasterWorkerDeployment(ctx, transports, simplex.Uniform(n), rounds, deterministicSources(n), opts...)
+		if err != nil {
+			return 0, 0, fmt.Errorf("experiments: master-worker N=%d: %w", n, err)
+		}
+		sent = append(sent, master.Traffic)
+		for _, w := range workers {
+			sent = append(sent, w.Traffic)
+		}
+	} else {
+		n := len(transports)
+		peers, err := cluster.FullyDistributedDeployment(ctx, transports, simplex.Uniform(n), rounds, deterministicSources(n), opts...)
+		if err != nil {
+			return 0, 0, fmt.Errorf("experiments: fully-distributed N=%d: %w", n, err)
+		}
+		for _, p := range peers {
+			sent = append(sent, p.Traffic)
+		}
 	}
 	var msgs, bytes int
-	for _, pr := range res {
-		msgs += pr.Traffic.MsgsSent
-		bytes += pr.Traffic.BytesSent
+	for _, s := range sent {
+		msgs += s.MsgsSent
+		bytes += s.BytesSent
 	}
 	return float64(msgs) / float64(rounds), float64(bytes) / float64(rounds), nil
 }

@@ -38,7 +38,8 @@ func (jsonCodec) AppendBody(dst []byte, env Envelope) ([]byte, error) {
 	return append(dst, raw...), nil
 }
 
-// DecodeBody implements Codec.
+// DecodeBody implements Codec. A decoded envelope must pass the check
+// AppendBody applies, so the codec decodes only envelopes it can encode.
 func (jsonCodec) DecodeBody(body []byte) (Envelope, error) {
 	if len(body) == 0 {
 		return Envelope{}, fmt.Errorf("empty frame body")
@@ -49,15 +50,14 @@ func (jsonCodec) DecodeBody(body []byte) (Envelope, error) {
 		}
 		return Envelope{}, fmt.Errorf("frame does not start with a JSON object (leading byte 0x%02x)", body[0])
 	}
-	var je jsonEnvelope
-	if err := json.Unmarshal(body, &je); err != nil {
+	var env Envelope
+	if err := env.UnmarshalJSON(body); err != nil {
 		return Envelope{}, fmt.Errorf("unmarshal envelope: %w", err)
 	}
-	msg, err := decodeJSONPayload(je.Kind, je.Payload)
-	if err != nil {
+	if err := env.check(); err != nil {
 		return Envelope{}, err
 	}
-	return Envelope{Kind: je.Kind, From: je.From, To: je.To, Msg: msg}, nil
+	return env, nil
 }
 
 // decodeJSONPayload materializes the typed payload for kind. A missing

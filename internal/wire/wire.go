@@ -158,180 +158,97 @@ func NewEnvelope(kind Kind, from, to int, msg any) Envelope {
 	return Envelope{Kind: kind, From: from, To: to, Msg: msg}
 }
 
-// Decode copies the envelope's typed payload into v, which must be a
-// pointer to the payload type for the envelope's kind (for example
-// *core.CostReport for KindCost). It exists so receive loops keep the
-// familiar env.Decode(&msg) shape; a type mismatch is an error, never a
-// partial decode.
-func (e Envelope) Decode(v any) error {
-	switch dst := v.(type) {
-	case *core.CostReport:
-		if m, ok := e.Msg.(core.CostReport); ok {
-			*dst = m
-			return nil
-		}
-	case *core.Coordinate:
-		if m, ok := e.Msg.(core.Coordinate); ok {
-			*dst = m
-			return nil
-		}
-	case *core.DecisionReport:
-		if m, ok := e.Msg.(core.DecisionReport); ok {
-			*dst = m
-			return nil
-		}
-	case *core.StragglerAssign:
-		if m, ok := e.Msg.(core.StragglerAssign); ok {
-			*dst = m
-			return nil
-		}
-	case *core.PeerShare:
-		if m, ok := e.Msg.(core.PeerShare); ok {
-			*dst = m
-			return nil
-		}
-	case *core.PeerDecision:
-		if m, ok := e.Msg.(core.PeerDecision); ok {
-			*dst = m
-			return nil
-		}
-	case *ReliableFrame:
-		if m, ok := e.Msg.(ReliableFrame); ok {
-			*dst = m
-			return nil
-		}
-	case *core.PeerEvict:
-		if m, ok := e.Msg.(core.PeerEvict); ok {
-			*dst = m
-			return nil
-		}
-	case *core.JoinRequest:
-		if m, ok := e.Msg.(core.JoinRequest); ok {
-			*dst = m
-			return nil
-		}
-	case *core.RosterUpdate:
-		if m, ok := e.Msg.(core.RosterUpdate); ok {
-			*dst = m
-			return nil
-		}
-	case *core.PeerAggregate:
-		if m, ok := e.Msg.(core.PeerAggregate); ok {
-			*dst = m
-			return nil
-		}
+// Payload returns env's payload as a T, the payload type of env's kind
+// (core.CostReport for KindCost, ReliableFrame for KindReliable, and so
+// on). Any other type is an error, never a partial copy.
+func Payload[T any](env Envelope) (T, error) {
+	m, ok := env.Msg.(T)
+	if !ok {
+		return m, fmt.Errorf("wire: %s envelope holds %T, not %T", env.Kind, env.Msg, m)
 	}
-	return fmt.Errorf("wire: %s envelope holds %T, cannot decode into %T", e.Kind, e.Msg, v)
+	return m, nil
 }
 
-// check validates that Msg holds the payload type for Kind and that the
-// payload's routing fields agree with the envelope's, so both codecs
-// reject inconsistent envelopes identically (the binary codec does not
-// re-transmit redundant routing fields and reconstructs them from the
-// envelope on decode).
-func (e Envelope) check() error {
-	mismatch := func(field string) error {
-		return fmt.Errorf("wire: %s payload %s disagrees with envelope routing", e.Kind, field)
-	}
-	switch e.Kind {
-	case KindCost:
-		m, ok := e.Msg.(core.CostReport)
-		if !ok {
-			return e.typeErr()
+// Round returns the protocol round env counts in for round-gated faults:
+// its payload's round, the wrapped message's for a reliable data frame,
+// and for a roster update the round it was sent in, core.AnnounceLead
+// before the round it applies at. Acks, denials (a roster update of
+// round 0) and unknown payloads have none.
+func Round(env Envelope) (int, bool) {
+	b := route(env)
+	return b.round, b.hasRound
+}
+
+// binding is what a payload fixes about the envelope carrying it.
+type binding struct {
+	kind     Kind // KindInvalid: no kind carries the payload
+	round    int  // 0 unless hasRound
+	hasRound bool
+	from, to int // the routing the payload names; the envelope's own where it repeats none
+}
+
+// route is the one binding of each payload type to its kind, its round
+// and the routing fields it repeats from its envelope. Envelope checks,
+// Round and the fault layers all derive from it; the codecs' layout
+// switches only say how a payload is laid out.
+func route(env Envelope) binding {
+	b := binding{from: env.From, to: env.To, hasRound: true}
+	switch m := env.Msg.(type) {
+	case core.CostReport:
+		b.kind, b.round, b.from = KindCost, m.Round, m.From
+	case core.Coordinate:
+		b.kind, b.round = KindCoordinate, m.Round
+	case core.DecisionReport:
+		b.kind, b.round, b.from = KindDecision, m.Round, m.From
+	case core.StragglerAssign:
+		b.kind, b.round, b.to = KindAssign, m.Round, m.To
+	case core.PeerShare:
+		b.kind, b.round, b.from = KindShare, m.Round, m.From
+	case core.PeerDecision:
+		b.kind, b.round, b.from, b.to = KindPeerDecision, m.Round, m.From, m.To
+	case core.PeerEvict:
+		b.kind, b.round, b.from = KindEvict, m.Round, m.From
+	case core.JoinRequest:
+		b.kind, b.round, b.from = KindJoin, m.Round, m.From
+	case core.RosterUpdate:
+		b.kind, b.from, b.hasRound = KindRosterUpdate, m.From, m.Round > 0
+		if b.hasRound {
+			b.round = m.Round - core.AnnounceLead
 		}
-		if m.From != e.From {
-			return mismatch("From")
-		}
-	case KindCoordinate:
-		if _, ok := e.Msg.(core.Coordinate); !ok {
-			return e.typeErr()
-		}
-	case KindDecision:
-		m, ok := e.Msg.(core.DecisionReport)
-		if !ok {
-			return e.typeErr()
-		}
-		if m.From != e.From {
-			return mismatch("From")
-		}
-	case KindAssign:
-		m, ok := e.Msg.(core.StragglerAssign)
-		if !ok {
-			return e.typeErr()
-		}
-		if m.To != e.To {
-			return mismatch("To")
-		}
-	case KindShare:
-		m, ok := e.Msg.(core.PeerShare)
-		if !ok {
-			return e.typeErr()
-		}
-		if m.From != e.From {
-			return mismatch("From")
-		}
-	case KindPeerDecision:
-		m, ok := e.Msg.(core.PeerDecision)
-		if !ok {
-			return e.typeErr()
-		}
-		if m.From != e.From {
-			return mismatch("From")
-		}
-		if m.To != e.To {
-			return mismatch("To")
-		}
-	case KindEvict:
-		m, ok := e.Msg.(core.PeerEvict)
-		if !ok {
-			return e.typeErr()
-		}
-		if m.From != e.From {
-			return mismatch("From")
-		}
-	case KindJoin:
-		m, ok := e.Msg.(core.JoinRequest)
-		if !ok {
-			return e.typeErr()
-		}
-		if m.From != e.From {
-			return mismatch("From")
-		}
-	case KindRosterUpdate:
-		m, ok := e.Msg.(core.RosterUpdate)
-		if !ok {
-			return e.typeErr()
-		}
-		if m.From != e.From {
-			return mismatch("From")
-		}
-	case KindAggregate:
-		m, ok := e.Msg.(core.PeerAggregate)
-		if !ok {
-			return e.typeErr()
-		}
-		if m.From != e.From {
-			return mismatch("From")
-		}
-	case KindReliable:
-		m, ok := e.Msg.(ReliableFrame)
-		if !ok {
-			return e.typeErr()
-		}
+	case core.PeerAggregate:
+		b.kind, b.round, b.from = KindAggregate, m.Round, m.From
+	case ReliableFrame:
+		b.kind, b.hasRound = KindReliable, false
 		if m.Data != nil {
-			if m.Data.Kind == KindReliable {
-				return fmt.Errorf("wire: reliable frame cannot nest another reliable frame")
-			}
-			if err := m.Data.check(); err != nil {
-				return err
-			}
+			inner := route(*m.Data)
+			b.round, b.hasRound = inner.round, inner.hasRound
 		}
 	default:
-		return fmt.Errorf("wire: cannot encode envelope of %s", e.Kind)
+		b.hasRound = false
 	}
-	return nil
+	return b
 }
 
-func (e Envelope) typeErr() error {
-	return fmt.Errorf("wire: %s envelope holds %T", e.Kind, e.Msg)
+// check validates that Msg is the payload type Kind carries and that the
+// routing fields the payload repeats agree with the envelope's. Both
+// codecs run it on encode and the JSON codec on decode, so they accept
+// the same envelopes; the binary codec does not transmit the repeated
+// fields and rebuilds them from its header.
+func (e Envelope) check() error {
+	b := route(e)
+	switch {
+	case b.kind == KindInvalid, b.kind != e.Kind:
+		return fmt.Errorf("wire: %s envelope holds %T", e.Kind, e.Msg)
+	case b.from != e.From:
+		return fmt.Errorf("wire: %s payload From disagrees with envelope routing", e.Kind)
+	case b.to != e.To:
+		return fmt.Errorf("wire: %s payload To disagrees with envelope routing", e.Kind)
+	}
+	if f, ok := e.Msg.(ReliableFrame); ok && f.Data != nil {
+		if f.Data.Kind == KindReliable {
+			return fmt.Errorf("wire: reliable frame cannot nest another reliable frame")
+		}
+		return f.Data.check()
+	}
+	return nil
 }

@@ -254,17 +254,37 @@ func TestJSONDecodeMalformed(t *testing.T) {
 	}
 }
 
-func TestEnvelopeDecodeTypeMismatch(t *testing.T) {
-	env := NewEnvelope(KindCoordinate, 8, 2, core.Coordinate{Round: 1, GlobalCost: 1, Alpha: 0.1, Straggler: 0})
-	if err := env.Decode(&core.CostReport{}); err == nil {
-		t.Error("Decode into the wrong payload type succeeded")
+// misroutedJSONFrame is a JSON body whose envelope says node 0 sent it
+// while its cost report says node 5 did.
+const misroutedJSONFrame = `{"kind":"cost","from":0,"to":8,"payload":{"round":1,"from":5,"cost":1}}`
+
+// TestJSONDecodeRejectsInconsistentRouting requires the JSON decoder to
+// refuse what the encoder refuses: a payload whose routing fields
+// disagree with its envelope's, bare or inside a reliable data frame.
+func TestJSONDecodeRejectsInconsistentRouting(t *testing.T) {
+	for _, body := range []string{
+		misroutedJSONFrame,
+		`{"kind":"assign","from":8,"to":2,"payload":{"round":1,"to":4,"next":0.5}}`,
+		`{"kind":"reliable","from":0,"to":8,"payload":{"seq":1,"ack":false,"data":` + misroutedJSONFrame + `}}`,
+		`{"kind":"reliable","from":0,"to":8,"payload":{"seq":1,"ack":false,"data":{"kind":"reliable","from":0,"to":8,"payload":{"seq":2,"ack":true}}}}`,
+	} {
+		if env, err := JSON.DecodeBody([]byte(body)); err == nil {
+			t.Errorf("JSON.DecodeBody(%s) = %+v, want a routing error", body, env)
+		}
 	}
-	var c core.Coordinate
-	if err := env.Decode(&c); err != nil {
-		t.Fatalf("Decode: %v", err)
+}
+
+func TestPayloadTypeMismatch(t *testing.T) {
+	env := NewEnvelope(KindCoordinate, 8, 2, core.Coordinate{Round: 1, GlobalCost: 1, Alpha: 0.1, Straggler: 0})
+	if _, err := Payload[core.CostReport](env); err == nil {
+		t.Error("Payload of the wrong type succeeded")
+	}
+	c, err := Payload[core.Coordinate](env)
+	if err != nil {
+		t.Fatalf("Payload: %v", err)
 	}
 	if c.GlobalCost != 1 {
-		t.Errorf("Decode copied %+v", c)
+		t.Errorf("Payload copied %+v", c)
 	}
 }
 
