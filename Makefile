@@ -92,7 +92,12 @@ cover:
 	awk "BEGIN { exit !($$pct >= $(GEO_COVER_FLOOR)) }" || \
 		{ echo "FAIL: internal/geo coverage $$pct% below $(GEO_COVER_FLOOR)%"; exit 1; }
 
-# bench also regenerates the committed benchmark reports: BENCH_wire.json
+# bench runs every go benchmark (in internal/cluster,
+# BenchmarkFullyDistributedDeploymentRound reports an 8-peer Algorithm 2
+# round's ns and allocations per op, and BenchmarkMemNetParallelInstrumented
+# the message path alone, 8 peers each on its own child context as the
+# drivers run them) and regenerates the committed benchmark reports:
+# BENCH_wire.json
 # (messages and bytes per round per protocol per codec on real TCP; the
 # hop's ns/op and allocs/op are BenchmarkTCPSendRecv above, and the
 # metering path's zero allocations TestInstrumentedMessageAllocatesNothing

@@ -3,11 +3,13 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"dolbie/internal/core"
+	"dolbie/internal/costfn"
 	"dolbie/internal/metrics"
 	"dolbie/internal/simplex"
 	"dolbie/internal/wire"
@@ -44,11 +46,12 @@ func BenchmarkMemNetSendRecv(b *testing.B) {
 
 // BenchmarkMemNetParallelInstrumented measures the message path a
 // fully-distributed deployment runs: 8 peers, each on its own goroutine
-// with an instrumented Meter, share one registry and one cancelable
-// context, and send around a ring over one MemNet. An op is one message
-// sent and received by every peer, so allocs/op counts 8 messages and
-// cross-peer contention on the shared context, counters and hub shows in
-// ns/op.
+// with an instrumented Meter, share one registry and send around a ring
+// over one MemNet. Like the drivers, each peer sends and receives on a
+// child context of its own under one cancelable deployment context. An
+// op is one message sent and received by every peer, so allocs/op
+// counts 8 messages, and what the peers still share (the per-kind
+// counters, each inbox's channel lock) shows in ns/op.
 func BenchmarkMemNetParallelInstrumented(b *testing.B) {
 	const peers = 8
 	reg := metrics.NewRegistry()
@@ -57,8 +60,14 @@ func BenchmarkMemNetParallelInstrumented(b *testing.B) {
 	for i := range meters {
 		meters[i] = NewInstrumentedMeter(net.Node(i), reg, fmt.Sprintf("peer-%d", i))
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	deployment, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	ctxs := make([]context.Context, peers)
+	for i := range ctxs {
+		var cancel context.CancelFunc
+		ctxs[i], cancel = context.WithCancel(deployment)
+		defer cancel()
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var wg sync.WaitGroup
@@ -66,6 +75,7 @@ func BenchmarkMemNetParallelInstrumented(b *testing.B) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			ctx := ctxs[i]
 			next := (i + 1) % peers
 			env := shareEnvelope(next, core.PeerShare{Round: 1, From: i, Cost: 1, LocalAlpha: 0.01})
 			for r := 0; r < b.N; r++ {
@@ -147,6 +157,42 @@ func BenchmarkMasterWorkerDeploymentRound(b *testing.B) {
 		cancel()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*roundsPerRun), "ns/round")
+}
+
+// BenchmarkFullyDistributedDeploymentRound measures a full Algorithm 2
+// round, the path perfbench's rounds_fd workload times: 8 peers on one
+// MemNet, instrumented on one registry through core.WithMetrics, each
+// fed a seeded affine cost stream. An op is one round at every peer of
+// a b.N-round deployment, so ns/op and allocs/op are per round, with
+// the deployment's setup amortized over it.
+func BenchmarkFullyDistributedDeploymentRound(b *testing.B) {
+	const peers = 8
+	reg := metrics.NewRegistry()
+	net := NewMemNet()
+	transports := make([]Transport, peers)
+	sources := make([]CostSource, peers)
+	for i := range transports {
+		transports[i] = net.Node(i)
+		sources[i] = seededAffineSource(int64(i))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
+	defer cancel()
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := FullyDistributedDeployment(ctx, transports, simplex.Uniform(peers), b.N, sources, core.WithMetrics(reg)); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// seededAffineSource is one peer's cost stream: affine costs whose slope
+// and intercept a generator seeded with seed draws round by round. Like
+// every in-repo source, it boxes its costfn.Affine into a costfn.Func.
+func seededAffineSource(seed int64) CostSource {
+	rng := rand.New(rand.NewSource(seed))
+	return FuncSource(func(_ int, x float64) (float64, costfn.Func, error) {
+		f := costfn.Affine{Slope: 1 + 4*rng.Float64(), Intercept: 0.1 * rng.Float64()}
+		return f.Eval(x), f, nil
+	})
 }
 
 func instBenchSource(id int) CostSource {

@@ -261,22 +261,42 @@ func TestDeploymentFailsCleanlyOnLossyNetwork(t *testing.T) {
 	}
 }
 
+// TestDeploymentFailsCleanlyOnPartition wedges each algorithm's
+// deployment with a one-way cut and no round deadline: it must unwind
+// on the caller's deadline, with an error that wraps it.
 func TestDeploymentFailsCleanlyOnPartition(t *testing.T) {
 	const n, rounds = 3, 20
-	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
-	defer cancel()
-
-	// Sever worker 2 -> master: its cost reports vanish.
-	chaos := NewChaos(ChaosConfig{Partitions: []ChaosPartition{{From: 2, To: MasterID(n), FromRound: 1, ToRound: rounds}}})
-	transports := chaos.WrapAll(memTransports(NewMemNet(), n+1))
-	defer closeAll(t, transports)
 	sources := make([]CostSource, n)
 	for i := range sources {
 		sources[i] = instSource(i)
 	}
-	_, _, err := MasterWorkerDeployment(ctx, transports, simplex.Uniform(n), rounds, sources)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("partitioned deployment should deadline, got %v", err)
+	for _, tc := range []struct {
+		name  string
+		cut   ChaosPartition
+		nodes int
+		run   func(ctx context.Context, transports []Transport) error
+	}{
+		// Sever worker 2 -> master: its cost reports vanish.
+		{"master-worker", ChaosPartition{From: 2, To: MasterID(n), FromRound: 1, ToRound: rounds}, n + 1, func(ctx context.Context, transports []Transport) error {
+			_, _, err := MasterWorkerDeployment(ctx, transports, simplex.Uniform(n), rounds, sources)
+			return err
+		}},
+		// Sever peer 2 -> peer 0: peer 0 never completes round 1.
+		{"fully-distributed", ChaosPartition{From: 2, To: 0, FromRound: 1, ToRound: rounds}, n, func(ctx context.Context, transports []Transport) error {
+			_, err := FullyDistributedDeployment(ctx, transports, simplex.Uniform(n), rounds, sources)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+			defer cancel()
+			chaos := NewChaos(ChaosConfig{Partitions: []ChaosPartition{tc.cut}})
+			transports := chaos.WrapAll(memTransports(NewMemNet(), tc.nodes))
+			defer closeAll(t, transports)
+			if err := tc.run(ctx, transports); !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("partitioned deployment should deadline, got %v", err)
+			}
+		})
 	}
 }
 
@@ -322,9 +342,12 @@ func TestTrajectory(t *testing.T) {
 func TestMemNetUnknownNode(t *testing.T) {
 	net := NewMemNet()
 	tr := net.Node(0)
-	env := NewEnvelope(KindCost, 0, 9, core.CostReport{Round: 1, From: 0, Cost: 1})
-	if _, err := tr.Send(context.Background(), 9, env); !errors.Is(err, ErrUnknownNode) {
-		t.Errorf("send to unregistered node = %v, want ErrUnknownNode", err)
+	// Inside the slot table, negative, and past its end.
+	for _, to := range []int{1, 9, -1, 1 << 20} {
+		env := NewEnvelope(KindCost, 0, to, core.CostReport{Round: 1, From: 0, Cost: 1})
+		if _, err := tr.Send(context.Background(), to, env); !errors.Is(err, ErrUnknownNode) {
+			t.Errorf("send to unregistered node %d = %v, want ErrUnknownNode", to, err)
+		}
 	}
 }
 
@@ -335,11 +358,15 @@ func TestMemNetClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := NewEnvelope(KindCost, 0, 1, core.CostReport{})
-	if _, err := a.Send(context.Background(), 1, env); err == nil {
-		t.Error("send to closed node should error")
+	if _, err := a.Send(context.Background(), 1, env); !errors.Is(err, ErrUnknownNode) {
+		t.Errorf("send to closed node = %v, want ErrUnknownNode", err)
 	}
 	if _, _, err := b.Recv(context.Background()); !errors.Is(err, ErrClosed) {
 		t.Errorf("recv on closed node = %v, want ErrClosed", err)
+	}
+	back := NewEnvelope(KindCost, 1, 0, core.CostReport{From: 1})
+	if _, err := net.Node(1).Send(context.Background(), 0, back); !errors.Is(err, ErrClosed) {
+		t.Errorf("send from closed node = %v, want ErrClosed", err)
 	}
 }
 

@@ -100,15 +100,19 @@ var ErrJoinDenied = errors.New("cluster: join denied")
 var ErrJoinTimeout = errors.New("cluster: join timed out")
 
 // errSelfEvicted carries a received self-eviction notice out of the
-// message handler; a replayed one ends the run as an error.
+// message handler, live or replayed, to fail, which stops the run
+// without an error.
 var errSelfEvicted = errors.New("cluster: self evicted")
 
 // runElastic drives m over tr until it finishes: the one place an
-// elastic peer sends, receives and waits for its deadline. Without a
-// RoundTimeout it receives on the caller's context and never reads the
-// clock. started, when non-nil, runs once the first sends are out (a
-// joiner's request).
+// elastic peer sends, receives and waits for its deadline. It sends and
+// receives on a child of the caller's context that only this peer uses,
+// so a blocking receive locks no channel another node locks too.
+// Without a RoundTimeout it never reads the clock. started, when
+// non-nil, runs once the first sends are out (a joiner's request).
 func runElastic(ctx context.Context, tr Transport, m *elasticMachine, started func()) (ElasticPeerResult, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	meter := NewInstrumentedMeter(tr, core.RegistryFrom(m.opts...), fmt.Sprintf("peer-%d", m.id))
 	send := func(to int, env Envelope) error {
 		_, err := meter.Send(ctx, to, env)

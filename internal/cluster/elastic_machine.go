@@ -172,10 +172,6 @@ func (m *elasticMachine) handle(env Envelope) {
 	}
 	accepted, err := m.handleEnvelope(env)
 	switch {
-	case errors.Is(err, errSelfEvicted):
-		// A survivor declared us crashed: fail-stop demands we stop.
-		m.res.SelfEvicted = true
-		m.finished = true
 	case err != nil:
 		m.fail(err)
 	case accepted:
@@ -206,9 +202,16 @@ func (m *elasticMachine) send(to int, env Envelope, policy sendPolicy) {
 	}
 }
 
-// fail ends the run with an error; sends queued before it still go out.
+// fail ends the run with err; sends queued before it still go out. The
+// one err that is no failure is a self-eviction notice, live or replayed
+// from an admitted joiner's backlog: a survivor declared us crashed, and
+// fail-stop demands we stop, with SelfEvicted set.
 func (m *elasticMachine) fail(err error) {
-	if !m.finished {
+	switch {
+	case m.finished:
+	case errors.Is(err, errSelfEvicted):
+		m.res.SelfEvicted, m.finished = true, true
+	default:
 		m.err, m.finished = err, true
 	}
 }

@@ -517,8 +517,12 @@ func TestElasticJoinAnnouncementRace(t *testing.T) {
 // coordinator on that send, in round 3. With R = 5 the joiner and the
 // survivors then play to the end together. With R = 4 the survivors
 // spend one deadline on the crash while the joiner, granted two rounds
-// ahead, waits out its own, and under some seeds it evicts them first,
-// so only the admission is checked there. Under every scheduler seed.
+// ahead, waits out its own, and under some seeds it evicts them first.
+// So with R = 4 the admission is checked, and that each incumbent ends
+// without an error, self-evicted if it stopped early: the eviction
+// notice can wait in the joiner's backlog and be replayed at the
+// admission, and a replayed notice stops a peer as fail-stop as a live
+// one does. Under every scheduler seed.
 func TestElasticCrashCountsAnnouncementInItsSendRound(t *testing.T) {
 	const n, rounds, joiner = 4, 10, 4
 	ec := ElasticPeerConfig{RoundTimeout: 200 * time.Millisecond}
@@ -551,6 +555,11 @@ func TestElasticCrashCountsAnnouncementInItsSendRound(t *testing.T) {
 				}
 			}
 			if crash == 4 {
+				for _, i := range []int{1, 2, 3} {
+					if errs[i] != nil || (res[i].Rounds < rounds && !res[i].SelfEvicted) {
+						t.Fatalf("crash round 4, seed %d: peer %d ended after %d of %d rounds with error %v and SelfEvicted %v, want no error and self-evicted if early", seed, i, res[i].Rounds, rounds, errs[i], res[i].SelfEvicted)
+					}
+				}
 				continue
 			}
 			for _, i := range []int{1, 2, 3, joiner} {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"dolbie/internal/wire"
 )
@@ -26,22 +27,28 @@ type delivery struct {
 // binary) so metered traffic matches what a real TCP deployment of the
 // same codec would carry.
 //
+// Send and Recv take no hub-wide lock: each endpoint holds its own
+// node, and a sender finds its destination in a table of atomic
+// pointers indexed by node id, which Node grows by doubling. Node ids
+// must not be negative, and the table is as long as the largest one
+// registered, so they are meant to be dense (0..n).
+//
 // A canceled context wins over a ready message or a free inbox slot:
 // Send and Recv then return the context's error. Closing a node makes
 // its pending and later Recv calls return ErrClosed.
 type MemNet struct {
-	mu     sync.Mutex
-	nodes  map[int]*memNode
+	mu     sync.Mutex                                // serializes Node's registrations and table growth
+	slots  atomic.Pointer[[]atomic.Pointer[memNode]] // node id -> node; nil: not registered
 	buffer int
 	codec  wire.Codec
 }
 
-// memNode is one registered endpoint of a MemNet. done is closed, once,
-// when the node is closed, which unblocks a pending recv.
+// memNode is one registered endpoint of a MemNet. Closing it sets
+// closed and closes done, once, which unblocks a pending recv.
 type memNode struct {
 	inbox  chan delivery
 	done   chan struct{}
-	closed bool
+	closed atomic.Bool
 }
 
 // MemNetOption configures a MemNet.
@@ -69,49 +76,79 @@ func WithCodec(c wire.Codec) MemNetOption {
 // NewMemNet constructs an empty hub.
 func NewMemNet(opts ...MemNetOption) *MemNet {
 	m := &MemNet{
-		nodes:  make(map[int]*memNode),
 		buffer: 1024,
 		codec:  wire.Default,
 	}
+	m.slots.Store(new([]atomic.Pointer[memNode]))
 	for _, opt := range opts {
 		opt(m)
 	}
 	return m
 }
 
-// Node registers (or returns) the transport endpoint of node id.
+// Node registers (or returns) the transport endpoint of node id, which
+// must not be negative.
 func (m *MemNet) Node(id int) Transport {
+	if id < 0 {
+		panic(fmt.Sprintf("cluster: MemNet node id %d is negative", id))
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.nodes[id]; !ok {
-		m.nodes[id] = &memNode{inbox: make(chan delivery, m.buffer), done: make(chan struct{})}
+	slots := *m.slots.Load()
+	if id >= len(slots) {
+		// Senders holding the old table still find every node in it; a
+		// node registered from here on is in the new one only.
+		grown := make([]atomic.Pointer[memNode], max(2*len(slots), id+1))
+		for i := range slots {
+			grown[i].Store(slots[i].Load())
+		}
+		m.slots.Store(&grown)
+		slots = grown
 	}
-	return &memTransport{net: m, id: id}
+	node := slots[id].Load()
+	if node == nil {
+		node = &memNode{inbox: make(chan delivery, m.buffer), done: make(chan struct{})}
+		slots[id].Store(node)
+	}
+	return &memTransport{net: m, id: id, node: node}
 }
 
-// send and recv serve memTransport, whose own id Node registered, so
-// m.nodes[from] in send and m.nodes[id] in recv always exist.
-func (m *MemNet) send(ctx context.Context, from, to int, env Envelope) (int, error) {
-	n, err := wire.FrameSize(m.codec, env)
+// lookup returns node id, or nil if it was never registered.
+func (m *MemNet) lookup(id int) *memNode {
+	slots := *m.slots.Load()
+	if id < 0 || id >= len(slots) {
+		return nil
+	}
+	return slots[id].Load()
+}
+
+// memTransport is a node's endpoint into a MemNet.
+type memTransport struct {
+	net  *MemNet
+	id   int
+	node *memNode
+}
+
+var _ Transport = (*memTransport)(nil)
+
+func (t *memTransport) Send(ctx context.Context, to int, env Envelope) (int, error) {
+	n, err := wire.FrameSize(t.net.codec, env)
 	if err != nil {
 		return 0, fmt.Errorf("cluster: send to %d: %w", to, err)
 	}
-	m.mu.Lock()
-	if m.nodes[from].closed {
-		m.mu.Unlock()
-		return 0, fmt.Errorf("%w (node %d)", ErrClosed, from)
+	if t.node.closed.Load() {
+		return 0, fmt.Errorf("%w (node %d)", ErrClosed, t.id)
 	}
-	dst, ok := m.nodes[to]
-	if !ok || dst.closed {
-		m.mu.Unlock()
+	dst := t.net.lookup(to)
+	if dst == nil || dst.closed.Load() {
 		return 0, fmt.Errorf("%w: %d", ErrUnknownNode, to)
 	}
-	m.mu.Unlock()
 
-	// The context is shared by every peer of a deployment, so it is
-	// polled first: a non-blocking receive takes no lock while the
-	// context is live, where a select would lock its channel on every
-	// message. The blocking select runs only when the inbox is full.
+	// The context is polled first, so a canceled one wins over a free
+	// slot, and a non-blocking receive takes no lock while it is live.
+	// The blocking select, which locks the context's Done channel with
+	// the inbox's, runs only when the inbox is full; the drivers give
+	// each node a context of its own, so no other node takes that lock.
 	d := delivery{env: env, n: n}
 	select {
 	case <-ctx.Done():
@@ -131,19 +168,16 @@ func (m *MemNet) send(ctx context.Context, from, to int, env Envelope) (int, err
 	}
 }
 
-func (m *MemNet) recv(ctx context.Context, id int) (Envelope, int, error) {
-	m.mu.Lock()
-	node := m.nodes[id]
-	closed := node.closed
-	m.mu.Unlock()
-	if closed {
-		return Envelope{}, 0, fmt.Errorf("%w (node %d)", ErrClosed, id)
+func (t *memTransport) Recv(ctx context.Context) (Envelope, int, error) {
+	node := t.node
+	if node.closed.Load() {
+		return Envelope{}, 0, fmt.Errorf("%w (node %d)", ErrClosed, t.id)
 	}
-	// Same order as send: the context, then the inbox without blocking,
+	// Same order as Send: the context, then the inbox without blocking,
 	// and the blocking select only when the inbox is empty.
 	select {
 	case <-ctx.Done():
-		return Envelope{}, 0, fmt.Errorf("cluster: recv on %d: %w", id, ctx.Err())
+		return Envelope{}, 0, fmt.Errorf("cluster: recv on %d: %w", t.id, ctx.Err())
 	default:
 	}
 	select {
@@ -155,36 +189,15 @@ func (m *MemNet) recv(ctx context.Context, id int) (Envelope, int, error) {
 	case d := <-node.inbox:
 		return d.env, d.n, nil
 	case <-node.done:
-		return Envelope{}, 0, fmt.Errorf("%w (node %d)", ErrClosed, id)
+		return Envelope{}, 0, fmt.Errorf("%w (node %d)", ErrClosed, t.id)
 	case <-ctx.Done():
-		return Envelope{}, 0, fmt.Errorf("cluster: recv on %d: %w", id, ctx.Err())
+		return Envelope{}, 0, fmt.Errorf("cluster: recv on %d: %w", t.id, ctx.Err())
 	}
 }
 
-func (m *MemNet) closeNode(id int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if node := m.nodes[id]; !node.closed {
-		node.closed = true
-		close(node.done)
+func (t *memTransport) Close() error {
+	if t.node.closed.CompareAndSwap(false, true) {
+		close(t.node.done)
 	}
 	return nil
 }
-
-// memTransport is a node's endpoint into a MemNet.
-type memTransport struct {
-	net *MemNet
-	id  int
-}
-
-var _ Transport = (*memTransport)(nil)
-
-func (t *memTransport) Send(ctx context.Context, to int, env Envelope) (int, error) {
-	return t.net.send(ctx, t.id, to, env)
-}
-
-func (t *memTransport) Recv(ctx context.Context) (Envelope, int, error) {
-	return t.net.recv(ctx, t.id)
-}
-
-func (t *memTransport) Close() error { return t.net.closeNode(t.id) }

@@ -11,6 +11,8 @@ import (
 
 	"dolbie/internal/core"
 	"dolbie/internal/metrics"
+	"dolbie/internal/simplex"
+	"dolbie/internal/wire"
 )
 
 // TestInstrumentedMessageAllocatesNothing pins the metered message path:
@@ -199,7 +201,7 @@ func TestCanceledContextWinsOverReadyMessage(t *testing.T) {
 		if _, _, err := b.Recv(ctx); err != nil {
 			t.Fatalf("the message sent before the canceled calls is gone: %v", err)
 		}
-		if got := len(net.nodes[1].inbox); got != 0 {
+		if got := len(b.(*memTransport).node.inbox); got != 0 {
 			t.Errorf("%d messages queued after the one real send was received, want 0 (a canceled Send enqueued)", got)
 		}
 	})
@@ -267,5 +269,178 @@ func TestMemNetCloseUnblocksRecv(t *testing.T) {
 	}
 	if err := node.Close(); err != nil {
 		t.Errorf("second Close = %v, want nil", err)
+	}
+}
+
+// doneLog notes the nodes that received, the first node seen on each
+// Done channel, and each other node seen on it after that.
+type doneLog struct {
+	mu     sync.Mutex
+	nodes  map[int]bool
+	owner  map[<-chan struct{}]int
+	shared map[[2]int]bool // {owner, node}
+}
+
+func (l *doneLog) note(done <-chan struct{}, id int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.nodes[id] = true
+	if owner, ok := l.owner[done]; !ok {
+		l.owner[done] = id
+	} else if owner != id {
+		l.shared[[2]int{owner, id}] = true
+	}
+}
+
+// doneRecorder is node id's Transport, noting the Done channel of every
+// context it receives on.
+type doneRecorder struct {
+	Transport
+	id  int
+	log *doneLog
+}
+
+func (r doneRecorder) Recv(ctx context.Context) (Envelope, int, error) {
+	r.log.note(ctx.Done(), r.id)
+	return r.Transport.Recv(ctx)
+}
+
+// TestDriversReceiveOnPrivateContexts pins the drivers' private
+// contexts: no two nodes of a deployment block on one Done channel, so
+// a waiting node locks no channel another node locks. Each deployment
+// runs on one MemNet through recording transports.
+func TestDriversReceiveOnPrivateContexts(t *testing.T) {
+	const rounds = 5
+	sources := func(n int) []CostSource {
+		s := make([]CostSource, n)
+		for i := range s {
+			s[i] = instSource(i)
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name  string
+		nodes int
+		run   func(ctx context.Context, ts []Transport) error
+	}{
+		{"fully-distributed", 4, func(ctx context.Context, ts []Transport) error {
+			_, err := FullyDistributedDeployment(ctx, ts, simplex.Uniform(4), rounds, sources(4))
+			return err
+		}},
+		{"master-worker", 3 + 1, func(ctx context.Context, ts []Transport) error {
+			_, _, err := MasterWorkerDeployment(ctx, ts, simplex.Uniform(3), rounds, sources(3))
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			log := &doneLog{nodes: map[int]bool{}, owner: map[<-chan struct{}]int{}, shared: map[[2]int]bool{}}
+			net := NewMemNet()
+			ts := make([]Transport, tc.nodes)
+			for i := range ts {
+				ts[i] = doneRecorder{Transport: net.Node(i), id: i, log: log}
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := tc.run(ctx, ts); err != nil {
+				t.Fatal(err)
+			}
+			for pair := range log.shared {
+				t.Errorf("node %d receives on node %d's Done channel", pair[1], pair[0])
+			}
+			if len(log.nodes) != tc.nodes {
+				t.Errorf("receives noted on %d nodes, want all %d", len(log.nodes), tc.nodes)
+			}
+		})
+	}
+}
+
+// TestMemNetReachesLateNodes pins the slot table's growth: transports
+// made before a node registered, and before the table grew, reach it.
+func TestMemNetReachesLateNodes(t *testing.T) {
+	net := NewMemNet()
+	a := net.Node(0)
+	ctx := context.Background()
+	env := shareEnvelope(1, core.PeerShare{Round: 1, From: 0, Cost: 1, LocalAlpha: 0.01})
+	if _, err := a.Send(ctx, 1, env); !errors.Is(err, ErrUnknownNode) {
+		t.Fatalf("Send to an unregistered node = %v, want ErrUnknownNode", err)
+	}
+	for _, id := range []int{1, 2, 7, 100, 3} {
+		b := net.Node(id)
+		env := shareEnvelope(id, core.PeerShare{Round: 1, From: 0, Cost: 1, LocalAlpha: 0.01})
+		if _, err := a.Send(ctx, id, env); err != nil {
+			t.Fatalf("Send to node %d registered after the sender: %v", id, err)
+		}
+		got, _, err := b.Recv(ctx)
+		if err != nil || got.To != id {
+			t.Fatalf("node %d received %+v, %v", id, got, err)
+		}
+	}
+	if _, err := net.Node(100).Send(ctx, 0, shareEnvelope(0, core.PeerShare{Round: 1, From: 100, Cost: 1, LocalAlpha: 0.01})); err != nil {
+		t.Fatalf("a second endpoint of node 100 cannot send: %v", err)
+	}
+	if _, _, err := a.Recv(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMemNetConcurrentUse runs Node, Send, Recv and Close from 8
+// goroutines at once; -race checks the lock-free table. Once all 8
+// nodes are registered, each goroutine sends msgs shares around a ring,
+// registering far ids as it goes so the table grows under the others'
+// sends, then receives its predecessor's shares in FIFO order and
+// closes its node, after which its own sends and receives fail.
+func TestMemNetConcurrentUse(t *testing.T) {
+	const workers, msgs = 8, 200
+	net := NewMemNet()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var registered, wg sync.WaitGroup
+	registered.Add(workers)
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			self := net.Node(i)
+			registered.Done()
+			registered.Wait()
+			next, prev := (i+1)%workers, (i+workers-1)%workers
+			for k := 1; k <= msgs; k++ {
+				if k%20 == 0 {
+					net.Node(64 + workers*k + i)
+				}
+				env := shareEnvelope(next, core.PeerShare{Round: k, From: i, Cost: 1, LocalAlpha: 0.01})
+				if _, err := self.Send(ctx, next, env); err != nil {
+					t.Errorf("node %d send %d: %v", i, k, err)
+					return
+				}
+			}
+			for k := 1; k <= msgs; k++ {
+				env, _, err := self.Recv(ctx)
+				if err != nil {
+					t.Errorf("node %d recv %d: %v", i, k, err)
+					return
+				}
+				if s, err := wire.Payload[core.PeerShare](env); err != nil || s.From != prev || s.Round != k {
+					t.Errorf("node %d recv %d: %+v, %v; want round %d from %d", i, k, s, err, k, prev)
+					return
+				}
+			}
+			if err := self.Close(); err != nil {
+				t.Error(err)
+			}
+			if _, err := self.Send(ctx, next, shareEnvelope(next, core.PeerShare{Round: 1, From: i})); !errors.Is(err, ErrClosed) {
+				t.Errorf("node %d send after close: %v, want ErrClosed", i, err)
+			}
+			if _, _, err := self.Recv(ctx); !errors.Is(err, ErrClosed) {
+				t.Errorf("node %d recv after close: %v, want ErrClosed", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	far := net.Node(64)
+	for i := 0; i < workers; i++ {
+		if _, err := far.Send(ctx, i, shareEnvelope(i, core.PeerShare{Round: 1, From: 64})); !errors.Is(err, ErrUnknownNode) {
+			t.Errorf("send to closed node %d: %v, want ErrUnknownNode", i, err)
+		}
 	}
 }

@@ -67,7 +67,8 @@ var ErrTooFewWorkers = errors.New("cluster: too few live workers")
 // is evicted, and the straggler pick, the remainder and the rule-(7) cap
 // continue over the survivors. The caller owns the transport (it is not
 // closed). Cancel the context to abort a wedged deployment; the error
-// wraps the context error.
+// wraps the context error. Like every driver, the master sends and
+// receives on a child of ctx that no other node shares.
 func RunMaster(ctx context.Context, tr Transport, x0 []float64, rounds int, mc MasterConfig, opts ...core.Option) (MasterResult, error) {
 	if rounds <= 0 {
 		return MasterResult{}, errors.New("cluster: rounds must be positive")
@@ -75,6 +76,8 @@ func RunMaster(ctx context.Context, tr Transport, x0 []float64, rounds int, mc M
 	if mc.RoundTimeout < 0 {
 		return MasterResult{}, errors.New("cluster: RoundTimeout must not be negative")
 	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	reg := core.RegistryFrom(opts...)
 	meter := NewInstrumentedMeter(tr, reg, "master")
 	m, err := core.NewMaster(x0, opts...)
@@ -230,7 +233,8 @@ type WorkerResult struct {
 
 // RunWorker executes worker id of an n-worker Algorithm 1 deployment for
 // the given number of rounds. src supplies the local cost feedback after
-// each played round.
+// each played round. The worker sends and receives on a child of ctx
+// that no other node shares.
 func RunWorker(ctx context.Context, tr Transport, id, n int, x0 float64, rounds int, src CostSource, opts ...core.Option) (WorkerResult, error) {
 	if rounds <= 0 {
 		return WorkerResult{}, errors.New("cluster: rounds must be positive")
@@ -238,6 +242,8 @@ func RunWorker(ctx context.Context, tr Transport, id, n int, x0 float64, rounds 
 	if src == nil {
 		return WorkerResult{}, errors.New("cluster: nil cost source")
 	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	meter := NewInstrumentedMeter(tr, core.RegistryFrom(opts...), fmt.Sprintf("worker-%d", id))
 	w, err := core.NewWorker(id, n, x0, opts...)
 	if err != nil {
