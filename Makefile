@@ -22,9 +22,12 @@ build:
 # /admin/weights and /admin/cap decoders (routing state stays finite,
 # queue rings follow occupancy), and geo topology validation
 # (operator-supplied region/RTT configs). One invocation per target:
-# -fuzz matches only one.
+# -fuzz matches only one. perfbench is a module of its own, so ./...
+# does not reach it; it is vetted from its directory, since it imports
+# the cluster, wire, dispatch, core and metrics packages.
 vet: docs
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrameBinary -fuzztime=5s ./internal/wire/
@@ -54,11 +57,15 @@ docs:
 # keep real timers to cover the loop's deadline path. The dispatcher's race suite includes the
 # live drain storm with keep-alive HTTP clients on a real socket and
 # the batched SubmitBatch/CompleteBatch/SetWeights scrape storm over
-# whole-chunk tenant runs and chunks of one-request tenant runs.
+# whole-chunk tenant runs and chunks of one-request tenant runs. The
+# perfbench module's own tests run last (from its directory: ./... stops
+# at its go.mod); go test rather than go build, which would leave the
+# perfbench binary behind.
 test:
 	$(GO) test ./...
 	$(GO) test -race ./internal/metrics ./internal/cluster ./internal/wire ./internal/dispatch
 	$(GO) test -race -run 'TestSoakChaosFullyDistributed|TestSoakJoinChurnElastic' .
+	cd perfbench && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...

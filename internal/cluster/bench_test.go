@@ -18,9 +18,9 @@ import (
 func BenchmarkEnvelopeRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		env := NewEnvelope(KindCost, 3, 30, core.CostReport{Round: i, From: 3, Cost: 1.25})
-		if _, err := wire.Payload[core.CostReport](env); err != nil {
-			b.Fatal(err)
+		env := wire.NewEnvelope(3, 30, core.CostReport{Round: i, From: 3, Cost: 1.25})
+		if _, ok := env.Msg.(core.CostReport); !ok {
+			b.Fatalf("payload %T, want a cost report", env.Msg)
 		}
 	}
 }
@@ -31,7 +31,7 @@ func BenchmarkMemNetSendRecv(b *testing.B) {
 	a := net.Node(0)
 	c := net.Node(1)
 	ctx := context.Background()
-	env := NewEnvelope(KindCost, 0, 1, core.CostReport{Round: 1, From: 0, Cost: 1})
+	env := wire.NewEnvelope(0, 1, core.CostReport{Round: 1, From: 0, Cost: 1})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -77,7 +77,7 @@ func BenchmarkMemNetParallelInstrumented(b *testing.B) {
 			defer wg.Done()
 			ctx := ctxs[i]
 			next := (i + 1) % peers
-			env := shareEnvelope(next, core.PeerShare{Round: 1, From: i, Cost: 1, LocalAlpha: 0.01})
+			env := wire.NewEnvelope(i, next, core.PeerShare{Round: 1, From: i, Cost: 1, LocalAlpha: 0.01})
 			for r := 0; r < b.N; r++ {
 				if _, err := meters[i].Send(ctx, next, env); err != nil {
 					b.Error(err)
@@ -117,7 +117,7 @@ func benchTCPSendRecv(b *testing.B, codec wire.Codec) {
 	n1.SetRegistry(registry)
 
 	ctx := context.Background()
-	env := NewEnvelope(KindCost, 0, 1, core.CostReport{Round: 1, From: 0, Cost: 1})
+	env := wire.NewEnvelope(0, 1, core.CostReport{Round: 1, From: 0, Cost: 1})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -15,7 +15,7 @@ import (
 // layers count it in.
 type bindingRow struct {
 	name         string
-	kind         Kind
+	kind         wire.Kind
 	msg          any
 	from, to     int
 	repeatsFrom  bool
@@ -26,36 +26,26 @@ type bindingRow struct {
 	reliableData bool // msg may be wrapped in a reliable data frame
 }
 
-func (r bindingRow) env() Envelope { return NewEnvelope(r.kind, r.from, r.to, r.msg) }
+func (r bindingRow) env() Envelope { return wire.NewEnvelope(r.from, r.to, r.msg) }
 
 func bindingRows() []bindingRow {
 	return []bindingRow{
-		{"cost", KindCost, core.CostReport{Round: 7, From: 2, Cost: 1.5}, 2, 8, true, false, 26, 7, true, true},
-		{"coordinate", KindCoordinate, core.Coordinate{Round: 7, GlobalCost: 3.25, Alpha: 0.125, Straggler: 4}, 8, 2, false, false, 38, 7, true, true},
-		{"decision", KindDecision, core.DecisionReport{Round: 7, From: 2, Next: 0.2}, 2, 8, true, false, 26, 7, true, true},
-		{"assign", KindAssign, core.StragglerAssign{Round: 7, To: 4, Next: 0.4}, 8, 4, false, true, 26, 7, true, true},
-		{"share", KindShare, core.PeerShare{Round: 9, From: 3, Cost: 0.75, LocalAlpha: 0.01, Renorm: 1.25}, 3, 1, true, false, 42, 9, true, true},
-		{"peer-decision", KindPeerDecision, core.PeerDecision{Round: 7, From: 2, To: 4, Next: 0.3}, 2, 4, true, true, 26, 7, true, true},
-		{"evict", KindEvict, core.PeerEvict{Round: 7, From: 2, Evicted: 5}, 2, 4, true, false, 22, 7, true, true},
-		{"join", KindJoin, core.JoinRequest{Round: 4, From: 9}, 9, 0, true, false, 18, 4, true, true},
+		{"cost", wire.KindCost, core.CostReport{Round: 7, From: 2, Cost: 1.5}, 2, 8, true, false, 26, 7, true, true},
+		{"coordinate", wire.KindCoordinate, core.Coordinate{Round: 7, GlobalCost: 3.25, Alpha: 0.125, Straggler: 4}, 8, 2, false, false, 38, 7, true, true},
+		{"decision", wire.KindDecision, core.DecisionReport{Round: 7, From: 2, Next: 0.2}, 2, 8, true, false, 26, 7, true, true},
+		{"assign", wire.KindAssign, core.StragglerAssign{Round: 7, To: 4, Next: 0.4}, 8, 4, false, true, 26, 7, true, true},
+		{"share", wire.KindShare, core.PeerShare{Round: 9, From: 3, Cost: 0.75, LocalAlpha: 0.01, Renorm: 1.25}, 3, 1, true, false, 42, 9, true, true},
+		{"peer-decision", wire.KindPeerDecision, core.PeerDecision{Round: 7, From: 2, To: 4, Next: 0.3}, 2, 4, true, true, 26, 7, true, true},
+		{"evict", wire.KindEvict, core.PeerEvict{Round: 7, From: 2, Evicted: 5}, 2, 4, true, false, 22, 7, true, true},
+		{"join", wire.KindJoin, core.JoinRequest{Round: 4, From: 9}, 9, 0, true, false, 18, 4, true, true},
 		// A roster update announced in round 10 applies at round 12.
-		{"roster-update", KindRosterUpdate, core.RosterUpdate{Version: 5, Round: 12, From: 0, Join: 8, Weight: 0.015625, Alpha: 0.046875}, 0, 2, true, false, 50, 10, true, true},
-		{"roster-grant", KindRosterUpdate, core.RosterUpdate{Version: 5, Round: 12, From: 0, Join: 8, Weight: 0.015625, Alpha: 0.046875, Members: []int{0, 1, 2, 8}}, 0, 8, true, false, 66, 10, true, true},
-		{"roster-denial", KindRosterUpdate, core.RosterUpdate{From: 0, Join: 8}, 0, 8, true, false, 50, 0, false, true},
-		{"aggregate", KindAggregate, core.PeerAggregate{Round: 9, From: 3, Epoch: 4, Down: true, Count: 5, MaxCost: 2.5, Straggler: 2, MinAlpha: 0.125, MaxRenorm: 1.5}, 3, 1, true, false, 59, 9, true, true},
+		{"roster-update", wire.KindRosterUpdate, core.RosterUpdate{Version: 5, Round: 12, From: 0, Join: 8, Weight: 0.015625, Alpha: 0.046875}, 0, 2, true, false, 50, 10, true, true},
+		{"roster-grant", wire.KindRosterUpdate, core.RosterUpdate{Version: 5, Round: 12, From: 0, Join: 8, Weight: 0.015625, Alpha: 0.046875, Members: []int{0, 1, 2, 8}}, 0, 8, true, false, 66, 10, true, true},
+		{"roster-denial", wire.KindRosterUpdate, core.RosterUpdate{From: 0, Join: 8}, 0, 8, true, false, 50, 0, false, true},
+		{"aggregate", wire.KindAggregate, core.PeerAggregate{Round: 9, From: 3, Epoch: 4, Down: true, Count: 5, MaxCost: 2.5, Straggler: 2, MinAlpha: 0.125, MaxRenorm: 1.5}, 3, 1, true, false, 59, 9, true, true},
 		{"reliable-ack", wire.KindReliable, wire.ReliableFrame{Seq: 42, Ack: true}, 3, 1, false, false, 23, 0, false, false},
 		{"reliable-empty", wire.KindReliable, wire.ReliableFrame{Seq: 43}, 3, 1, false, false, 23, 0, false, false},
 	}
-}
-
-// bindingKinds is every kind byte worth trying: each defined kind, the
-// invalid zero kind, and three past the last.
-func bindingKinds() []Kind {
-	var kinds []Kind
-	for k := wire.KindInvalid; k <= KindAggregate; k++ {
-		kinds = append(kinds, k)
-	}
-	return append(kinds, KindAggregate+1, 99, 255)
 }
 
 // encodes reports whether WriteFrame and FrameSize both accept env under
@@ -83,30 +73,30 @@ func encodes(t *testing.T, codec wire.Codec, env Envelope) (int, bool) {
 }
 
 // TestWireBinding pins what binds a payload to its envelope under both
-// codecs: every payload is accepted under its own kind only, with the
-// routing fields it repeats matching the envelope's, never as a nil
-// payload, and inside a reliable data frame only when it is itself a
-// protocol message. It also pins the round the chaos transport and the
-// virtual-time runner count each message in, bare, wrapped in a
-// reliable data frame, and acknowledged.
+// codecs: every payload's kind, the routing fields it repeats matching
+// the envelope's, never a nil payload, and a reliable data frame around
+// it only when it is itself a protocol message. It also pins the round
+// the chaos transport and the virtual-time runner count each message
+// in, bare, wrapped in a reliable data frame, and acknowledged.
 func TestWireBinding(t *testing.T) {
 	codecs := []wire.Codec{wire.Binary, wire.JSON}
 	roundOf := wire.Round
+	for _, codec := range codecs {
+		if _, ok := encodes(t, codec, wire.NewEnvelope(3, 1, nil)); ok {
+			t.Errorf("%s: nil payload accepted", codec.Name())
+		}
+	}
 	for _, r := range bindingRows() {
+		if k := r.env().Kind(); k != r.kind {
+			t.Errorf("%s payload has kind %v, want %v", r.name, k, r.kind)
+		}
 		for _, codec := range codecs {
-			for _, k := range bindingKinds() {
-				env := r.env()
-				env.Kind = k
-				n, ok := encodes(t, codec, env)
-				if ok != (k == r.kind) {
-					t.Errorf("%s: %s payload under kind %v: accepted %v", codec.Name(), r.name, k, ok)
-				}
-				if ok && codec == wire.Binary && n != r.binSize {
-					t.Errorf("binary %s frame is %d bytes, want %d", r.name, n, r.binSize)
-				}
-				if _, ok := encodes(t, codec, NewEnvelope(k, r.from, r.to, nil)); ok {
-					t.Errorf("%s: nil payload under kind %v accepted", codec.Name(), k)
-				}
+			n, ok := encodes(t, codec, r.env())
+			if !ok {
+				t.Errorf("%s: %s refused", codec.Name(), r.name)
+			}
+			if ok && codec == wire.Binary && n != r.binSize {
+				t.Errorf("binary %s frame is %d bytes, want %d", r.name, n, r.binSize)
 			}
 			from, to := r.env(), r.env()
 			from.From++
@@ -122,7 +112,10 @@ func TestWireBinding(t *testing.T) {
 			// wrapped envelope is a consistent protocol message.
 			for _, inner := range []Envelope{r.env(), from, to} {
 				inner := inner
-				wrapped := NewEnvelope(wire.KindReliable, 3, 1, wire.ReliableFrame{Seq: 7, Data: &inner})
+				wrapped := wire.NewEnvelope(3, 1, wire.ReliableFrame{Seq: 7, Data: &inner})
+				if k := wrapped.Kind(); k != wire.KindReliable {
+					t.Errorf("reliable data frame around %s has kind %v", r.name, k)
+				}
 				want := r.reliableData && (inner.From == r.from || !r.repeatsFrom) && (inner.To == r.to || !r.repeatsTo)
 				n, ok := encodes(t, codec, wrapped)
 				if ok != want {
@@ -132,9 +125,9 @@ func TestWireBinding(t *testing.T) {
 					t.Errorf("binary reliable data frame around %s is %d bytes, want %d", r.name, n, r.binSize+18)
 				}
 			}
-			nilData := &Envelope{Kind: r.kind, From: r.from, To: r.to}
-			if _, ok := encodes(t, codec, NewEnvelope(wire.KindReliable, 3, 1, wire.ReliableFrame{Seq: 7, Data: nilData})); ok {
-				t.Errorf("%s: reliable data frame around a nil %s payload accepted", codec.Name(), r.kind)
+			nilData := &Envelope{From: r.from, To: r.to}
+			if _, ok := encodes(t, codec, wire.NewEnvelope(3, 1, wire.ReliableFrame{Seq: 7, Data: nilData})); ok {
+				t.Errorf("%s: reliable data frame around a nil payload accepted", codec.Name())
 			}
 		}
 
@@ -144,17 +137,17 @@ func TestWireBinding(t *testing.T) {
 			t.Errorf("round of bare %s = %d, %v; want %d, %v", r.name, round, ok, r.round, r.hasRound)
 		}
 		if r.reliableData {
-			wrapped := NewEnvelope(wire.KindReliable, r.from, r.to, wire.ReliableFrame{Seq: 7, Data: &env})
+			wrapped := wire.NewEnvelope(r.from, r.to, wire.ReliableFrame{Seq: 7, Data: &env})
 			if round, ok := roundOf(wrapped); round != r.round || ok != r.hasRound {
 				t.Errorf("round of wrapped %s = %d, %v; want %d, %v", r.name, round, ok, r.round, r.hasRound)
 			}
 		}
 	}
-	ack := NewEnvelope(wire.KindReliable, 1, 3, wire.ReliableFrame{Seq: 7, Ack: true})
+	ack := wire.NewEnvelope(1, 3, wire.ReliableFrame{Seq: 7, Ack: true})
 	if round, ok := roundOf(ack); ok || round != 0 {
 		t.Errorf("round of an ack = %d, %v; want none", round, ok)
 	}
-	if round, ok := roundOf(NewEnvelope(KindCost, 1, 3, nil)); ok || round != 0 {
+	if round, ok := roundOf(wire.NewEnvelope(1, 3, nil)); ok || round != 0 {
 		t.Errorf("round of a nil payload = %d, %v; want none", round, ok)
 	}
 }

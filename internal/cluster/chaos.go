@@ -557,7 +557,7 @@ func (t *chaosTransport) schedule(d delivery, delay time.Duration) {
 // retransmission of one frame is an attempt of the same message); bare
 // protocol messages are keyed by kind and round.
 func chaosKeyFor(env Envelope, round int) chaosMsgKey {
-	key := chaosMsgKey{from: env.From, kind: env.Kind, round: round}
+	key := chaosMsgKey{from: env.From, kind: env.Kind(), round: round}
 	if frame, ok := env.Msg.(wire.ReliableFrame); ok {
 		key.seq = frame.Seq
 		if frame.Ack {

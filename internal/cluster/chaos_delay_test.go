@@ -38,7 +38,7 @@ func TestChaosDelayModelPerLink(t *testing.T) {
 
 	send := func(tr Transport, from, round int) {
 		t.Helper()
-		env := shareEnvelope(2, core.PeerShare{Round: round, From: from, Cost: 1, LocalAlpha: 0.5})
+		env := wire.NewEnvelope(from, 2, core.PeerShare{Round: round, From: from, Cost: 1, LocalAlpha: 0.5})
 		if _, err := tr.Send(ctx, 2, env); err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestChaosDelayModelClampAndNil(t *testing.T) {
 	ctx := context.Background()
 
 	for _, from := range []int{0, 1} {
-		env := shareEnvelope(2, core.PeerShare{Round: 1, From: from, Cost: 1, LocalAlpha: 0.5})
+		env := wire.NewEnvelope(from, 2, core.PeerShare{Round: 1, From: from, Cost: 1, LocalAlpha: 0.5})
 		var tr Transport = tr0
 		if from == 1 {
 			tr = tr1
@@ -105,12 +105,8 @@ func TestChaosDelayModelClampAndNil(t *testing.T) {
 		if err != nil {
 			t.Fatalf("from %d: %v", from, err)
 		}
-		s, err := wire.Payload[core.PeerShare](env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.From != from {
-			t.Errorf("delivered share from %d, want %d", s.From, from)
+		if s, ok := env.Msg.(core.PeerShare); !ok || s.From != from {
+			t.Errorf("delivered %+v, want a share from %d", env.Msg, from)
 		}
 	}
 }

@@ -96,7 +96,7 @@ func TestChaosCrashTransport(t *testing.T) {
 	ctx := context.Background()
 
 	share := func(round int) Envelope {
-		return shareEnvelope(1, core.PeerShare{Round: round, From: 0, Cost: 1, LocalAlpha: 0.5})
+		return wire.NewEnvelope(0, 1, core.PeerShare{Round: round, From: 0, Cost: 1, LocalAlpha: 0.5})
 	}
 	if _, err := tr0.Send(ctx, 1, share(2)); err != nil {
 		t.Fatalf("pre-crash send: %v", err)
@@ -117,12 +117,8 @@ func TestChaosCrashTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := wire.Payload[core.PeerShare](env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Round != 2 {
-		t.Fatalf("delivered round %d, want 2", s.Round)
+	if s, ok := env.Msg.(core.PeerShare); !ok || s.Round != 2 {
+		t.Fatalf("delivered %+v, want a round-2 share", env.Msg)
 	}
 	if got := chaos.Stats().Crashes; got != 1 {
 		t.Fatalf("crash fault count = %d, want 1", got)
@@ -163,7 +159,7 @@ func TestReliableInnerDeathPropagates(t *testing.T) {
 	if _, _, err := rel.Recv(ctx); err == nil || ctx.Err() != nil {
 		t.Fatalf("recv after inner death: err=%v ctx=%v, want prompt inner-transport error", err, ctx.Err())
 	}
-	if _, err := rel.Send(ctx, 1, shareEnvelope(1, core.PeerShare{Round: 1, From: 0})); err == nil {
+	if _, err := rel.Send(ctx, 1, wire.NewEnvelope(0, 1, core.PeerShare{Round: 1, From: 0})); err == nil {
 		t.Fatal("send after inner death should fail")
 	}
 }
@@ -307,7 +303,7 @@ func TestChaosForgetsDeliveredMessages(t *testing.T) {
 	defer cancel()
 	go func() {
 		for i := 0; i < total; i++ {
-			if _, err := a.Send(ctx, 1, NewEnvelope(KindCost, 0, 1, core.CostReport{Round: i + 1, From: 0})); err != nil {
+			if _, err := a.Send(ctx, 1, wire.NewEnvelope(0, 1, core.CostReport{Round: i + 1, From: 0})); err != nil {
 				return
 			}
 		}

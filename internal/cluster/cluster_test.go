@@ -344,7 +344,7 @@ func TestMemNetUnknownNode(t *testing.T) {
 	tr := net.Node(0)
 	// Inside the slot table, negative, and past its end.
 	for _, to := range []int{1, 9, -1, 1 << 20} {
-		env := NewEnvelope(KindCost, 0, to, core.CostReport{Round: 1, From: 0, Cost: 1})
+		env := wire.NewEnvelope(0, to, core.CostReport{Round: 1, From: 0, Cost: 1})
 		if _, err := tr.Send(context.Background(), to, env); !errors.Is(err, ErrUnknownNode) {
 			t.Errorf("send to unregistered node %d = %v, want ErrUnknownNode", to, err)
 		}
@@ -357,14 +357,14 @@ func TestMemNetClose(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	env := NewEnvelope(KindCost, 0, 1, core.CostReport{})
+	env := wire.NewEnvelope(0, 1, core.CostReport{})
 	if _, err := a.Send(context.Background(), 1, env); !errors.Is(err, ErrUnknownNode) {
 		t.Errorf("send to closed node = %v, want ErrUnknownNode", err)
 	}
 	if _, _, err := b.Recv(context.Background()); !errors.Is(err, ErrClosed) {
 		t.Errorf("recv on closed node = %v, want ErrClosed", err)
 	}
-	back := NewEnvelope(KindCost, 1, 0, core.CostReport{From: 1})
+	back := wire.NewEnvelope(1, 0, core.CostReport{From: 1})
 	if _, err := net.Node(1).Send(context.Background(), 0, back); !errors.Is(err, ErrClosed) {
 		t.Errorf("send from closed node = %v, want ErrClosed", err)
 	}
@@ -372,7 +372,7 @@ func TestMemNetClose(t *testing.T) {
 
 func TestEnvelopeRoundTrip(t *testing.T) {
 	want := core.Coordinate{Round: 3, GlobalCost: 1.5, Alpha: 0.01, Straggler: 2}
-	env := NewEnvelope(KindCoordinate, 5, 1, want)
+	env := wire.NewEnvelope(5, 1, want)
 	for _, codec := range []wire.Codec{wire.JSON, wire.Binary} {
 		n, err := wire.FrameSize(codec, env)
 		if err != nil {
@@ -382,15 +382,11 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 			t.Errorf("%s wire bytes should be positive", codec.Name())
 		}
 	}
-	got, err := wire.Payload[core.Coordinate](env)
-	if err != nil {
-		t.Fatal(err)
+	if got, ok := env.Msg.(core.Coordinate); !ok || got != want {
+		t.Errorf("round trip = %+v, want %+v", env.Msg, want)
 	}
-	if got != want {
-		t.Errorf("round trip = %+v, want %+v", got, want)
-	}
-	if _, err := wire.Payload[core.CostReport](env); err == nil {
-		t.Error("type mismatch should error")
+	if k := env.Kind(); k != wire.KindCoordinate {
+		t.Errorf("kind = %v, want coordinate", k)
 	}
 }
 
@@ -399,7 +395,7 @@ func TestTCPNodeCloseIdempotentAndUnknownPeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := NewEnvelope(KindCost, 0, 1, core.CostReport{})
+	env := wire.NewEnvelope(0, 1, core.CostReport{})
 	if _, err := node.Send(context.Background(), 1, env); !errors.Is(err, ErrUnknownNode) {
 		t.Errorf("send without registry = %v, want ErrUnknownNode", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dolbie/internal/core"
+	"dolbie/internal/wire"
 )
 
 func TestWithInboxBuffer(t *testing.T) {
@@ -14,7 +15,7 @@ func TestWithInboxBuffer(t *testing.T) {
 	net.Node(1)
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
-	env := NewEnvelope(KindCost, 0, 1, core.CostReport{Round: 1})
+	env := wire.NewEnvelope(0, 1, core.CostReport{Round: 1})
 	// Two sends fill the buffer; the third blocks until the context
 	// deadline because nobody drains the inbox.
 	if _, err := a.Send(ctx, 1, env); err != nil {
@@ -98,7 +99,7 @@ func TestTCPSendRedialsAfterPeerRestart(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	env := NewEnvelope(KindCost, 0, 1, core.CostReport{Round: 1, From: 0})
+	env := wire.NewEnvelope(0, 1, core.CostReport{Round: 1, From: 0})
 	if _, err := a.Send(ctx, 1, env); err != nil {
 		t.Fatal(err)
 	}

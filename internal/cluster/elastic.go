@@ -173,7 +173,7 @@ func flush(ctx context.Context, m *elasticMachine, send func(to int, env Envelop
 		err := send(s.to, s.env)
 		switch {
 		case err == nil || s.policy == bestEffort:
-		case s.policy != mustSend && (ctx.Err() != nil || errors.Is(err, ErrChaosCrashed) || errors.Is(err, ErrClosed)):
+		case s.policy != mustSend && nodeGone(ctx, err):
 			return err
 		default:
 			m.sendFailed(s, err)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dolbie/internal/core"
+	"dolbie/internal/wire"
 )
 
 // This file is the elastic machine's fail-stop half: the progress
@@ -104,7 +105,7 @@ func (m *elasticMachine) evictPeer(target int, broadcast bool) {
 	if broadcast {
 		note := core.PeerEvict{Round: round, From: m.id, Evicted: target}
 		for _, j := range m.noticeTargets(target) {
-			m.send(j, evictEnvelope(j, note), bestEffort)
+			m.send(j, wire.NewEnvelope(m.id, j, note), bestEffort)
 		}
 	}
 	if m.p.Round() != round {

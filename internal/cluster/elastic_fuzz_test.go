@@ -58,7 +58,7 @@ func checkBuffers(t *testing.T, m *elasticMachine) {
 }
 
 // feedFrames decodes binary frames from data and feeds each to m, a
-// KindCost frame standing for an expired deadline. It stops at the
+// cost report standing for an expired deadline. It stops at the
 // first undecodable byte or when m finishes.
 func feedFrames(t *testing.T, m *elasticMachine, data []byte) {
 	r := bytes.NewReader(data)
@@ -67,7 +67,7 @@ func feedFrames(t *testing.T, m *elasticMachine, data []byte) {
 		if err != nil {
 			return
 		}
-		if env.Kind == KindCost {
+		if _, tick := env.Msg.(core.CostReport); tick {
 			m.tick()
 		} else {
 			m.handle(env)
@@ -100,10 +100,10 @@ func rejectedFrames(t testing.TB, n, rounds int) []Envelope {
 	twin.start()
 	first, _ := twin.next() // its round-1 share, to peer 0
 	return []Envelope{
-		shareEnvelope(0, core.PeerShare{Round: 3, From: 1, Cost: 9, LocalAlpha: 0.5}),
+		wire.NewEnvelope(1, 0, core.PeerShare{Round: 3, From: 1, Cost: 9, LocalAlpha: 0.5}),
 		first.env,
 		first.env,
-		peerDecisionEnvelope(core.PeerDecision{Round: 3, From: 1, To: 0, Next: 0.5}),
+		wire.NewEnvelope(1, 0, core.PeerDecision{Round: 3, From: 1, To: 0, Next: 0.5}),
 	}
 }
 
@@ -151,22 +151,22 @@ func TestElasticDropsRejectedFrames(t *testing.T) {
 // refuses on arrival.
 func FuzzElasticFrames(f *testing.F) {
 	agg := func(from, round int, epoch uint64, down bool) Envelope {
-		return aggregateEnvelope(0, core.PeerAggregate{Round: round, From: from, Epoch: epoch, Down: down, Count: 1, Straggler: from, MaxCost: 1, MinAlpha: 0.1})
+		return wire.NewEnvelope(from, 0, core.PeerAggregate{Round: round, From: from, Epoch: epoch, Down: down, Count: 1, Straggler: from, MaxCost: 1, MinAlpha: 0.1})
 	}
 	share := func(from, round int) Envelope {
-		return shareEnvelope(0, core.PeerShare{Round: round, From: from, Cost: float64(from), LocalAlpha: 0.1})
+		return wire.NewEnvelope(from, 0, core.PeerShare{Round: round, From: from, Cost: float64(from), LocalAlpha: 0.1})
 	}
 	roster := func(from, round, join int, version uint64) Envelope {
-		return rosterUpdateEnvelope(0, core.RosterUpdate{Version: version, Round: round, From: from, Join: join, Weight: 0.2, Alpha: 0.1})
+		return wire.NewEnvelope(from, 0, core.RosterUpdate{Version: version, Round: round, From: from, Join: join, Weight: 0.2, Alpha: 0.1})
 	}
-	tick := NewEnvelope(KindCost, 1, 0, core.CostReport{Round: 1, From: 1})
+	tick := wire.NewEnvelope(1, 0, core.CostReport{Round: 1, From: 1})
 	f.Add(fuzzFrames(f, share(1, 1), share(2, 1), share(3, 1), share(1, 2),
-		peerDecisionEnvelope(core.PeerDecision{Round: 1, From: 1, To: 0, Next: 0.3})))
+		wire.NewEnvelope(1, 0, core.PeerDecision{Round: 1, From: 1, To: 0, Next: 0.3})))
 	f.Add(fuzzFrames(f, agg(1, 1, 0, false), agg(2, 1, 0, false), agg(1, 2, 0, false), agg(2, 1, 1, false), tick, tick))
-	f.Add(fuzzFrames(f, joinEnvelope(0, core.JoinRequest{From: 4}), roster(1, 3, 5, 1), share(4, 3), agg(5, 3, 1, false), tick))
-	f.Add(fuzzFrames(f, evictEnvelope(0, core.PeerEvict{Round: 1, From: 1, Evicted: 3}), agg(2, 1, 1, false), share(9, 1), tick))
+	f.Add(fuzzFrames(f, wire.NewEnvelope(4, 0, core.JoinRequest{From: 4}), roster(1, 3, 5, 1), share(4, 3), agg(5, 3, 1, false), tick))
+	f.Add(fuzzFrames(f, wire.NewEnvelope(1, 0, core.PeerEvict{Round: 1, From: 1, Evicted: 3}), agg(2, 1, 1, false), share(9, 1), tick))
 	f.Add(fuzzFrames(f, agg(1, 1<<30, 0, false), agg(1, 1, 1<<40, true), roster(1, 1<<30, 7, 1), roster(1, 2, 1<<30, 1),
-		joinEnvelope(0, core.JoinRequest{From: 1 << 30}), roster(1, 2, 6, 1<<50)))
+		wire.NewEnvelope(1<<30, 0, core.JoinRequest{From: 1 << 30}), roster(1, 2, 6, 1<<50)))
 	f.Add(fuzzFrames(f, rejectedFrames(f, 4, 6)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		feedFrames(t, fuzzMachine(t, TopologyFlat), data)
@@ -182,10 +182,10 @@ func FuzzElasticFrames(f *testing.F) {
 func TestElasticFloodsStayBounded(t *testing.T) {
 	m := fuzzMachine(t, TopologyTree)
 	for i := 0; i < 20000; i++ {
-		m.handle(aggregateEnvelope(0, core.PeerAggregate{Round: 1000000 + i, From: 1, Count: 1, Straggler: 1}))
+		m.handle(wire.NewEnvelope(1, 0, core.PeerAggregate{Round: 1000000 + i, From: 1, Count: 1, Straggler: 1}))
 	}
 	for i := 0; i < 2000; i++ {
-		m.handle(rosterUpdateEnvelope(0, core.RosterUpdate{Version: 1, Round: 1000 + i, From: 1, Join: 4 + i, Weight: 0.1, Alpha: 0.1}))
+		m.handle(wire.NewEnvelope(1, 0, core.RosterUpdate{Version: 1, Round: 1000 + i, From: 1, Join: 4 + i, Weight: 0.1, Alpha: 0.1}))
 	}
 	sends := 0
 	for ; ; sends++ {
@@ -194,7 +194,7 @@ func TestElasticFloodsStayBounded(t *testing.T) {
 		}
 	}
 	for i := 0; i < 2000; i++ {
-		m.handle(joinEnvelope(0, core.JoinRequest{From: 4 + i}))
+		m.handle(wire.NewEnvelope(4+i, 0, core.JoinRequest{From: 4 + i}))
 	}
 	drainSends(m)
 	checkBuffers(t, m)

@@ -56,7 +56,7 @@ func (m *elasticMachine) handleJoin(j core.JoinRequest) {
 	coord := m.rost.Coordinator()
 	if coord != m.id {
 		if coord >= 0 {
-			m.send(coord, joinEnvelope(coord, j), bestEffort)
+			m.send(coord, wire.NewEnvelope(j.From, coord, j), bestEffort)
 		}
 		return
 	}
@@ -68,7 +68,7 @@ func (m *elasticMachine) handleJoin(j core.JoinRequest) {
 			// An evicted id can never rejoin: its frozen workload was
 			// already absorbed, so the identity is spent.
 			deny := core.RosterUpdate{From: m.id, Join: j.From}
-			m.send(j.From, rosterUpdateEnvelope(j.From, deny), bestEffort)
+			m.send(j.From, wire.NewEnvelope(m.id, j.From, deny), bestEffort)
 		}
 		return
 	}
@@ -137,16 +137,16 @@ func (m *elasticMachine) drainJoinQueue(r int) {
 		// two, which travel on different links (DESIGN §11, limitation 5).
 		for _, p := range m.survivors {
 			if p != m.id {
-				m.send(p, rosterUpdateEnvelope(p, u), bestEffort)
+				m.send(p, wire.NewEnvelope(m.id, p, u), bestEffort)
 			}
 		}
 		for _, p := range m.pendingAdmissions {
-			m.send(p.Join, rosterUpdateEnvelope(p.Join, u), bestEffort)
+			m.send(p.Join, wire.NewEnvelope(m.id, p.Join, u), bestEffort)
 		}
 		// The joiner's copy carries the snapshot it adopts.
 		grant := u
 		grant.Members = m.memberSnapshot(j.From)
-		m.send(j.From, rosterUpdateEnvelope(j.From, grant), bestEffort)
+		m.send(j.From, wire.NewEnvelope(m.id, j.From, grant), bestEffort)
 		m.pendingAdmissions = append(m.pendingAdmissions, u)
 		m.announced[j.From] = true
 		return // one admission per round
@@ -228,15 +228,9 @@ func (m *elasticMachine) applyAdmissions(r int) error {
 // join; the grant (the copy carrying the member snapshot) seeds
 // core.NewJoinedPeer, and the joiner plays from the granted round.
 func (m *elasticMachine) awaitGrant(env Envelope) {
-	if env.Kind != KindRosterUpdate {
-		return
-	}
-	u, err := wire.Payload[core.RosterUpdate](env)
+	u, ok := env.Msg.(core.RosterUpdate)
 	switch {
-	case err != nil:
-		m.fail(err)
-		return
-	case u.Join != m.id:
+	case !ok, u.Join != m.id:
 		return
 	case u.Round == 0:
 		m.fail(fmt.Errorf("peer %d: %w", m.id, ErrJoinDenied))

@@ -160,7 +160,7 @@ func (m *elasticMachine) start() {
 		m.startRound(m.round)
 		return
 	}
-	m.send(m.contact, joinEnvelope(m.contact, core.JoinRequest{From: m.id}), mustSend)
+	m.send(m.contact, wire.NewEnvelope(m.id, m.contact, core.JoinRequest{From: m.id}), mustSend)
 	m.wait = joinTimeoutRounds * m.cfg.RoundTimeout
 }
 
@@ -257,12 +257,12 @@ func (m *elasticMachine) dispatch(o core.PeerOutput) {
 		msg := any(*o.Share)
 		for _, j := range m.survivors {
 			if j != m.id {
-				m.send(j, NewEnvelope(KindShare, m.id, j, msg), evictAfter)
+				m.send(j, wire.NewEnvelope(m.id, j, msg), evictAfter)
 			}
 		}
 	case o.Decision != nil:
 		if m.p.Alive(o.Decision.To) {
-			m.send(o.Decision.To, peerDecisionEnvelope(*o.Decision), evictAfter)
+			m.send(o.Decision.To, wire.NewEnvelope(m.id, o.Decision.To, *o.Decision), evictAfter)
 		}
 	case o.Done:
 		m.roundDone = true
@@ -310,7 +310,7 @@ func (m *elasticMachine) startRound(r int) {
 // handleEnvelope applies one incoming message to the protocol state and
 // reports whether it counted as progress (which re-arms the deadline).
 func (m *elasticMachine) handleEnvelope(env Envelope) (bool, error) {
-	if !m.rost.Knows(env.From) && env.Kind != KindJoin {
+	if _, join := env.Msg.(core.JoinRequest); !join && !m.rost.Knows(env.From) {
 		// Traffic from an id the roster has never seen: a joiner we were
 		// told about but have not admitted yet (buffer and replay at the
 		// admission boundary), or noise from a diverged view (drop).
@@ -319,44 +319,32 @@ func (m *elasticMachine) handleEnvelope(env Envelope) (bool, error) {
 		}
 		return false, nil
 	}
-	switch env.Kind {
-	case KindShare:
-		s, err := wire.Payload[core.PeerShare](env)
-		if err != nil || m.tree != nil || s.Round < m.p.Round() {
-			return false, err // tree mode aggregates instead; or stale
+	switch msg := env.Msg.(type) {
+	case core.PeerShare:
+		if m.tree != nil || msg.Round < m.p.Round() {
+			return false, nil // tree mode aggregates instead; or stale
 		}
-		return m.progress(m.p.HandleShare(s))
-	case KindPeerDecision:
-		d, err := wire.Payload[core.PeerDecision](env)
-		if err != nil || d.Round < m.p.Round() || d.To != m.id {
+		return m.progress(m.p.HandleShare(msg))
+	case core.PeerDecision:
+		if msg.Round < m.p.Round() || msg.To != m.id {
 			// Stale, or routed under a diverged straggler view that an
 			// in-flight eviction is about to reconcile.
-			return false, err
+			return false, nil
 		}
-		return m.progress(m.p.HandleDecision(d))
-	case KindEvict:
-		ev, err := wire.Payload[core.PeerEvict](env)
-		if err == nil && ev.Evicted == m.id {
-			err = errSelfEvicted // fail-stop: a survivor declared us crashed
+		return m.progress(m.p.HandleDecision(msg))
+	case core.PeerEvict:
+		if msg.Evicted == m.id {
+			return false, errSelfEvicted // fail-stop: a survivor declared us crashed
 		}
-		if err != nil {
-			return false, err
-		}
-		m.evictPeer(ev.Evicted, false)
+		m.evictPeer(msg.Evicted, false)
 		m.redrain = true
 		return true, nil
-	case KindJoin:
-		j, err := wire.Payload[core.JoinRequest](env)
-		if err == nil {
-			m.handleJoin(j)
-		}
-		return false, err
-	case KindRosterUpdate:
-		u, err := wire.Payload[core.RosterUpdate](env)
-		return err == nil && m.handleRosterUpdate(u), err
-	case KindAggregate:
-		a, err := wire.Payload[core.PeerAggregate](env)
-		return err == nil && m.handleAggregate(a), err
+	case core.JoinRequest:
+		m.handleJoin(msg)
+	case core.RosterUpdate:
+		return m.handleRosterUpdate(msg), nil
+	case core.PeerAggregate:
+		return m.handleAggregate(msg), nil
 	}
 	return false, nil
 }

@@ -649,9 +649,9 @@ func TestElasticFailedSendOrder(t *testing.T) {
 		{
 			name: "flat",
 			early: []Envelope{ // peer 1 is the straggler
-				shareEnvelope(0, core.PeerShare{Round: 1, From: 1, Cost: 5, LocalAlpha: 0.1}),
-				shareEnvelope(0, core.PeerShare{Round: 1, From: 2, Cost: 1, LocalAlpha: 0.1}),
-				shareEnvelope(0, core.PeerShare{Round: 1, From: 3, Cost: 1, LocalAlpha: 0.1}),
+				wire.NewEnvelope(1, 0, core.PeerShare{Round: 1, From: 1, Cost: 5, LocalAlpha: 0.1}),
+				wire.NewEnvelope(2, 0, core.PeerShare{Round: 1, From: 2, Cost: 1, LocalAlpha: 0.1}),
+				wire.NewEnvelope(3, 0, core.PeerShare{Round: 1, From: 3, Cost: 1, LocalAlpha: 0.1}),
 			},
 			closed: 2,
 			want: []string{
@@ -665,8 +665,8 @@ func TestElasticFailedSendOrder(t *testing.T) {
 			name: "tree",
 			topo: TopologyTree,
 			early: []Envelope{ // peer 2 is the straggler; peer 1's subtree holds peer 3
-				aggregateEnvelope(0, core.PeerAggregate{Round: 1, From: 1, Count: 2, MaxCost: 1, Straggler: 1, MinAlpha: 0.1}),
-				aggregateEnvelope(0, core.PeerAggregate{Round: 1, From: 2, Count: 1, MaxCost: 5, Straggler: 2, MinAlpha: 0.1}),
+				wire.NewEnvelope(1, 0, core.PeerAggregate{Round: 1, From: 1, Count: 2, MaxCost: 1, Straggler: 1, MinAlpha: 0.1}),
+				wire.NewEnvelope(2, 0, core.PeerAggregate{Round: 1, From: 2, Count: 1, MaxCost: 5, Straggler: 2, MinAlpha: 0.1}),
 			},
 			closed: 1,
 			want: []string{
@@ -687,7 +687,7 @@ func TestElasticFailedSendOrder(t *testing.T) {
 		m.start()
 		var got []string
 		send := func(to int, env Envelope) error {
-			got = append(got, fmt.Sprintf("%s>%d", env.Kind, to))
+			got = append(got, fmt.Sprintf("%s>%d", env.Kind(), to))
 			if to == c.closed {
 				return fmt.Errorf("%w: %d", ErrUnknownNode, to)
 			}

@@ -12,6 +12,7 @@ import (
 	"dolbie/internal/core"
 	"dolbie/internal/costfn"
 	"dolbie/internal/simplex"
+	"dolbie/internal/wire"
 )
 
 // runElasticDeployment wires an elastic deployment over a fresh MemNet
@@ -319,10 +320,10 @@ func TestJoinElasticPeer(t *testing.T) {
 		done <- err
 	}()
 	env, _, err := contact.Recv(ctx)
-	if err != nil || env.Kind != KindJoin || env.From != 5 {
-		t.Fatalf("contact got %v from %d (err %v), want a join request from 5", env.Kind, env.From, err)
+	if _, join := env.Msg.(core.JoinRequest); err != nil || !join || env.From != 5 {
+		t.Fatalf("contact got %v from %d (err %v), want a join request from 5", env.Kind(), env.From, err)
 	}
-	if _, err := contact.Send(ctx, 5, rosterUpdateEnvelope(5, core.RosterUpdate{From: 0, Join: 5})); err != nil {
+	if _, err := contact.Send(ctx, 5, wire.NewEnvelope(0, 5, core.RosterUpdate{From: 0, Join: 5})); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; !errors.Is(err, ErrJoinDenied) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dolbie/internal/core"
+	"dolbie/internal/wire"
 )
 
 // This file is the elastic machine's hierarchical aggregation
@@ -78,7 +79,7 @@ func (m *elasticMachine) maybeAdvanceTree() {
 	up := m.treeAgg
 	up.From = m.id
 	m.treeSentUp = true
-	m.send(parent, aggregateEnvelope(parent, up), evictNow)
+	m.send(parent, wire.NewEnvelope(m.id, parent, up), evictNow)
 }
 
 // applyDownAggregate applies the round consensus carried by a down-phase
@@ -102,7 +103,7 @@ func (m *elasticMachine) applyDownAggregate(a core.PeerAggregate) {
 	fwd.From = m.id
 	for _, c := range m.tree.children(m.id) {
 		if m.p.Alive(c) {
-			m.send(c, aggregateEnvelope(c, fwd), evictNow)
+			m.send(c, wire.NewEnvelope(m.id, c, fwd), evictNow)
 		}
 	}
 }

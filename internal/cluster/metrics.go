@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"dolbie/internal/metrics"
+	"dolbie/internal/wire"
 )
 
 // Cluster-layer metric family names. The "dolbie_cluster_" prefix
@@ -63,7 +64,7 @@ const (
 // numKinds sizes a Meter's per-kind counter cache: one slot per wire
 // kind up to the last valid one. A kind past it still counts, through
 // the family lookup.
-const numKinds = int(KindAggregate) + 1
+const numKinds = int(wire.KindAggregate) + 1
 
 // kindCounters caches one direction's dolbie_cluster_messages_total
 // series, indexed by kind. A slot is resolved on the kind's first
@@ -103,7 +104,7 @@ func newNetMetrics(reg *metrics.Registry, node string) *netMetrics {
 // kindCounter returns the messages_total series of kind k in direction
 // dir, resolving and caching it on first use. Concurrent first uses may
 // both resolve it; the family returns the same series to each.
-func (nm *netMetrics) kindCounter(cache *kindCounters, k Kind, dir string) *metrics.Counter {
+func (nm *netMetrics) kindCounter(cache *kindCounters, k wire.Kind, dir string) *metrics.Counter {
 	if int(k) >= len(cache) {
 		return nm.byKind.WithLabelValues(k.String(), dir)
 	}
@@ -122,7 +123,7 @@ func (nm *netMetrics) recordSend(env Envelope, n int) {
 	}
 	nm.msgsSent.Inc()
 	nm.bytesSent.Add(float64(n))
-	nm.kindCounter(&nm.sent, env.Kind, "sent").Inc()
+	nm.kindCounter(&nm.sent, env.Kind(), "sent").Inc()
 }
 
 // recordRecv accounts one received envelope of n wire bytes.
@@ -132,5 +133,5 @@ func (nm *netMetrics) recordRecv(env Envelope, n int) {
 	}
 	nm.msgsRecv.Inc()
 	nm.bytesRecv.Add(float64(n))
-	nm.kindCounter(&nm.recv, env.Kind, "received").Inc()
+	nm.kindCounter(&nm.recv, env.Kind(), "received").Inc()
 }

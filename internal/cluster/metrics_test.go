@@ -13,6 +13,7 @@ import (
 	"dolbie/internal/costfn"
 	"dolbie/internal/metrics"
 	"dolbie/internal/simplex"
+	"dolbie/internal/wire"
 )
 
 // affineSources builds n synthetic cost sources with heterogeneous
@@ -37,7 +38,7 @@ func TestMeterFeedsRegistry(t *testing.T) {
 	a := NewInstrumentedMeter(net.Node(0), reg, "a")
 	b := NewInstrumentedMeter(net.Node(1), reg, "b")
 
-	env := NewEnvelope(KindCost, 0, 1, core.CostReport{Round: 1, From: 0, Cost: 0.5})
+	env := wire.NewEnvelope(0, 1, core.CostReport{Round: 1, From: 0, Cost: 0.5})
 	ctx := context.Background()
 	if _, err := a.Send(ctx, 1, env); err != nil {
 		t.Fatal(err)

@@ -26,7 +26,7 @@ func TestInstrumentedMessageAllocatesNothing(t *testing.T) {
 	b := NewInstrumentedMeter(net.Node(1), reg, "b")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	env := shareEnvelope(1, core.PeerShare{Round: 1, From: 0, Cost: 0.5, LocalAlpha: 0.01})
+	env := wire.NewEnvelope(0, 1, core.PeerShare{Round: 1, From: 0, Cost: 0.5, LocalAlpha: 0.01})
 	pair := func() {
 		if _, err := a.Send(ctx, 1, env); err != nil {
 			t.Fatal(err)
@@ -55,7 +55,7 @@ func TestElasticStaleShareAllocatesNothing(t *testing.T) {
 			break
 		}
 	}
-	stale := shareEnvelope(0, core.PeerShare{Round: 0, From: 1, Cost: 0.5, LocalAlpha: 0.01})
+	stale := wire.NewEnvelope(1, 0, core.PeerShare{Round: 0, From: 1, Cost: 0.5, LocalAlpha: 0.01})
 	if got := testing.AllocsPerRun(200, func() { m.handle(stale) }); got != 0 {
 		t.Errorf("handling a stale share allocates %.1f times per frame, want 0", got)
 	}
@@ -87,19 +87,26 @@ func (l *loopback) Recv(context.Context) (Envelope, int, error) {
 func (l *loopback) Close() error { return nil }
 
 // TestConcurrentMetersCountExactly runs eight meters, each on its own
-// goroutine, into one registry; every meter sends and receives every
-// valid kind reps times, so each kind's first message races to resolve
-// its series. Every goroutine also records each send into one shared
-// node's instruments, straight into its per-kind cache with no Meter
-// lock in between, so -race sees the cache filled and read
+// goroutine, into one registry; every meter sends and receives a real
+// payload of every kind reps times, so each kind's first message races
+// to resolve its series. Every goroutine also records each send into
+// one shared node's instruments, straight into its per-kind cache with
+// no Meter lock in between, so -race sees the cache filled and read
 // concurrently. The exposition must count every message exactly, per
 // kind and per node, and meters on a second registry must count only
 // there.
 func TestConcurrentMetersCountExactly(t *testing.T) {
 	const meters, reps = 8, 50
-	kinds := make([]Kind, 0, numKinds)
-	for k := KindCost; int(k) < numKinds; k++ {
-		kinds = append(kinds, k)
+	var envs []Envelope
+	seen := map[wire.Kind]bool{}
+	for _, r := range bindingRows() {
+		if !seen[r.kind] {
+			seen[r.kind] = true
+			envs = append(envs, r.env())
+		}
+	}
+	if len(envs) != numKinds-1 {
+		t.Fatalf("%d payload kinds, want %d", len(envs), numKinds-1)
 	}
 	run := func(reg *metrics.Registry, prefix string) {
 		shared := newNetMetrics(reg, prefix+"-shared")
@@ -111,12 +118,12 @@ func TestConcurrentMetersCountExactly(t *testing.T) {
 				m := NewInstrumentedMeter(&loopback{}, reg, fmt.Sprintf("%s-%d", prefix, i))
 				ctx := context.Background()
 				for r := 0; r < reps; r++ {
-					for _, k := range kinds {
-						if _, err := m.Send(ctx, 0, Envelope{Kind: k}); err != nil {
+					for _, env := range envs {
+						if _, err := m.Send(ctx, 0, env); err != nil {
 							t.Error(err)
 							return
 						}
-						shared.recordSend(Envelope{Kind: k}, frameBytes)
+						shared.recordSend(env, frameBytes)
 						if _, _, err := m.Recv(ctx); err != nil {
 							t.Error(err)
 							return
@@ -141,12 +148,12 @@ func TestConcurrentMetersCountExactly(t *testing.T) {
 		}
 		text := sb.String()
 		var want []string
-		for _, k := range kinds {
+		for _, env := range envs {
 			want = append(want,
-				fmt.Sprintf("%s{kind=%q,dir=%q} %d\n", MetricMessages, k.String(), "sent", 2*meters*reps),
-				fmt.Sprintf("%s{kind=%q,dir=%q} %d\n", MetricMessages, k.String(), "received", meters*reps))
+				fmt.Sprintf("%s{kind=%q,dir=%q} %d\n", MetricMessages, env.Kind(), "sent", 2*meters*reps),
+				fmt.Sprintf("%s{kind=%q,dir=%q} %d\n", MetricMessages, env.Kind(), "received", meters*reps))
 		}
-		perNode := len(kinds) * reps
+		perNode := len(envs) * reps
 		want = append(want,
 			fmt.Sprintf("%s{node=%q} %d\n", MetricMsgsSent, tc.prefix+"-shared", meters*perNode),
 			fmt.Sprintf("%s{node=%q} %d\n", MetricBytesSent, tc.prefix+"-shared", meters*perNode*frameBytes))
@@ -164,7 +171,7 @@ func TestConcurrentMetersCountExactly(t *testing.T) {
 				t.Errorf("%s registry: exposition missing %q", tc.prefix, strings.TrimSpace(w))
 			}
 		}
-		if got, wantN := strings.Count(text, MetricMessages+"{"), 2*len(kinds); got != wantN {
+		if got, wantN := strings.Count(text, MetricMessages+"{"), 2*len(envs); got != wantN {
 			t.Errorf("%s registry: %d %s series, want %d", tc.prefix, got, MetricMessages, wantN)
 		}
 		if got, wantN := strings.Count(text, MetricMsgsSent+"{"), meters+1; got != wantN {
@@ -180,7 +187,7 @@ func TestConcurrentMetersCountExactly(t *testing.T) {
 func TestCanceledContextWinsOverReadyMessage(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	env := NewEnvelope(KindCost, 0, 1, core.CostReport{Round: 1, From: 0, Cost: 1})
+	env := wire.NewEnvelope(0, 1, core.CostReport{Round: 1, From: 0, Cost: 1})
 
 	t.Run("memnet", func(t *testing.T) {
 		net := NewMemNet()
@@ -360,13 +367,13 @@ func TestMemNetReachesLateNodes(t *testing.T) {
 	net := NewMemNet()
 	a := net.Node(0)
 	ctx := context.Background()
-	env := shareEnvelope(1, core.PeerShare{Round: 1, From: 0, Cost: 1, LocalAlpha: 0.01})
+	env := wire.NewEnvelope(0, 1, core.PeerShare{Round: 1, From: 0, Cost: 1, LocalAlpha: 0.01})
 	if _, err := a.Send(ctx, 1, env); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("Send to an unregistered node = %v, want ErrUnknownNode", err)
 	}
 	for _, id := range []int{1, 2, 7, 100, 3} {
 		b := net.Node(id)
-		env := shareEnvelope(id, core.PeerShare{Round: 1, From: 0, Cost: 1, LocalAlpha: 0.01})
+		env := wire.NewEnvelope(0, id, core.PeerShare{Round: 1, From: 0, Cost: 1, LocalAlpha: 0.01})
 		if _, err := a.Send(ctx, id, env); err != nil {
 			t.Fatalf("Send to node %d registered after the sender: %v", id, err)
 		}
@@ -375,7 +382,7 @@ func TestMemNetReachesLateNodes(t *testing.T) {
 			t.Fatalf("node %d received %+v, %v", id, got, err)
 		}
 	}
-	if _, err := net.Node(100).Send(ctx, 0, shareEnvelope(0, core.PeerShare{Round: 1, From: 100, Cost: 1, LocalAlpha: 0.01})); err != nil {
+	if _, err := net.Node(100).Send(ctx, 0, wire.NewEnvelope(100, 0, core.PeerShare{Round: 1, From: 100, Cost: 1, LocalAlpha: 0.01})); err != nil {
 		t.Fatalf("a second endpoint of node 100 cannot send: %v", err)
 	}
 	if _, _, err := a.Recv(ctx); err != nil {
@@ -408,7 +415,7 @@ func TestMemNetConcurrentUse(t *testing.T) {
 				if k%20 == 0 {
 					net.Node(64 + workers*k + i)
 				}
-				env := shareEnvelope(next, core.PeerShare{Round: k, From: i, Cost: 1, LocalAlpha: 0.01})
+				env := wire.NewEnvelope(i, next, core.PeerShare{Round: k, From: i, Cost: 1, LocalAlpha: 0.01})
 				if _, err := self.Send(ctx, next, env); err != nil {
 					t.Errorf("node %d send %d: %v", i, k, err)
 					return
@@ -420,15 +427,15 @@ func TestMemNetConcurrentUse(t *testing.T) {
 					t.Errorf("node %d recv %d: %v", i, k, err)
 					return
 				}
-				if s, err := wire.Payload[core.PeerShare](env); err != nil || s.From != prev || s.Round != k {
-					t.Errorf("node %d recv %d: %+v, %v; want round %d from %d", i, k, s, err, k, prev)
+				if s, ok := env.Msg.(core.PeerShare); !ok || s.From != prev || s.Round != k {
+					t.Errorf("node %d recv %d: %+v; want round %d from %d", i, k, env.Msg, k, prev)
 					return
 				}
 			}
 			if err := self.Close(); err != nil {
 				t.Error(err)
 			}
-			if _, err := self.Send(ctx, next, shareEnvelope(next, core.PeerShare{Round: 1, From: i})); !errors.Is(err, ErrClosed) {
+			if _, err := self.Send(ctx, next, wire.NewEnvelope(i, next, core.PeerShare{Round: 1, From: i})); !errors.Is(err, ErrClosed) {
 				t.Errorf("node %d send after close: %v, want ErrClosed", i, err)
 			}
 			if _, _, err := self.Recv(ctx); !errors.Is(err, ErrClosed) {
@@ -439,7 +446,7 @@ func TestMemNetConcurrentUse(t *testing.T) {
 	wg.Wait()
 	far := net.Node(64)
 	for i := 0; i < workers; i++ {
-		if _, err := far.Send(ctx, i, shareEnvelope(i, core.PeerShare{Round: 1, From: 64})); !errors.Is(err, ErrUnknownNode) {
+		if _, err := far.Send(ctx, i, wire.NewEnvelope(64, i, core.PeerShare{Round: 1, From: 64})); !errors.Is(err, ErrUnknownNode) {
 			t.Errorf("send to closed node %d: %v, want ErrUnknownNode", i, err)
 		}
 	}

@@ -65,10 +65,12 @@ var ErrTooFewWorkers = errors.New("cluster: too few live workers")
 // With a positive mc.RoundTimeout it also handles fail-stop crashes: a
 // worker that misses a collection deadline, or whose link fails a send,
 // is evicted, and the straggler pick, the remainder and the rule-(7) cap
-// continue over the survivors. The caller owns the transport (it is not
-// closed). Cancel the context to abort a wedged deployment; the error
-// wraps the context error. Like every driver, the master sends and
-// receives on a child of ctx that no other node shares.
+// continue over the survivors. A send that fails because the master's
+// own transport is gone (closed, or crashed by Chaos) ends the run with
+// that error instead, evicting no one. The caller owns the transport
+// (it is not closed). Cancel the context to abort a wedged deployment;
+// the error wraps the context error. Like every driver, the master sends
+// and receives on a child of ctx that no other node shares.
 func RunMaster(ctx context.Context, tr Transport, x0 []float64, rounds int, mc MasterConfig, opts ...core.Option) (MasterResult, error) {
 	if rounds <= 0 {
 		return MasterResult{}, errors.New("cluster: rounds must be positive")
@@ -112,11 +114,12 @@ func RunMaster(ctx context.Context, tr Transport, x0 []float64, rounds int, mc M
 		return m.Evict(id)
 	}
 	// send transmits one message; under fail-stop handling a failed send
-	// to a live worker is itself a crash signal.
+	// to a live worker is itself a crash signal, unless the master's own
+	// context or transport is gone.
 	send := func(to int, env Envelope) ([]core.MasterOutput, error) {
 		if _, err := meter.Send(ctx, to, env); err != nil {
-			if mc.RoundTimeout == 0 || ctx.Err() != nil {
-				return nil, fmt.Errorf("cluster: master %s to %d: %w", env.Kind, to, err)
+			if mc.RoundTimeout == 0 || nodeGone(ctx, err) {
+				return nil, fmt.Errorf("cluster: master %s to %d: %w", env.Kind(), to, err)
 			}
 			return evict(to)
 		}
@@ -138,14 +141,14 @@ func RunMaster(ctx context.Context, tr Transport, x0 []float64, rounds int, mc M
 					if !m.Alive(i) {
 						continue
 					}
-					unlocked, err := send(i, coordinateEnvelope(self, i, *o.Coordinate))
+					unlocked, err := send(i, wire.NewEnvelope(self, i, *o.Coordinate))
 					if err != nil {
 						return err
 					}
 					more = append(more, unlocked...)
 				}
 			case o.Assign != nil && m.Alive(o.Assign.To):
-				unlocked, err := send(o.Assign.To, assignEnvelope(self, *o.Assign))
+				unlocked, err := send(o.Assign.To, wire.NewEnvelope(self, o.Assign.To, *o.Assign))
 				if err != nil {
 					return err
 				}
@@ -193,16 +196,12 @@ func RunMaster(ctx context.Context, tr Transport, x0 []float64, rounds int, mc M
 			}
 		case err != nil:
 			return finish(fmt.Errorf("cluster: master recv (round %d): %w", m.Round(), err))
-		case env.Kind == KindCost:
-			var r core.CostReport
-			if r, handled = wire.Payload[core.CostReport](env); handled == nil {
-				outs, handled = m.HandleCost(r)
-			}
-		case env.Kind == KindDecision:
-			var r core.DecisionReport
-			if r, handled = wire.Payload[core.DecisionReport](env); handled == nil {
-				outs, handled = m.HandleDecision(r)
-			}
+		}
+		switch msg := env.Msg.(type) { // env is empty after an expiry
+		case core.CostReport:
+			outs, handled = m.HandleCost(msg)
+		case core.DecisionReport:
+			outs, handled = m.HandleDecision(msg)
 		}
 		// A frame of another kind, or a report the state machine refused
 		// on arrival, is dropped and does not count as progress.
@@ -265,7 +264,7 @@ func RunWorker(ctx context.Context, tr Transport, id, n int, x0 float64, rounds 
 		if err != nil {
 			return WorkerResult{}, err
 		}
-		if _, err := meter.Send(ctx, master, costEnvelope(master, rep)); err != nil {
+		if _, err := meter.Send(ctx, master, wire.NewEnvelope(rep.From, master, rep)); err != nil {
 			return WorkerResult{}, fmt.Errorf("cluster: worker %d cost report: %w", id, err)
 		}
 		res.Played = append(res.Played, x)
@@ -278,33 +277,25 @@ func RunWorker(ctx context.Context, tr Transport, id, n int, x0 float64, rounds 
 			if err != nil {
 				return WorkerResult{}, fmt.Errorf("cluster: worker %d recv round %d: %w", id, r, err)
 			}
-			switch env.Kind {
-			case KindCoordinate:
-				c, err := wire.Payload[core.Coordinate](env)
-				if err != nil {
-					return WorkerResult{}, err
-				}
-				dec, err := w.HandleCoordinate(c)
+			switch msg := env.Msg.(type) {
+			case core.Coordinate:
+				dec, err := w.HandleCoordinate(msg)
 				if err != nil {
 					return WorkerResult{}, fmt.Errorf("cluster: worker %d: %w", id, err)
 				}
 				if dec != nil {
-					if _, err := meter.Send(ctx, master, decisionEnvelope(master, *dec)); err != nil {
+					if _, err := meter.Send(ctx, master, wire.NewEnvelope(dec.From, master, *dec)); err != nil {
 						return WorkerResult{}, fmt.Errorf("cluster: worker %d decision: %w", id, err)
 					}
 					roundDone = true
 				}
-			case KindAssign:
-				a, err := wire.Payload[core.StragglerAssign](env)
-				if err != nil {
-					return WorkerResult{}, err
-				}
-				if err := w.HandleAssign(a); err != nil {
+			case core.StragglerAssign:
+				if err := w.HandleAssign(msg); err != nil {
 					return WorkerResult{}, fmt.Errorf("cluster: worker %d: %w", id, err)
 				}
 				roundDone = true
 			default:
-				return WorkerResult{}, fmt.Errorf("cluster: worker %d received unexpected %s", id, env.Kind)
+				return WorkerResult{}, fmt.Errorf("cluster: worker %d received unexpected %s", id, env.Kind())
 			}
 		}
 	}

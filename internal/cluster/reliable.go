@@ -112,7 +112,7 @@ func (r *Reliable) Send(ctx context.Context, to int, env Envelope) (int, error) 
 	r.mu.Unlock()
 
 	// A send error here is fine: the retry loop re-sends until acked.
-	n, err := r.inner.Send(ctx, to, wrapFrame(r.id, to, frame))
+	n, err := r.inner.Send(ctx, to, wire.NewEnvelope(r.id, to, frame))
 	if err != nil && ctx.Err() != nil {
 		return n, err
 	}
@@ -179,7 +179,8 @@ func (r *Reliable) recvLoop() {
 			}
 			return
 		}
-		if env.Kind != wire.KindReliable {
+		frame, ok := env.Msg.(wire.ReliableFrame)
+		if !ok {
 			// Interop: pass through unwrapped traffic (a peer not using
 			// the reliability layer).
 			select {
@@ -188,10 +189,6 @@ func (r *Reliable) recvLoop() {
 				return
 			}
 			continue
-		}
-		frame, err := wire.Payload[wire.ReliableFrame](env)
-		if err != nil {
-			continue // corrupt frame; drop (sender will retransmit)
 		}
 		from := env.From
 		if frame.Ack {
@@ -207,7 +204,7 @@ func (r *Reliable) recvLoop() {
 		// buffer so a retransmitted early frame cannot be overtaken by a
 		// later one — preserving the FIFO property the protocol state
 		// machines rely on.
-		ack := wrapFrame(r.id, from, wire.ReliableFrame{Seq: frame.Seq, Ack: true})
+		ack := wire.NewEnvelope(r.id, from, wire.ReliableFrame{Seq: frame.Seq, Ack: true})
 		//nolint:errcheck // best-effort; sender retransmits on loss
 		r.inner.Send(ctx, from, ack)
 		if frame.Data == nil {
@@ -286,13 +283,7 @@ func (r *Reliable) retryLoop() {
 				r.retrans.Inc()
 			}
 			//nolint:errcheck // best-effort; retried on the next tick
-			r.inner.Send(ctx, p.to, wrapFrame(r.id, p.to, p.frame))
+			r.inner.Send(ctx, p.to, wire.NewEnvelope(r.id, p.to, p.frame))
 		}
 	}
-}
-
-// wrapFrame routes a reliability frame as an inner-transport envelope;
-// the inner transport's codec performs the only encoding.
-func wrapFrame(from, to int, frame wire.ReliableFrame) Envelope {
-	return Envelope{Kind: wire.KindReliable, From: from, To: to, Msg: frame}
 }

@@ -42,7 +42,7 @@ func TestReliableDeliversOverLossyLink(t *testing.T) {
 	const total = 50
 	go func() {
 		for i := 0; i < total; i++ {
-			env := NewEnvelope(KindCost, 0, 1, core.CostReport{Round: i + 1, From: 0, Cost: float64(i)})
+			env := wire.NewEnvelope(0, 1, core.CostReport{Round: i + 1, From: 0, Cost: float64(i)})
 			if _, err := transports[0].Send(ctx, 1, env); err != nil {
 				return
 			}
@@ -55,9 +55,9 @@ func TestReliableDeliversOverLossyLink(t *testing.T) {
 		if err != nil {
 			t.Fatalf("received %d of %d before failure: %v", len(seen), total, err)
 		}
-		r, err := wire.Payload[core.CostReport](env)
-		if err != nil {
-			t.Fatal(err)
+		r, ok := env.Msg.(core.CostReport)
+		if !ok {
+			t.Fatalf("payload %T, want a cost report", env.Msg)
 		}
 		if seen[r.Round] {
 			t.Fatalf("duplicate delivery of round %d", r.Round)
@@ -73,7 +73,7 @@ func TestReliablePreservesPerPairContent(t *testing.T) {
 	defer cancel()
 
 	want := core.Coordinate{Round: 7, GlobalCost: 1.25, Alpha: 0.001, Straggler: 3}
-	env := NewEnvelope(KindCoordinate, 0, 1, want)
+	env := wire.NewEnvelope(0, 1, want)
 	if _, err := transports[0].Send(ctx, 1, env); err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +81,8 @@ func TestReliablePreservesPerPairContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := wire.Payload[core.Coordinate](got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c != want {
-		t.Errorf("round trip = %+v, want %+v", c, want)
+	if c, ok := got.Msg.(core.Coordinate); !ok || c != want {
+		t.Errorf("round trip = %+v, want %+v", got.Msg, want)
 	}
 }
 
@@ -99,7 +95,7 @@ func TestReliableClose(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Errorf("second close should be a no-op, got %v", err)
 	}
-	env := NewEnvelope(KindCost, 0, 1, core.CostReport{})
+	env := wire.NewEnvelope(0, 1, core.CostReport{})
 	if _, err := r.Send(context.Background(), 1, env); !errors.Is(err, ErrClosed) {
 		t.Errorf("send after close = %v, want ErrClosed", err)
 	}
@@ -223,7 +219,7 @@ func TestReliableRandomLossProperty(t *testing.T) {
 			const total = 20
 			go func() {
 				for i := 0; i < total; i++ {
-					env := NewEnvelope(KindCost, 0, 1, core.CostReport{Round: i + 1, From: 0})
+					env := wire.NewEnvelope(0, 1, core.CostReport{Round: i + 1, From: 0})
 					if _, err := a.Send(ctx, 1, env); err != nil {
 						return
 					}
@@ -234,12 +230,8 @@ func TestReliableRandomLossProperty(t *testing.T) {
 				if err != nil {
 					t.Fatalf("drop=%v seed=%d: delivery %d failed: %v", drop, seed, i, err)
 				}
-				r, err := wire.Payload[core.CostReport](env)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if r.Round != i+1 {
-					t.Fatalf("drop=%v seed=%d: got round %d at position %d (order violated)", drop, seed, r.Round, i)
+				if r, ok := env.Msg.(core.CostReport); !ok || r.Round != i+1 {
+					t.Fatalf("drop=%v seed=%d: got %+v at position %d (order violated)", drop, seed, env.Msg, i)
 				}
 			}
 			cancel()

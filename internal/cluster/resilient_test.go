@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"dolbie/internal/core"
+	"dolbie/internal/metrics"
 	"dolbie/internal/simplex"
+	"dolbie/internal/wire"
 )
 
 // runResilientDeployment wires a fail-stop master (alpha_1 pinned at
@@ -149,7 +151,7 @@ func (r *replayTransport) Recv(ctx context.Context) (Envelope, int, error) {
 		return env, 0, nil
 	}
 	env, size, err := r.Transport.Recv(ctx)
-	if err == nil && env.Kind == KindCost && !r.duplicated {
+	if _, cost := env.Msg.(core.CostReport); err == nil && cost && !r.duplicated {
 		r.duplicated = true
 		r.queue = append(r.queue, env)
 	}
@@ -180,8 +182,8 @@ func TestMasterDropsRejectedFrames(t *testing.T) {
 	want := run(func(tr Transport) Transport { return tr })
 	got := run(func(tr Transport) Transport {
 		return &replayTransport{Transport: tr, queue: []Envelope{
-			decisionEnvelope(n, core.DecisionReport{Round: 3, From: 1, Next: 0.5}),
-			shareEnvelope(n, core.PeerShare{Round: 1, From: 1, Cost: 1, LocalAlpha: 0.5}),
+			wire.NewEnvelope(1, n, core.DecisionReport{Round: 3, From: 1, Next: 0.5}),
+			wire.NewEnvelope(1, n, core.PeerShare{Round: 1, From: 1, Cost: 1, LocalAlpha: 0.5}),
 		}}
 	})
 	for i := range want {
@@ -205,6 +207,46 @@ func TestResilientMasterAbortsWithNoWorkers(t *testing.T) {
 	}
 	if len(res.Crashed) != n || len(res.Survivors) != 0 {
 		t.Errorf("crashed %v, survivors %v: want all %d workers crashed", res.Crashed, res.Survivors, n)
+	}
+}
+
+// TestResilientMasterStopsWhenItsOwnTransportCrashes crashes the
+// master's own chaos transport at round 3 under a deadline. A send that
+// fails because the master itself is gone ends the run with that error:
+// no worker is declared crashed, all four survive, and the crash counter
+// stays at zero.
+func TestResilientMasterStopsWhenItsOwnTransportCrashes(t *testing.T) {
+	const n, rounds = 4, 10
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	net := NewMemNet()
+	chaos := NewChaos(ChaosConfig{Crashes: []ChaosCrash{{Node: MasterID(n), Round: 3}}})
+	transports := make([]Transport, n+1)
+	for i := range transports {
+		transports[i] = chaos.Wrap(i, net.Node(i))
+	}
+	x0 := simplex.Uniform(n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, _ = RunWorker(ctx, transports[i], i, n, x0[i], rounds, instSource(i)) //nolint:errcheck // canceled below
+		}(i)
+	}
+	reg := metrics.NewRegistry()
+	mc := MasterConfig{RoundTimeout: 200 * time.Millisecond}
+	res, err := RunMaster(ctx, transports[n], x0, rounds, mc, core.WithInitialAlpha(0.05), core.WithMetrics(reg))
+	cancel()
+	wg.Wait()
+	if !errors.Is(err, ErrChaosCrashed) {
+		t.Errorf("err = %v, want ErrChaosCrashed", err)
+	}
+	if len(res.Crashed) != 0 || fmt.Sprint(res.Survivors) != "[0 1 2 3]" {
+		t.Errorf("crashed %v, survivors %v: want no worker crashed and all four surviving", res.Crashed, res.Survivors)
+	}
+	if got := reg.Counter(MetricWorkersCrashed, "").Value(); got != 0 {
+		t.Errorf("%s = %v, want 0", MetricWorkersCrashed, got)
 	}
 }
 

@@ -39,6 +39,14 @@ var ErrClosed = errors.New("cluster: transport closed")
 // ErrUnknownNode is returned when sending to an unregistered node.
 var ErrUnknownNode = errors.New("cluster: unknown node")
 
+// nodeGone reports whether err, from a send or receive, means that the
+// caller's context or this node's own transport is gone, which ends a
+// driver's run, rather than that the other end failed, which under a
+// deadline evicts it.
+func nodeGone(ctx context.Context, err error) bool {
+	return ctx.Err() != nil || errors.Is(err, ErrChaosCrashed) || errors.Is(err, ErrClosed)
+}
+
 // TrafficStats counts a node's protocol traffic. All counters are totals
 // since construction. It remains the per-run snapshot embedded in the
 // deployment results; live scraping goes through the registry-backed

@@ -69,7 +69,7 @@ func TestTCPRejectsOversizedFrameDeclaration(t *testing.T) {
 	}
 	defer peer.Close() //nolint:errcheck // test teardown
 	peer.SetRegistry(map[int]string{0: node.Addr()})
-	env := NewEnvelope(KindCost, 1, 0, core.CostReport{Round: 1, From: 1, Cost: 2.5})
+	env := wire.NewEnvelope(1, 0, core.CostReport{Round: 1, From: 1, Cost: 2.5})
 	if _, err := peer.Send(context.Background(), 0, env); err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +79,8 @@ func TestTCPRejectsOversizedFrameDeclaration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Kind != KindCost {
-		t.Fatalf("got %v frame after recovery, want cost", got.Kind)
+	if _, cost := got.Msg.(core.CostReport); !cost {
+		t.Fatalf("got %v frame after recovery, want cost", got.Kind())
 	}
 }
 
@@ -150,7 +150,7 @@ func TestTCPCodecMismatchDescriptiveError(t *testing.T) {
 			defer sendNode.Close() //nolint:errcheck // test teardown
 			sendNode.SetRegistry(map[int]string{0: recvNode.Addr()})
 
-			env := NewEnvelope(KindCost, 1, 0, core.CostReport{Round: 1, From: 1, Cost: 2.5})
+			env := wire.NewEnvelope(1, 0, core.CostReport{Round: 1, From: 1, Cost: 2.5})
 			if _, err := sendNode.Send(context.Background(), 0, env); err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +172,7 @@ func TestTCPCodecMismatchDescriptiveError(t *testing.T) {
 // the real framing: bytes reported for a send must equal the wire-layer
 // frame size under the hub's codec.
 func TestMemNetFrameSizesMatchCodec(t *testing.T) {
-	env := NewEnvelope(KindShare, 0, 1, core.PeerShare{Round: 3, From: 0, Cost: 1.5, LocalAlpha: 0.2})
+	env := wire.NewEnvelope(0, 1, core.PeerShare{Round: 3, From: 0, Cost: 1.5, LocalAlpha: 0.2})
 	for _, codec := range []wire.Codec{wire.JSON, wire.Binary} {
 		hub := NewMemNet(WithCodec(codec))
 		a, b := hub.Node(0), hub.Node(1)

@@ -62,10 +62,12 @@ func (l *Live) AdminHandler() http.Handler {
 		l.writeStatus(w)
 	})
 	mux.HandleFunc("/admin/drain", l.adminPost(func(req *http.Request) error {
-		l.BeginDrain()
-		if ms, err := formInt(req, "wait-ms", 0); err != nil {
+		ms, err := formInt(req, "wait-ms", 0)
+		if err != nil {
 			return err
-		} else if ms > 0 {
+		}
+		l.BeginDrain()
+		if ms > 0 {
 			l.WaitIdle(time.Duration(ms) * time.Millisecond)
 		}
 		return nil

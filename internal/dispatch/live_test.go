@@ -362,6 +362,9 @@ func TestAdminHotReloadRoundTrip(t *testing.T) {
 	if code, _ = adminDo(t, client, http.MethodPost, srv.URL+"/admin/cap?cap=0"); code != http.StatusBadRequest {
 		t.Fatalf("zero cap: status %d, want 400", code)
 	}
+	if code, _ = adminDo(t, client, http.MethodPost, srv.URL+"/admin/drain?wait-ms=soon"); code != http.StatusBadRequest || l.Dispatcher().Draining() {
+		t.Fatalf("bad wait-ms: status %d, draining %v; want 400 and no drain", code, l.Dispatcher().Draining())
+	}
 	if code, _ = adminDo(t, client, http.MethodGet, srv.URL+"/admin/drain"); code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET drain: status %d, want 405", code)
 	}

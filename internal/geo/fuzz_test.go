@@ -15,6 +15,7 @@ func FuzzGeoConfig(f *testing.F) {
 	f.Add(uint8(3), uint8(1), 0.0, 0.18, 0.12, 0.0, 0.0, 0.0, uint8(2), int16(3), int16(2), int64(7))
 	f.Add(uint8(1), uint8(0), math.NaN(), -1.0, math.Inf(1), 1.5, -0.5, math.NaN(), uint8(9), int16(-1), int16(-2), int64(0))
 	f.Add(uint8(0), uint8(4), 0.05, 0.05, 0.05, 0.99, 1.0, 1.0, uint8(1), int16(0), int16(0), int64(-3))
+	f.Add(uint8(2), uint8(2), 0.001, 0.08, 0.09, math.NaN(), 0.1, 10.0, uint8(0), int16(0), int16(5), int64(1))
 	f.Fuzz(func(t *testing.T, regions, workers uint8, intra, rttAB, rttBA, phi, sigma, outageRTT float64, outRegion uint8, outFrom, outTo int16, seed int64) {
 		nr := int(regions % 6)
 		rc := make([]RegionConfig, nr)

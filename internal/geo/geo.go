@@ -138,7 +138,7 @@ func (c Config) Validate() error {
 			}
 		}
 	}
-	if c.Phi < 0 || c.Phi >= 1 {
+	if math.IsNaN(c.Phi) || c.Phi < 0 || c.Phi >= 1 {
 		return fmt.Errorf("geo: Phi = %v out of [0, 1)", c.Phi)
 	}
 	if math.IsNaN(c.Sigma) || c.Sigma < 0 || c.Sigma > 1 {

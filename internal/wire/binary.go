@@ -85,23 +85,21 @@ func (binaryCodec) frameSize(env Envelope) (int, error) {
 }
 
 func binaryBodySize(env Envelope) (int, error) {
-	switch env.Kind {
-	case KindReliable:
-		frame := env.Msg.(ReliableFrame)
+	switch m := env.Msg.(type) {
+	case ReliableFrame:
 		n := binHeader + 9 // seq + flags
-		if frame.Data != nil {
-			inner, err := binaryBodySize(*frame.Data)
+		if m.Data != nil {
+			inner, err := binaryBodySize(*m.Data)
 			if err != nil {
 				return 0, err
 			}
 			n += inner - 1 // nested body omits the version byte
 		}
 		return n, nil
-	case KindRosterUpdate:
-		m := env.Msg.(core.RosterUpdate)
+	case core.RosterUpdate:
 		return binHeader + binRosterFixed + 4*len(m.Members), nil
 	default:
-		return binHeader + binPayloadSize[env.Kind], nil
+		return binHeader + binPayloadSize[env.Kind()], nil
 	}
 }
 
@@ -126,7 +124,7 @@ func appendBinaryEnvelope(dst []byte, env Envelope) ([]byte, error) {
 	if err != nil {
 		return dst, err
 	}
-	dst = append(dst, byte(env.Kind))
+	dst = append(dst, byte(env.Kind()))
 	dst = binary.BigEndian.AppendUint32(dst, from)
 	dst = binary.BigEndian.AppendUint32(dst, to)
 
@@ -264,7 +262,7 @@ func (binaryCodec) DecodeBody(body []byte) (Envelope, error) {
 		return Envelope{}, err
 	}
 	if len(rest) != 0 {
-		return Envelope{}, fmt.Errorf("%d trailing bytes after %s payload", len(rest), env.Kind)
+		return Envelope{}, fmt.Errorf("%d trailing bytes after %s payload", len(rest), env.Kind())
 	}
 	return env, nil
 }
@@ -276,30 +274,30 @@ func decodeBinaryEnvelope(b []byte, nested bool) (Envelope, []byte, error) {
 	if len(b) < binHeader-1 {
 		return Envelope{}, nil, fmt.Errorf("truncated envelope header (%d bytes)", len(b))
 	}
+	kind := Kind(b[0])
 	env := Envelope{
-		Kind: Kind(b[0]),
 		From: int(binary.BigEndian.Uint32(b[1:5])),
 		To:   int(binary.BigEndian.Uint32(b[5:9])),
 	}
 	b = b[9:]
-	if env.Kind == KindInvalid || env.Kind >= kindCount {
-		return Envelope{}, nil, fmt.Errorf("unknown message kind %d", byte(env.Kind))
+	if kind == KindInvalid || kind >= kindCount {
+		return Envelope{}, nil, fmt.Errorf("unknown message kind %d", byte(kind))
 	}
-	if env.Kind == KindReliable {
+	if kind == KindReliable {
 		if nested {
 			return Envelope{}, nil, fmt.Errorf("reliable frame nested inside a reliable frame")
 		}
 		return decodeReliablePayload(env, b)
 	}
-	if env.Kind == KindRosterUpdate {
+	if kind == KindRosterUpdate {
 		return decodeRosterPayload(env, b)
 	}
-	want := binPayloadSize[env.Kind]
+	want := binPayloadSize[kind]
 	if len(b) < want {
-		return Envelope{}, nil, fmt.Errorf("truncated %s payload (%d bytes, want %d)", env.Kind, len(b), want)
+		return Envelope{}, nil, fmt.Errorf("truncated %s payload (%d bytes, want %d)", kind, len(b), want)
 	}
 	round := int(binary.BigEndian.Uint32(b[0:4]))
-	switch env.Kind {
+	switch kind {
 	case KindCost:
 		env.Msg = core.CostReport{Round: round, From: env.From, Cost: getFloat(b[4:12])}
 	case KindCoordinate:

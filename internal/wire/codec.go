@@ -22,8 +22,8 @@ type Codec interface {
 	// Name is the codec's registry name ("json", "binary").
 	Name() string
 	// AppendBody appends env's encoded frame body to dst and returns the
-	// extended slice. Inconsistent envelopes (payload type not matching
-	// the kind, routing mismatch) are an error.
+	// extended slice. Inconsistent envelopes (a payload no kind
+	// carries, routing the payload contradicts) are an error.
 	AppendBody(dst []byte, env Envelope) ([]byte, error)
 	// DecodeBody parses one complete frame body. It must not retain
 	// body, which is returned to a shared pool by the caller, and must

@@ -77,11 +77,26 @@ func FuzzDecodeFrameBinary(f *testing.F) {
 
 // FuzzDecodeFrameJSON is FuzzDecodeFrameBinary for the JSON framing,
 // seeded also with a frame whose payload names another sender than its
-// envelope.
+// envelope, and with a MaxFrame body that grows past the limit when the
+// fields it omits are written back.
 func FuzzDecodeFrameJSON(f *testing.F) {
 	fuzzCorpus(f, JSON)
-	f.Add(append(binary.BigEndian.AppendUint32(nil, uint32(len(misroutedJSONFrame))), misroutedJSONFrame...))
+	for _, body := range [][]byte{[]byte(misroutedJSONFrame), growsOnReencodeJSON()} {
+		f.Add(append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzReadFrame(t, JSON, data)
 	})
+}
+
+// growsOnReencodeJSON is a JSON body of exactly MaxFrame bytes: a roster
+// update that states only its kind and a long member list, so writing
+// back the routing and zero fields it omits takes more than MaxFrame.
+func growsOnReencodeJSON() []byte {
+	const head, tail = `{"kind":"roster-update","payload":{"members":[1`, `]}}`
+	body := []byte(head)
+	for len(body)+len(tail) < MaxFrame {
+		body = append(body, ",1"...)
+	}
+	return append(body, tail...)
 }

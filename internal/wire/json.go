@@ -33,14 +33,17 @@ func (jsonCodec) AppendBody(dst []byte, env Envelope) ([]byte, error) {
 	}
 	raw, err := json.Marshal(env)
 	if err != nil {
-		return dst, fmt.Errorf("marshal %s envelope: %w", env.Kind, err)
+		return dst, fmt.Errorf("marshal %s envelope: %w", env.Kind(), err)
 	}
 	return append(dst, raw...), nil
 }
 
-// DecodeBody implements Codec. A decoded envelope must pass the check
-// AppendBody applies, so the codec decodes only envelopes it can encode.
-func (jsonCodec) DecodeBody(body []byte) (Envelope, error) {
+// DecodeBody implements Codec. The codec decodes only envelopes it can
+// encode: a decoded envelope must pass the check AppendBody applies, and
+// its re-encoded body must fit MaxFrame. The second test can fail where
+// the first passes, because a body that omits fields grows when they are
+// written back.
+func (c jsonCodec) DecodeBody(body []byte) (Envelope, error) {
 	if len(body) == 0 {
 		return Envelope{}, fmt.Errorf("empty frame body")
 	}
@@ -54,8 +57,12 @@ func (jsonCodec) DecodeBody(body []byte) (Envelope, error) {
 	if err := env.UnmarshalJSON(body); err != nil {
 		return Envelope{}, fmt.Errorf("unmarshal envelope: %w", err)
 	}
-	if err := env.check(); err != nil {
+	n, err := FrameSize(c, env)
+	if err != nil {
 		return Envelope{}, err
+	}
+	if n-lenPrefix > MaxFrame {
+		return Envelope{}, fmt.Errorf("%s envelope re-encodes to %d bytes, over limit %d", env.Kind(), n-lenPrefix, MaxFrame)
 	}
 	return env, nil
 }
@@ -112,12 +119,12 @@ func (e Envelope) MarshalJSON() ([]byte, error) {
 		From    int  `json:"from"`
 		To      int  `json:"to"`
 		Payload any  `json:"payload"`
-	}{e.Kind, e.From, e.To, e.Msg})
+	}{e.Kind(), e.From, e.To, e.Msg})
 }
 
 // UnmarshalJSON is the inverse of MarshalJSON: it restores the typed
-// payload for the envelope's kind, so nested envelopes round-trip
-// through encoding/json without losing their types.
+// payload the frame's kind names, so nested envelopes round-trip through
+// encoding/json without losing their types.
 func (e *Envelope) UnmarshalJSON(data []byte) error {
 	var je jsonEnvelope
 	if err := json.Unmarshal(data, &je); err != nil {
@@ -127,6 +134,6 @@ func (e *Envelope) UnmarshalJSON(data []byte) error {
 	if err != nil {
 		return err
 	}
-	*e = Envelope{Kind: je.Kind, From: je.From, To: je.To, Msg: msg}
+	*e = Envelope{From: je.From, To: je.To, Msg: msg}
 	return nil
 }

@@ -30,9 +30,9 @@ import (
 	"dolbie/internal/core"
 )
 
-// Kind identifies the payload type of an Envelope. It is one byte on
-// the binary wire and a short string ("cost", "share", ...) in the JSON
-// framing.
+// Kind names the payload type of an Envelope (see Envelope.Kind). It
+// is one byte on the binary wire and a short string ("cost", "share",
+// ...) in the JSON framing.
 type Kind uint8
 
 // The protocol message kinds: the six DOLBIE messages of Algorithms 1
@@ -119,22 +119,24 @@ func (k *Kind) UnmarshalText(text []byte) error {
 	return fmt.Errorf("wire: unknown message kind %q", text)
 }
 
-// Envelope is the in-memory wire unit: a typed, routed protocol
-// message. Msg holds the payload struct for Kind (see NewEnvelope);
-// codecs encode it without any intermediate representation, so an
-// envelope is never marshaled until a transport actually frames it.
+// Envelope is the in-memory wire unit: a routed protocol message. Its
+// payload's type is its kind (see Kind); codecs encode it without any
+// intermediate representation, so an envelope is never marshaled until
+// a transport actually frames it.
 type Envelope struct {
-	// Kind tags the payload type held in Msg.
-	Kind Kind
 	// From is the sending node id.
 	From int
 	// To is the destination node id.
 	To int
-	// Msg is the typed payload: core.CostReport for KindCost,
-	// core.Coordinate for KindCoordinate, and so on; ReliableFrame for
-	// KindReliable.
+	// Msg is the typed payload: a core.CostReport, core.Coordinate, and
+	// so on, or a ReliableFrame.
 	Msg any
 }
+
+// Kind returns the kind of e's payload: KindCost for a core.CostReport,
+// KindReliable for a ReliableFrame, and so on; KindInvalid for a payload
+// no kind carries.
+func (e Envelope) Kind() Kind { return route(e).kind }
 
 // ReliableFrame is the reliability layer's framing around a protocol
 // envelope: a per-destination sequence number, an ack flag, and — for
@@ -150,23 +152,11 @@ type ReliableFrame struct {
 	Data *Envelope `json:"data,omitempty"`
 }
 
-// NewEnvelope routes a typed payload. Unlike the old JSON-envelope
-// constructor it performs no marshaling, so building an envelope is
-// allocation-free; payload/kind consistency is enforced when a codec
-// encodes the frame.
-func NewEnvelope(kind Kind, from, to int, msg any) Envelope {
-	return Envelope{Kind: kind, From: from, To: to, Msg: msg}
-}
-
-// Payload returns env's payload as a T, the payload type of env's kind
-// (core.CostReport for KindCost, ReliableFrame for KindReliable, and so
-// on). Any other type is an error, never a partial copy.
-func Payload[T any](env Envelope) (T, error) {
-	m, ok := env.Msg.(T)
-	if !ok {
-		return m, fmt.Errorf("wire: %s envelope holds %T, not %T", env.Kind, env.Msg, m)
-	}
-	return m, nil
+// NewEnvelope routes a typed payload. It performs no marshaling; the
+// routing fields the payload repeats are checked against from and to
+// when a codec encodes the frame.
+func NewEnvelope(from, to int, msg any) Envelope {
+	return Envelope{From: from, To: to, Msg: msg}
 }
 
 // Round returns the protocol round env counts in for round-gated faults:
@@ -179,44 +169,49 @@ func Round(env Envelope) (int, bool) {
 	return b.round, b.hasRound
 }
 
-// binding is what a payload fixes about the envelope carrying it.
+// binding is what a payload fixes about the envelope carrying it. It
+// is kept to four fields and 32 bytes, so the compiler passes it in
+// registers: Kind runs route for every metered message.
 type binding struct {
 	kind     Kind // KindInvalid: no kind carries the payload
-	round    int  // 0 unless hasRound
 	hasRound bool
-	from, to int // the routing the payload names; the envelope's own where it repeats none
+	round    int     // 0 unless hasRound
+	routing  routing // the routing the payload names; the envelope's own where it repeats none
 }
 
+// routing is an envelope's From and To.
+type routing struct{ from, to int }
+
 // route is the one binding of each payload type to its kind, its round
-// and the routing fields it repeats from its envelope. Envelope checks,
-// Round and the fault layers all derive from it; the codecs' layout
-// switches only say how a payload is laid out.
+// and the routing fields it repeats from its envelope. Envelope.Kind,
+// the envelope check, Round and the fault layers all derive from it; the
+// codecs' layout switches only say how a payload is laid out.
 func route(env Envelope) binding {
-	b := binding{from: env.From, to: env.To, hasRound: true}
+	b := binding{hasRound: true, routing: routing{env.From, env.To}}
 	switch m := env.Msg.(type) {
 	case core.CostReport:
-		b.kind, b.round, b.from = KindCost, m.Round, m.From
+		b.kind, b.round, b.routing.from = KindCost, m.Round, m.From
 	case core.Coordinate:
 		b.kind, b.round = KindCoordinate, m.Round
 	case core.DecisionReport:
-		b.kind, b.round, b.from = KindDecision, m.Round, m.From
+		b.kind, b.round, b.routing.from = KindDecision, m.Round, m.From
 	case core.StragglerAssign:
-		b.kind, b.round, b.to = KindAssign, m.Round, m.To
+		b.kind, b.round, b.routing.to = KindAssign, m.Round, m.To
 	case core.PeerShare:
-		b.kind, b.round, b.from = KindShare, m.Round, m.From
+		b.kind, b.round, b.routing.from = KindShare, m.Round, m.From
 	case core.PeerDecision:
-		b.kind, b.round, b.from, b.to = KindPeerDecision, m.Round, m.From, m.To
+		b.kind, b.round, b.routing.from, b.routing.to = KindPeerDecision, m.Round, m.From, m.To
 	case core.PeerEvict:
-		b.kind, b.round, b.from = KindEvict, m.Round, m.From
+		b.kind, b.round, b.routing.from = KindEvict, m.Round, m.From
 	case core.JoinRequest:
-		b.kind, b.round, b.from = KindJoin, m.Round, m.From
+		b.kind, b.round, b.routing.from = KindJoin, m.Round, m.From
 	case core.RosterUpdate:
-		b.kind, b.from, b.hasRound = KindRosterUpdate, m.From, m.Round > 0
+		b.kind, b.routing.from, b.hasRound = KindRosterUpdate, m.From, m.Round > 0
 		if b.hasRound {
 			b.round = m.Round - core.AnnounceLead
 		}
 	case core.PeerAggregate:
-		b.kind, b.round, b.from = KindAggregate, m.Round, m.From
+		b.kind, b.round, b.routing.from = KindAggregate, m.Round, m.From
 	case ReliableFrame:
 		b.kind, b.hasRound = KindReliable, false
 		if m.Data != nil {
@@ -229,23 +224,23 @@ func route(env Envelope) binding {
 	return b
 }
 
-// check validates that Msg is the payload type Kind carries and that the
-// routing fields the payload repeats agree with the envelope's. Both
-// codecs run it on encode and the JSON codec on decode, so they accept
-// the same envelopes; the binary codec does not transmit the repeated
-// fields and rebuilds them from its header.
+// check validates that some kind carries Msg and that the routing
+// fields the payload repeats agree with the envelope's. Both codecs run
+// it on encode and the JSON codec on decode, so they accept the same
+// envelopes; the binary codec does not transmit the repeated fields and
+// rebuilds them from its header.
 func (e Envelope) check() error {
 	b := route(e)
 	switch {
-	case b.kind == KindInvalid, b.kind != e.Kind:
-		return fmt.Errorf("wire: %s envelope holds %T", e.Kind, e.Msg)
-	case b.from != e.From:
-		return fmt.Errorf("wire: %s payload From disagrees with envelope routing", e.Kind)
-	case b.to != e.To:
-		return fmt.Errorf("wire: %s payload To disagrees with envelope routing", e.Kind)
+	case b.kind == KindInvalid:
+		return fmt.Errorf("wire: no kind carries a %T payload", e.Msg)
+	case b.routing.from != e.From:
+		return fmt.Errorf("wire: %s payload From disagrees with envelope routing", b.kind)
+	case b.routing.to != e.To:
+		return fmt.Errorf("wire: %s payload To disagrees with envelope routing", b.kind)
 	}
 	if f, ok := e.Msg.(ReliableFrame); ok && f.Data != nil {
-		if f.Data.Kind == KindReliable {
+		if f.Data.Kind() == KindReliable {
 			return fmt.Errorf("wire: reliable frame cannot nest another reliable frame")
 		}
 		return f.Data.check()

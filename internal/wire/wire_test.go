@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -14,21 +15,21 @@ import (
 // allKindsEnvelopes returns one consistent envelope per encodable kind,
 // including a reliable ack and a reliable data frame wrapping a share.
 func allKindsEnvelopes() []Envelope {
-	share := NewEnvelope(KindShare, 3, 1, core.PeerShare{Round: 9, From: 3, Cost: 0.75, LocalAlpha: 0.01})
+	share := NewEnvelope(3, 1, core.PeerShare{Round: 9, From: 3, Cost: 0.75, LocalAlpha: 0.01})
 	return []Envelope{
-		NewEnvelope(KindCost, 2, 8, core.CostReport{Round: 7, From: 2, Cost: 1.5}),
-		NewEnvelope(KindCoordinate, 8, 2, core.Coordinate{Round: 7, GlobalCost: 3.25, Alpha: 0.125, Straggler: 4}),
-		NewEnvelope(KindDecision, 2, 8, core.DecisionReport{Round: 7, From: 2, Next: 0.2}),
-		NewEnvelope(KindAssign, 8, 4, core.StragglerAssign{Round: 7, To: 4, Next: 0.4}),
+		NewEnvelope(2, 8, core.CostReport{Round: 7, From: 2, Cost: 1.5}),
+		NewEnvelope(8, 2, core.Coordinate{Round: 7, GlobalCost: 3.25, Alpha: 0.125, Straggler: 4}),
+		NewEnvelope(2, 8, core.DecisionReport{Round: 7, From: 2, Next: 0.2}),
+		NewEnvelope(8, 4, core.StragglerAssign{Round: 7, To: 4, Next: 0.4}),
 		share,
-		NewEnvelope(KindPeerDecision, 2, 4, core.PeerDecision{Round: 7, From: 2, To: 4, Next: 0.3}),
-		NewEnvelope(KindEvict, 2, 4, core.PeerEvict{Round: 7, From: 2, Evicted: 5}),
-		NewEnvelope(KindJoin, 9, 0, core.JoinRequest{Round: 4, From: 9}),
-		NewEnvelope(KindRosterUpdate, 0, 2, core.RosterUpdate{Version: 5, Round: 12, From: 0, Join: 8, Weight: 0.015625, Alpha: 0.046875}),
-		NewEnvelope(KindRosterUpdate, 0, 8, core.RosterUpdate{Version: 5, Round: 12, From: 0, Join: 8, Weight: 0.015625, Alpha: 0.046875, Members: []int{0, 1, 2, 8}}),
-		NewEnvelope(KindAggregate, 3, 1, core.PeerAggregate{Round: 9, From: 3, Epoch: 4, Down: true, Count: 5, MaxCost: 2.5, Straggler: 2, MinAlpha: 0.125, MaxRenorm: 1.5}),
-		NewEnvelope(KindReliable, 3, 1, ReliableFrame{Seq: 42, Ack: true}),
-		NewEnvelope(KindReliable, 3, 1, ReliableFrame{Seq: 43, Data: &share}),
+		NewEnvelope(2, 4, core.PeerDecision{Round: 7, From: 2, To: 4, Next: 0.3}),
+		NewEnvelope(2, 4, core.PeerEvict{Round: 7, From: 2, Evicted: 5}),
+		NewEnvelope(9, 0, core.JoinRequest{Round: 4, From: 9}),
+		NewEnvelope(0, 2, core.RosterUpdate{Version: 5, Round: 12, From: 0, Join: 8, Weight: 0.015625, Alpha: 0.046875}),
+		NewEnvelope(0, 8, core.RosterUpdate{Version: 5, Round: 12, From: 0, Join: 8, Weight: 0.015625, Alpha: 0.046875, Members: []int{0, 1, 2, 8}}),
+		NewEnvelope(3, 1, core.PeerAggregate{Round: 9, From: 3, Epoch: 4, Down: true, Count: 5, MaxCost: 2.5, Straggler: 2, MinAlpha: 0.125, MaxRenorm: 1.5}),
+		NewEnvelope(3, 1, ReliableFrame{Seq: 42, Ack: true}),
+		NewEnvelope(3, 1, ReliableFrame{Seq: 43, Data: &share}),
 	}
 }
 
@@ -80,27 +81,27 @@ func TestRoundTripAllKinds(t *testing.T) {
 			var buf bytes.Buffer
 			wn, err := WriteFrame(&buf, codec, env)
 			if err != nil {
-				t.Fatalf("%s WriteFrame(%s): %v", codec.Name(), env.Kind, err)
+				t.Fatalf("%s WriteFrame(%s): %v", codec.Name(), env.Kind(), err)
 			}
 			if wn != buf.Len() {
-				t.Errorf("%s %s: WriteFrame reported %d bytes, wrote %d", codec.Name(), env.Kind, wn, buf.Len())
+				t.Errorf("%s %s: WriteFrame reported %d bytes, wrote %d", codec.Name(), env.Kind(), wn, buf.Len())
 			}
 			size, err := FrameSize(codec, env)
 			if err != nil {
-				t.Fatalf("%s FrameSize(%s): %v", codec.Name(), env.Kind, err)
+				t.Fatalf("%s FrameSize(%s): %v", codec.Name(), env.Kind(), err)
 			}
 			if size != wn {
-				t.Errorf("%s %s: FrameSize = %d, WriteFrame = %d", codec.Name(), env.Kind, size, wn)
+				t.Errorf("%s %s: FrameSize = %d, WriteFrame = %d", codec.Name(), env.Kind(), size, wn)
 			}
 			got, rn, err := ReadFrame(&buf, codec)
 			if err != nil {
-				t.Fatalf("%s ReadFrame(%s): %v", codec.Name(), env.Kind, err)
+				t.Fatalf("%s ReadFrame(%s): %v", codec.Name(), env.Kind(), err)
 			}
 			if rn != wn {
-				t.Errorf("%s %s: ReadFrame consumed %d bytes, frame is %d", codec.Name(), env.Kind, rn, wn)
+				t.Errorf("%s %s: ReadFrame consumed %d bytes, frame is %d", codec.Name(), env.Kind(), rn, wn)
 			}
 			if !reflect.DeepEqual(got, env) {
-				t.Errorf("%s %s round trip:\n got %+v\nwant %+v", codec.Name(), env.Kind, got, env)
+				t.Errorf("%s %s round trip:\n got %+v\nwant %+v", codec.Name(), env.Kind(), got, env)
 			}
 		}
 	}
@@ -119,7 +120,7 @@ func TestBinarySmallerThanJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 		if binN*2 >= jsonN {
-			t.Errorf("%s: binary frame %d B not < half of json %d B", env.Kind, binN, jsonN)
+			t.Errorf("%s: binary frame %d B not < half of json %d B", env.Kind(), binN, jsonN)
 		}
 	}
 }
@@ -128,7 +129,7 @@ func TestBinarySmallerThanJSON(t *testing.T) {
 // codec must reject the other's bodies with an error that names the
 // peer's codec instead of producing garbage scalars.
 func TestCodecMismatchErrors(t *testing.T) {
-	env := NewEnvelope(KindCost, 1, 2, core.CostReport{Round: 3, From: 1, Cost: 0.5})
+	env := NewEnvelope(1, 2, core.CostReport{Round: 3, From: 1, Cost: 0.5})
 	jsonBody, err := JSON.AppendBody(nil, env)
 	if err != nil {
 		t.Fatal(err)
@@ -178,21 +179,19 @@ func (r *headerOnlyReader) Read(p []byte) (int, error) {
 }
 
 func TestWriteFrameRejectsInconsistentEnvelopes(t *testing.T) {
-	share := NewEnvelope(KindShare, 3, 1, core.PeerShare{Round: 1, From: 3, Cost: 1, LocalAlpha: 0.1})
-	nestedReliable := NewEnvelope(KindReliable, 0, 1, ReliableFrame{Seq: 2})
+	share := NewEnvelope(3, 1, core.PeerShare{Round: 1, From: 3, Cost: 1, LocalAlpha: 0.1})
+	nestedReliable := NewEnvelope(0, 1, ReliableFrame{Seq: 2})
 	bad := []struct {
 		name string
 		env  Envelope
 	}{
-		{"wrong payload type", NewEnvelope(KindCost, 1, 2, core.PeerShare{From: 1})},
-		{"nil payload", NewEnvelope(KindCoordinate, 1, 2, nil)},
-		{"invalid kind", NewEnvelope(KindInvalid, 1, 2, core.CostReport{From: 1})},
-		{"unknown kind", NewEnvelope(Kind(99), 1, 2, core.CostReport{From: 1})},
-		{"From mismatch", NewEnvelope(KindCost, 1, 2, core.CostReport{Round: 1, From: 7})},
-		{"To mismatch", NewEnvelope(KindAssign, 1, 2, core.StragglerAssign{Round: 1, To: 7})},
-		{"peer-decision routing mismatch", NewEnvelope(KindPeerDecision, 1, 2, core.PeerDecision{Round: 1, From: 1, To: 9})},
-		{"nested reliable", NewEnvelope(KindReliable, 0, 1, ReliableFrame{Seq: 1, Data: &nestedReliable})},
-		{"nested inconsistent", NewEnvelope(KindReliable, 0, 1, ReliableFrame{Seq: 1, Data: &Envelope{Kind: KindShare, From: 9, To: 1, Msg: share.Msg}})},
+		{"nil payload", NewEnvelope(1, 2, nil)},
+		{"payload of no kind", NewEnvelope(1, 2, 1.5)},
+		{"From mismatch", NewEnvelope(1, 2, core.CostReport{Round: 1, From: 7})},
+		{"To mismatch", NewEnvelope(1, 2, core.StragglerAssign{Round: 1, To: 7})},
+		{"peer-decision routing mismatch", NewEnvelope(1, 2, core.PeerDecision{Round: 1, From: 1, To: 9})},
+		{"nested reliable", NewEnvelope(0, 1, ReliableFrame{Seq: 1, Data: &nestedReliable})},
+		{"nested inconsistent", NewEnvelope(0, 1, ReliableFrame{Seq: 1, Data: &Envelope{From: 9, To: 1, Msg: share.Msg}})},
 	}
 	for _, codec := range allCodecs() {
 		for _, tc := range bad {
@@ -208,10 +207,10 @@ func TestWriteFrameRejectsInconsistentEnvelopes(t *testing.T) {
 
 func TestBinaryRejectsOutOfRangeRouting(t *testing.T) {
 	bad := []Envelope{
-		NewEnvelope(KindCost, -1, 2, core.CostReport{Round: 1, From: -1, Cost: 1}),
-		NewEnvelope(KindCost, 1, -2, core.CostReport{Round: 1, From: 1, Cost: 1}),
-		NewEnvelope(KindCost, 1, 2, core.CostReport{Round: -1, From: 1, Cost: 1}),
-		NewEnvelope(KindCoordinate, 1, 2, core.Coordinate{Round: 1, Straggler: math.MaxUint32 + 1}),
+		NewEnvelope(-1, 2, core.CostReport{Round: 1, From: -1, Cost: 1}),
+		NewEnvelope(1, -2, core.CostReport{Round: 1, From: 1, Cost: 1}),
+		NewEnvelope(1, 2, core.CostReport{Round: -1, From: 1, Cost: 1}),
+		NewEnvelope(1, 2, core.Coordinate{Round: 1, Straggler: math.MaxUint32 + 1}),
 	}
 	for _, env := range bad {
 		if _, err := Binary.AppendBody(nil, env); err == nil {
@@ -231,11 +230,11 @@ func TestBinaryDecodeTruncations(t *testing.T) {
 		}
 		for cut := 0; cut < len(body); cut++ {
 			if _, err := Binary.DecodeBody(body[:cut]); err == nil {
-				t.Errorf("%s: decode of %d/%d-byte prefix succeeded", env.Kind, cut, len(body))
+				t.Errorf("%s: decode of %d/%d-byte prefix succeeded", env.Kind(), cut, len(body))
 			}
 		}
 		if _, err := Binary.DecodeBody(append(append([]byte{}, body...), 0xff)); err == nil {
-			t.Errorf("%s: decode with a trailing byte succeeded", env.Kind)
+			t.Errorf("%s: decode with a trailing byte succeeded", env.Kind())
 		}
 	}
 }
@@ -250,6 +249,49 @@ func TestJSONDecodeMalformed(t *testing.T) {
 	for _, body := range cases {
 		if _, err := JSON.DecodeBody(body); err == nil {
 			t.Errorf("JSON.DecodeBody(%q) succeeded", body)
+		}
+	}
+}
+
+// TestDecodersRejectUnknownKinds requires both decoders to refuse a
+// frame whose kind names no payload type: the invalid zero kind and
+// kinds past the last, as bytes on the binary wire (bare and inside a
+// reliable data frame) and as numbers in the JSON framing, and in JSON
+// also a missing or null kind, the name "invalid" and unknown names.
+func TestDecodersRejectUnknownKinds(t *testing.T) {
+	cost := NewEnvelope(2, 8, core.CostReport{Round: 7, From: 2, Cost: 1.5})
+	bare, err := Binary.AppendBody(nil, cost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrapped, err := Binary.AppendBody(nil, NewEnvelope(2, 8, ReliableFrame{Seq: 1, Data: &cost}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := []struct {
+		body []byte
+		at   int // offset of the kind byte
+	}{{bare, 1}, {wrapped, binHeader + 9}}
+	const payload = `"from":2,"to":8,"payload":{"round":7,"from":2,"cost":1.5}`
+	jsonKinds := []string{`{` + payload + `}`, `{"kind":null,` + payload + `}`}
+	for _, k := range []byte{byte(KindInvalid), byte(kindCount), 99, 255} {
+		for _, f := range frames {
+			body := append([]byte{}, f.body...)
+			body[f.at] = k
+			if env, err := Binary.DecodeBody(body); err == nil {
+				t.Errorf("binary: kind byte %d at offset %d decoded as %+v", k, f.at, env)
+			}
+		}
+		jsonKinds = append(jsonKinds, fmt.Sprintf(`{"kind":%d,%s}`, k, payload))
+	}
+	for _, name := range []string{"invalid", "bogus", Kind(kindCount).String()} {
+		jsonKinds = append(jsonKinds,
+			`{"kind":"`+name+`",`+payload+`}`,
+			`{"kind":"reliable","from":2,"to":8,"payload":{"seq":1,"ack":false,"data":{"kind":"`+name+`",`+payload+`}}}`)
+	}
+	for _, body := range jsonKinds {
+		if env, err := JSON.DecodeBody([]byte(body)); err == nil {
+			t.Errorf("json: %s decoded as %+v", body, env)
 		}
 	}
 }
@@ -274,25 +316,11 @@ func TestJSONDecodeRejectsInconsistentRouting(t *testing.T) {
 	}
 }
 
-func TestPayloadTypeMismatch(t *testing.T) {
-	env := NewEnvelope(KindCoordinate, 8, 2, core.Coordinate{Round: 1, GlobalCost: 1, Alpha: 0.1, Straggler: 0})
-	if _, err := Payload[core.CostReport](env); err == nil {
-		t.Error("Payload of the wrong type succeeded")
-	}
-	c, err := Payload[core.Coordinate](env)
-	if err != nil {
-		t.Fatalf("Payload: %v", err)
-	}
-	if c.GlobalCost != 1 {
-		t.Errorf("Payload copied %+v", c)
-	}
-}
-
 func BenchmarkAppendBodyBinary(b *testing.B) { benchAppendBody(b, Binary) }
 func BenchmarkAppendBodyJSON(b *testing.B)   { benchAppendBody(b, JSON) }
 
 func benchAppendBody(b *testing.B, c Codec) {
-	env := NewEnvelope(KindShare, 3, 1, core.PeerShare{Round: 9, From: 3, Cost: 0.75, LocalAlpha: 0.01})
+	env := NewEnvelope(3, 1, core.PeerShare{Round: 9, From: 3, Cost: 0.75, LocalAlpha: 0.01})
 	var buf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -308,7 +336,7 @@ func BenchmarkFrameSizeBinary(b *testing.B) { benchFrameSize(b, Binary) }
 func BenchmarkFrameSizeJSON(b *testing.B)   { benchFrameSize(b, JSON) }
 
 func benchFrameSize(b *testing.B, c Codec) {
-	env := NewEnvelope(KindCoordinate, 8, 2, core.Coordinate{Round: 7, GlobalCost: 3.25, Alpha: 0.125, Straggler: 4})
+	env := NewEnvelope(8, 2, core.Coordinate{Round: 7, GlobalCost: 3.25, Alpha: 0.125, Straggler: 4})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := FrameSize(c, env); err != nil {
@@ -321,7 +349,7 @@ func BenchmarkFrameRoundTripBinary(b *testing.B) { benchFrameRoundTrip(b, Binary
 func BenchmarkFrameRoundTripJSON(b *testing.B)   { benchFrameRoundTrip(b, JSON) }
 
 func benchFrameRoundTrip(b *testing.B, c Codec) {
-	env := NewEnvelope(KindCost, 2, 8, core.CostReport{Round: 7, From: 2, Cost: 1.5})
+	env := NewEnvelope(2, 8, core.CostReport{Round: 7, From: 2, Cost: 1.5})
 	var buf bytes.Buffer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
