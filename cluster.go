@@ -90,10 +90,6 @@ type (
 	// implements encoding.TextMarshaler/TextUnmarshaler ("flat", "tree")
 	// so it can back a flag.TextVar flag.
 	Topology = cluster.Topology
-	// Roster is a peer's versioned view of cluster membership under
-	// elastic deployments: the live set, every identity ever admitted
-	// (evicted ids are never readmitted), and the ordered event log.
-	Roster = cluster.Roster
 	// RosterEvent records one membership change (join or eviction) with
 	// the roster version it produced and the round it took effect.
 	RosterEvent = cluster.RosterEvent
@@ -107,7 +103,8 @@ type (
 	// version and event log, and the aggregation tree depth.
 	ElasticPeerResult = cluster.ElasticPeerResult
 	// ElasticJoin schedules one joiner in an ElasticDeployment: its id,
-	// contact member, arrival round, and cost source.
+	// contact member, arrival round, and cost source. Joiners are
+	// admitted in the order of their rounds, whatever their ids.
 	ElasticJoin = cluster.ElasticJoin
 	// ElasticDeploymentConfig wires a complete elastic Algorithm 2
 	// deployment: incumbent start state, total rounds, per-peer cost
@@ -277,7 +274,9 @@ func RunElasticPeer(ctx context.Context, tr Transport, id int, x0 []float64, rou
 // member, waits for the coordinator's admission grant (ErrJoinDenied or
 // ErrJoinTimeout otherwise), adopts the granted roster snapshot, and
 // participates like any incumbent from the granted round to the end of
-// the deployment. Joiner ids must lie in [0, 65536).
+// the deployment. Joiner ids must lie in [0, 65536) and be new to the
+// deployment (an evicted id is denied); they need not exceed the ids
+// admitted before them.
 func JoinElasticPeer(ctx context.Context, tr Transport, id, contact, rounds int, src CostSource, ec ElasticPeerConfig, opts ...Option) (ElasticPeerResult, error) {
 	return cluster.JoinElasticPeer(ctx, tr, id, contact, rounds, src, ec, opts...)
 }
@@ -291,11 +290,6 @@ func JoinElasticPeer(ctx context.Context, tr Transport, id, contact, rounds int,
 func ElasticDeployment(ctx context.Context, transports []Transport, dc ElasticDeploymentConfig, opts ...Option) ([]ElasticPeerResult, error) {
 	return cluster.ElasticDeployment(ctx, transports, dc, opts...)
 }
-
-// NewRoster builds a version-zero roster over the given initial member
-// set (elastic deployments derive later versions from join and eviction
-// events).
-func NewRoster(members []int) *Roster { return cluster.NewRoster(members) }
 
 // Trajectory reassembles per-round decision vectors from a set of
 // worker or peer results (the Played series of each node).

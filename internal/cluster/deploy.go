@@ -154,7 +154,8 @@ type ElasticJoin struct {
 	Contact int
 	// Round is the earliest round the coordinator admits this joiner
 	// (the admission applies two rounds later), making churn timing
-	// deterministic.
+	// deterministic. Rounds need not follow id order: a joiner may be
+	// admitted before one with a smaller id.
 	Round int
 	// Source is the joiner's cost stream.
 	Source CostSource

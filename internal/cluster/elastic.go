@@ -207,11 +207,7 @@ func incumbentMachine(id int, x0 []float64, rounds int, src CostSource, ec Elast
 	if err != nil {
 		return nil, err
 	}
-	members := make([]int, len(x0))
-	for i := range members {
-		members[i] = i
-	}
-	m.adopt(p, NewRoster(members), 1)
+	m.adopt(p, 0, 1)
 	return m, nil
 }
 
@@ -247,7 +243,8 @@ func RunElasticPeer(ctx context.Context, tr Transport, id int, x0 []float64, rou
 // ErrJoinTimeout otherwise), adopts the granted roster snapshot via
 // core.NewJoinedPeer, and then participates like any incumbent from the
 // granted application round up to the deployment's final round. Joiner
-// ids must lie in [0, 65536).
+// ids must lie in [0, 65536) and be new to the deployment (an evicted
+// id is denied); they need not exceed the ids admitted before them.
 func JoinElasticPeer(ctx context.Context, tr Transport, id, contact, rounds int, src CostSource, ec ElasticPeerConfig, opts ...core.Option) (ElasticPeerResult, error) {
 	m, err := joinerMachine(id, contact, rounds, src, ec, nil, opts)
 	if err != nil {

@@ -95,7 +95,7 @@ func (m *elasticMachine) evictPeer(target int, broadcast bool) {
 		m.fail(err)
 		return
 	}
-	m.rost.ApplyEvict(target, round)
+	m.logChange(round, false, target, 0)
 	m.res.Evicted = append(m.res.Evicted, target)
 	m.res.EvictionRound[target] = round
 	if m.evictions != nil {

@@ -42,8 +42,9 @@ func checkBuffers(t *testing.T, m *elasticMachine) {
 	if m.p == nil {
 		return
 	}
-	known, lead := len(m.rost.known), int(m.epochLead())
-	if got, max := len(m.pendingAggs), 4*known*(lead+1); got > max {
+	// Every id the peer has counted is live or was evicted by it.
+	counted, lead := len(m.survivors)+len(m.res.Evicted), int(m.epochLead())
+	if got, max := len(m.pendingAggs), 4*counted*(lead+1); got > max {
 		t.Fatalf("pendingAggs holds %d aggregates, bound %d", got, max)
 	}
 	if got := len(m.pendingAdmissions); got > maxPendingAdmissions {

@@ -53,18 +53,15 @@ func (m *elasticMachine) handleJoin(j core.JoinRequest) {
 	if j.From < 0 || j.From >= maxPeerID {
 		return
 	}
-	coord := m.rost.Coordinator()
-	if coord != m.id {
-		if coord >= 0 {
-			m.send(coord, wire.NewEnvelope(j.From, coord, j), bestEffort)
-		}
+	if coord := m.survivors[0]; coord != m.id {
+		m.send(coord, wire.NewEnvelope(j.From, coord, j), bestEffort)
 		return
 	}
 	if m.announced[j.From] {
 		return
 	}
-	if m.rost.Knows(j.From) {
-		if !m.rost.Has(j.From) {
+	if m.p.Counted(j.From) {
+		if !m.p.Alive(j.From) {
 			// An evicted id can never rejoin: its frozen workload was
 			// already absorbed, so the identity is spent.
 			deny := core.RosterUpdate{From: m.id, Join: j.From}
@@ -109,7 +106,7 @@ func (m *elasticMachine) memberSnapshot(join int) []int {
 // at deployment start, so queue position must not override the
 // schedule.
 func (m *elasticMachine) drainJoinQueue(r int) {
-	if len(m.joinQueue) == 0 || m.id != m.rost.Coordinator() || len(m.pendingAdmissions) >= maxPendingAdmissions {
+	if len(m.joinQueue) == 0 || m.id != m.survivors[0] || len(m.pendingAdmissions) >= maxPendingAdmissions {
 		return
 	}
 	for i := 0; i < len(m.joinQueue); {
@@ -119,11 +116,11 @@ func (m *elasticMachine) drainJoinQueue(r int) {
 			continue
 		}
 		m.joinQueue = append(m.joinQueue[:i], m.joinQueue[i+1:]...)
-		if m.rost.Knows(j.From) || m.announced[j.From] {
+		if m.p.Counted(j.From) || m.announced[j.From] {
 			continue
 		}
 		u := core.RosterUpdate{
-			Version: m.rost.Version() + uint64(len(m.pendingAdmissions)) + 1,
+			Version: m.version + uint64(len(m.pendingAdmissions)) + 1,
 			Round:   r + core.AnnounceLead,
 			From:    m.id,
 			Join:    j.From,
@@ -164,11 +161,11 @@ func (m *elasticMachine) handleRosterUpdate(u core.RosterUpdate) bool {
 		return true // a denial: only meaningful to a waiting joiner
 	}
 	r := m.p.Round()
-	if u.Round < r || u.Round > r+3 || u.Version > m.rost.Version()+m.epochLead() ||
+	if u.Round < r || u.Round > r+3 || u.Version > m.version+m.epochLead() ||
 		u.Join < 0 || u.Join >= maxPeerID || len(m.pendingAdmissions) >= maxPendingAdmissions {
 		return false
 	}
-	if m.rost.Knows(u.Join) || m.pendingJoin(u.Join) {
+	if m.p.Counted(u.Join) || m.pendingJoin(u.Join) {
 		return true
 	}
 	m.pendingAdmissions = append(m.pendingAdmissions, u)
@@ -187,15 +184,13 @@ func (m *elasticMachine) applyAdmissions(r int) error {
 	for len(m.pendingAdmissions) > 0 && m.pendingAdmissions[0].Round <= r {
 		u := m.pendingAdmissions[0]
 		m.pendingAdmissions = m.pendingAdmissions[1:]
-		if m.rost.Knows(u.Join) {
+		if m.p.Counted(u.Join) {
 			continue
 		}
 		if err := m.p.Admit(u.Join, u.Weight); err != nil {
 			return fmt.Errorf("cluster: peer %d admit %d: %w", m.id, u.Join, err)
 		}
-		if err := m.rost.ApplyJoin(u.Join, r, u.Version); err != nil {
-			return err
-		}
+		m.logChange(r, true, u.Join, u.Version)
 		m.res.Admitted = append(m.res.Admitted, u.Join)
 		m.res.AdmissionRound[u.Join] = r
 		if m.joins != nil {
@@ -249,7 +244,7 @@ func (m *elasticMachine) awaitGrant(env Envelope) {
 		m.fail(err)
 		return
 	}
-	m.adopt(p, NewRosterAt(u.Members, u.Version), u.Round)
+	m.adopt(p, u.Version, u.Round)
 	if u.Round > m.last {
 		m.finished = true
 		return

@@ -33,9 +33,9 @@ type elasticMachine struct {
 	opts     []core.Option
 	contact  int // the member a joiner asks for admission
 
-	p    *core.PeerState // nil while a joiner awaits its grant
-	rost *Roster
-	res  ElasticPeerResult
+	p       *core.PeerState // nil while a joiner awaits its grant; the one membership record
+	version uint64          // the roster version (logChange)
+	res     ElasticPeerResult
 
 	survivors []int // p.Survivors(), refreshed on every membership change
 
@@ -116,9 +116,9 @@ func (q *fifo[T]) pop() T {
 }
 
 // adopt installs the protocol state this peer plays from round first
-// on, and publishes its roster view.
-func (m *elasticMachine) adopt(p *core.PeerState, rost *Roster, first int) {
-	m.p, m.rost, m.survivors = p, rost, p.Survivors()
+// on at the given roster version, and publishes its roster view.
+func (m *elasticMachine) adopt(p *core.PeerState, version uint64, first int) {
+	m.p, m.version, m.survivors = p, version, p.Survivors()
 	m.round = first
 	m.res.FirstRound = first
 	m.res.Played = make([]float64, 0, m.last)
@@ -148,8 +148,8 @@ func (m *elasticMachine) setRosterGauges() {
 	if m.gSize == nil {
 		return
 	}
-	m.gSize.Set(float64(m.rost.Size()))
-	m.gVersion.Set(float64(m.rost.Version()))
+	m.gSize.Set(float64(len(m.survivors)))
+	m.gVersion.Set(float64(m.version))
 }
 
 // start is the first input: an incumbent begins its first round, a
@@ -310,8 +310,8 @@ func (m *elasticMachine) startRound(r int) {
 // handleEnvelope applies one incoming message to the protocol state and
 // reports whether it counted as progress (which re-arms the deadline).
 func (m *elasticMachine) handleEnvelope(env Envelope) (bool, error) {
-	if _, join := env.Msg.(core.JoinRequest); !join && !m.rost.Knows(env.From) {
-		// Traffic from an id the roster has never seen: a joiner we were
+	if _, join := env.Msg.(core.JoinRequest); !join && !m.p.Counted(env.From) {
+		// Traffic from an id this peer has never counted: a joiner we were
 		// told about but have not admitted yet (buffer and replay at the
 		// admission boundary), or noise from a diverged view (drop).
 		if m.pendingJoin(env.From) && len(m.backlog) < maxBacklog {
@@ -369,8 +369,7 @@ func (m *elasticMachine) result() ElasticPeerResult {
 		m.res.FinalX = m.p.X()
 		m.res.FinalLocalAlpha = m.p.LocalAlpha()
 		m.res.Survivors = m.p.Survivors()
-		m.res.RosterVersion = m.rost.Version()
-		m.res.RosterLog = m.rost.Events()
+		m.res.RosterVersion = m.version
 	}
 	return m.res
 }

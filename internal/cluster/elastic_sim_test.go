@@ -629,6 +629,58 @@ func TestElasticJoinDenied(t *testing.T) {
 	}
 }
 
+// TestElasticJoinsInAnyIDOrder admits joiners against their id order:
+// joiner 5 is due at round 3 and joiner 4 at round 10, so every member
+// admits 5 at round 5 and then 4 at round 12, after it has counted the
+// larger id. Every peer plays each of its rounds, all six end with the
+// same survivors, and each roster log's versions rise strictly. Flat
+// and tree, under every scheduler seed.
+func TestElasticJoinsInAnyIDOrder(t *testing.T) {
+	const n, rounds = 4, 16
+	joiners := []ElasticJoin{{ID: 4, Contact: 1, Round: 10}, {ID: 5, Contact: 2, Round: 3}}
+	schedule := map[int]int{4: 10, 5: 3}
+	x0 := []float64{0.25, 0.25, 0.25, 0.25}
+	want := map[int]struct {
+		first    int
+		admitted []int
+	}{0: {1, []int{5, 4}}, 1: {1, []int{5, 4}}, 2: {1, []int{5, 4}}, 3: {1, []int{5, 4}}, 4: {12, nil}, 5: {5, []int{4}}}
+	for _, topo := range []Topology{TopologyFlat, TopologyTree} {
+		ec := ElasticPeerConfig{RoundTimeout: 200 * time.Millisecond, Topology: topo, Fanout: 2}
+		for seed := int64(0); seed < simSeeds; seed++ {
+			s := newSimNet(t, seed, ChaosConfig{}, n+len(joiners))
+			for _, j := range joiners {
+				m, err := joinerMachine(j.ID, j.Contact, rounds, instSource(j.ID), ec, schedule, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.add(j.ID, m)
+			}
+			for i := 0; i < n; i++ {
+				m, err := incumbentMachine(i, x0, rounds, instSource(i), ec, schedule, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.add(i, m)
+			}
+			s.run(nil)
+			res, errs := s.results()
+			for i, r := range res {
+				w := want[i]
+				if errs[i] != nil || r.FirstRound != w.first || r.Rounds != rounds || len(r.Played) != rounds-w.first+1 ||
+					!reflect.DeepEqual(r.Admitted, w.admitted) || !reflect.DeepEqual(r.Survivors, []int{0, 1, 2, 3, 4, 5}) {
+					t.Fatalf("%v, seed %d: peer %d (err %v) played rounds %d..%d (%d), admitted %v, survivors %v; want rounds %d..%d, admitted %v, survivors [0 1 2 3 4 5]",
+						topo, seed, i, errs[i], r.FirstRound, r.Rounds, len(r.Played), r.Admitted, r.Survivors, w.first, rounds, w.admitted)
+				}
+				for k := 1; k < len(r.RosterLog); k++ {
+					if r.RosterLog[k].Version <= r.RosterLog[k-1].Version {
+						t.Fatalf("%v, seed %d: peer %d roster log %+v: versions not strictly increasing", topo, seed, i, r.RosterLog)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestElasticFailedSendOrder pins where a send that fails to a live
 // peer (a closed node) lands in the emission order. Peer 0 holds every
 // round-1 contribution of the other three peers before it observes, so

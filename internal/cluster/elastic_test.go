@@ -336,50 +336,49 @@ func TestJoinElasticPeer(t *testing.T) {
 	}
 }
 
-// TestRosterVersioning unit-tests the membership module: joins and
-// evictions bump the version, ids are single-use, and the event log
-// records every change in order.
+// TestRosterVersioning checks one peer's roster version and log: an
+// eviction adds one to the version (a repeated notice none), an
+// admission moves it to the announced version, or one past its own when
+// the announced one is stale, an evicted id is never readmitted, ids
+// are admitted in any order, and the log lists the changes in the order
+// they were applied.
 func TestRosterVersioning(t *testing.T) {
-	r := NewRoster([]int{0, 1, 2})
-	if r.Version() != 0 || r.Size() != 3 || r.Coordinator() != 0 {
-		t.Fatalf("fresh roster: version=%d size=%d coord=%d", r.Version(), r.Size(), r.Coordinator())
+	m, err := incumbentMachine(0, []float64{0.25, 0.25, 0.5}, 10, instSource(0), ElasticPeerConfig{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !r.ApplyEvict(1, 4) {
-		t.Fatal("evicting live peer 1 reported no-op")
+	if m.version != 0 || len(m.survivors) != 3 {
+		t.Fatalf("fresh peer: version %d, survivors %v", m.version, m.survivors)
 	}
-	if r.ApplyEvict(1, 5) {
-		t.Error("double eviction reported applied")
+	evict := wire.NewEnvelope(2, 0, core.PeerEvict{Round: 1, From: 2, Evicted: 1})
+	m.handle(evict)
+	m.handle(evict)
+	if m.version != 1 {
+		t.Fatalf("version after one eviction = %d, want 1", m.version)
 	}
-	if err := r.ApplyJoin(3, 6, 7); err != nil {
-		t.Fatalf("join: %v", err)
-	}
-	if err := r.ApplyJoin(1, 7, 9); err == nil {
-		t.Error("readmitting evicted id 1 succeeded, want error")
-	}
-	if r.Version() != 7 {
-		t.Errorf("version = %d, want announced 7", r.Version())
-	}
-	// A stale announced version still advances the local version.
-	if err := r.ApplyJoin(4, 8, 2); err != nil {
-		t.Fatalf("join: %v", err)
-	}
-	if r.Version() != 8 {
-		t.Errorf("version = %d, want 8 (monotone past stale announcement)", r.Version())
-	}
-	want := []int{0, 2, 3, 4}
-	if got := r.Members(); !reflect.DeepEqual(got, want) {
-		t.Errorf("members = %v, want %v", got, want)
-	}
-	events := r.Events()
-	if len(events) != 3 {
-		t.Fatalf("event log has %d entries, want 3", len(events))
-	}
-	var prev uint64
-	for _, ev := range events {
-		if ev.Version <= prev {
-			t.Errorf("event version %d not strictly increasing after %d", ev.Version, prev)
+	// admit has peer 2 announce a join for round 1, then applies it at
+	// the round-1 boundary.
+	admit := func(join int, announced, want uint64) {
+		t.Helper()
+		m.handle(wire.NewEnvelope(2, 0, core.RosterUpdate{Version: announced, Round: 1, From: 2, Join: join, Weight: 0.25, Alpha: 0.1}))
+		if err := m.applyAdmissions(1); err != nil {
+			t.Fatal(err)
 		}
-		prev = ev.Version
+		if m.version != want {
+			t.Fatalf("version after announcing %d at version %d = %d, want %d", join, announced, m.version, want)
+		}
+	}
+	admit(5, 7, 7)
+	admit(1, 9, 7) // evicted: never readmitted
+	admit(4, 2, 8) // a stale announced version
+	res := m.result()
+	want := []RosterEvent{
+		{Version: 1, Round: 1, Peer: 1},
+		{Version: 7, Round: 1, Join: true, Peer: 5},
+		{Version: 8, Round: 1, Join: true, Peer: 4},
+	}
+	if !reflect.DeepEqual(res.RosterLog, want) || res.RosterVersion != 8 || !reflect.DeepEqual(res.Survivors, []int{0, 2, 4, 5}) {
+		t.Fatalf("log %+v, version %d, survivors %v; want log %+v, version 8, survivors [0 2 4 5]", res.RosterLog, res.RosterVersion, res.Survivors, want)
 	}
 }
 

@@ -16,9 +16,9 @@ import (
 // the round's aggregation under the new epoch and drops stale-epoch
 // traffic.
 
-// setTree re-derives the overlay from the current roster.
+// setTree re-derives the overlay from the current survivors.
 func (m *elasticMachine) setTree() {
-	m.tree = newAggTree(m.rost.Members(), m.cfg.Fanout)
+	m.tree = newAggTree(m.survivors, m.cfg.Fanout)
 	m.res.AggDepth = m.tree.depth()
 	if m.gDepth != nil {
 		m.gDepth.Set(float64(m.tree.depth()))
@@ -48,7 +48,7 @@ func (m *elasticMachine) beginTreeRound(share core.PeerShare) {
 // aggregate under the current epoch and advances at once if this peer
 // has no pending children.
 func (m *elasticMachine) restartAggregation() {
-	m.treeAgg = core.ShareAggregate(m.ownShare, m.rost.Version())
+	m.treeAgg = core.ShareAggregate(m.ownShare, m.version)
 	m.treeWaiting = make(map[int]bool)
 	for _, c := range m.tree.children(m.id) {
 		m.treeWaiting[c] = true
@@ -138,9 +138,9 @@ func (m *elasticMachine) handleAggregate(a core.PeerAggregate) bool {
 		return m.bufferAgg(a) // a round we have not observed yet
 	case !m.sharePhase:
 		return false // consensus already applied this round
-	case a.Epoch < m.rost.Version():
+	case a.Epoch < m.version:
 		return false // stale epoch: the sender will restart and resend
-	case a.Epoch > m.rost.Version():
+	case a.Epoch > m.version:
 		// The sender applied a membership change we have not seen yet.
 		return m.bufferAgg(a)
 	}
@@ -158,7 +158,7 @@ func (m *elasticMachine) handleAggregate(a core.PeerAggregate) bool {
 // kept. Kept aggregates are thus distinct in (From, Round, Epoch, Down)
 // over known senders, two rounds and epochLead+1 epochs.
 func (m *elasticMachine) bufferAgg(a core.PeerAggregate) bool {
-	v := m.rost.Version()
+	v := m.version
 	if a.Round > m.p.Round()+1 || a.Epoch > v+m.epochLead() {
 		return false
 	}
@@ -178,14 +178,14 @@ func (m *elasticMachine) bufferAgg(a core.PeerAggregate) bool {
 // ahead of this peer's: by evictions of members this peer still counts
 // live, and by admissions announced but not yet applied here.
 func (m *elasticMachine) epochLead() uint64 {
-	return uint64(m.rost.Size() + maxPendingAdmissions)
+	return uint64(len(m.survivors) + maxPendingAdmissions)
 }
 
 // pruneAggs drops buffered aggregates no later state can process: an
 // earlier round, or an epoch behind the roster version (versions never
 // decrease).
 func (m *elasticMachine) pruneAggs() {
-	r, v := m.p.Round(), m.rost.Version()
+	r, v := m.p.Round(), m.version
 	kept := m.pendingAggs[:0]
 	for _, a := range m.pendingAggs {
 		if a.Round >= r && a.Epoch >= v {
@@ -203,7 +203,7 @@ func (m *elasticMachine) drainAggs() {
 	if m.tree == nil {
 		return
 	}
-	r, v := m.p.Round(), m.rost.Version()
+	r, v := m.p.Round(), m.version
 	kept := m.pendingAggs[:0]
 	for i, a := range m.pendingAggs {
 		switch {

@@ -1,15 +1,9 @@
 package cluster
 
-import (
-	"fmt"
-	"sort"
-)
-
-// This file generalizes the eviction-only peer bookkeeping of the
-// fail-stop extension into a full membership module: a versioned roster
-// that supports both evictions (fail-stop departures) and admissions
-// (elastic joins), with a per-peer event log that makes churn auditable
-// and lets tests assert version monotonicity and cross-run determinism.
+// This file is the elastic machine's roster version and its event log.
+// The member set itself lives in one place, core.PeerState: its alive
+// set (the survivors every round's consensus runs over) and every id it
+// has ever counted (the ids it never readmits).
 //
 // The roster is a local view — there is no membership service. Peers
 // converge the same way evictions already converge (union of broadcast
@@ -34,111 +28,13 @@ type RosterEvent struct {
 	Peer int
 }
 
-// Roster is one peer's versioned view of the elastic membership. The
-// zero value is not usable; construct with NewRoster or NewRosterAt.
-// Versions increase by at least one per applied change and never
-// decrease; between churn events all live peers converge to the same
-// member set (evictions by union of notices, admissions by applying the
-// coordinator's announcement at its stated round).
-type Roster struct {
-	version uint64
-	alive   map[int]bool
-	known   map[int]bool // ever-seen ids; evicted ids are never readmitted
-	events  []RosterEvent
+// logChange advances the roster version for one membership change this
+// peer applied at round and appends it to the result's RosterLog. An
+// eviction adds one; an admission moves to max(local+1, announced),
+// announced being the version the coordinator's RosterUpdate carries,
+// so versions stay strictly increasing on every peer even when
+// concurrent changes were applied in different orders.
+func (m *elasticMachine) logChange(round int, join bool, peer int, announced uint64) {
+	m.version = max(m.version+1, announced)
+	m.res.RosterLog = append(m.res.RosterLog, RosterEvent{Version: m.version, Round: round, Join: join, Peer: peer})
 }
-
-// NewRoster builds a version-0 roster over the given initial members.
-func NewRoster(members []int) *Roster {
-	return NewRosterAt(members, 0)
-}
-
-// NewRosterAt builds a roster over the given members starting at the
-// given version. Joiners use it to adopt the coordinator's snapshot at
-// the announced version.
-func NewRosterAt(members []int, version uint64) *Roster {
-	r := &Roster{
-		version: version,
-		alive:   make(map[int]bool, len(members)),
-		known:   make(map[int]bool, len(members)),
-	}
-	for _, id := range members {
-		r.alive[id] = true
-		r.known[id] = true
-	}
-	return r
-}
-
-// Version returns the current roster version.
-func (r *Roster) Version() uint64 { return r.version }
-
-// Size returns the number of live members.
-func (r *Roster) Size() int { return len(r.alive) }
-
-// Has reports whether id is a live member.
-func (r *Roster) Has(id int) bool { return r.alive[id] }
-
-// Knows reports whether id has ever been a member (live or evicted).
-// Known ids are never readmitted, which keeps the fail-stop model
-// sound: an evicted peer's frozen workload was already absorbed.
-func (r *Roster) Knows(id int) bool { return r.known[id] }
-
-// Members returns the live member ids in ascending order. This is the
-// canonical order every derived structure uses (broadcast order, the
-// aggregation tree layout), so all peers with the same view derive the
-// same topology.
-func (r *Roster) Members() []int {
-	ids := make([]int, 0, len(r.alive))
-	for id := range r.alive {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
-// Coordinator returns the membership coordinator under this view: the
-// lowest live id (which is also the root of the aggregation tree, so
-// join announcements and down-phase consensus traverse the same FIFO
-// links). It returns -1 on an empty roster.
-func (r *Roster) Coordinator() int {
-	c := -1
-	for id := range r.alive {
-		if c < 0 || id < c {
-			c = id
-		}
-	}
-	return c
-}
-
-// ApplyJoin admits id at the given round. The announced version comes
-// from the coordinator's RosterUpdate; the local version advances to
-// max(local+1, announced) so versions stay monotone on every peer even
-// when concurrent evictions were applied in different orders.
-func (r *Roster) ApplyJoin(id, round int, version uint64) error {
-	if r.known[id] {
-		return fmt.Errorf("cluster: roster already knows peer %d", id)
-	}
-	r.alive[id] = true
-	r.known[id] = true
-	if version <= r.version {
-		version = r.version + 1
-	}
-	r.version = version
-	r.events = append(r.events, RosterEvent{Version: r.version, Round: round, Join: true, Peer: id})
-	return nil
-}
-
-// ApplyEvict removes id at the given round, bumping the version. It
-// reports whether id was live (a duplicate eviction is a no-op).
-func (r *Roster) ApplyEvict(id, round int) bool {
-	if !r.alive[id] {
-		return false
-	}
-	delete(r.alive, id)
-	r.version++
-	r.events = append(r.events, RosterEvent{Version: r.version, Round: round, Join: false, Peer: id})
-	return true
-}
-
-// Events returns the applied membership changes in application order.
-// The slice aliases internal state; callers must not mutate it.
-func (r *Roster) Events() []RosterEvent { return r.events }

@@ -63,6 +63,9 @@ type PeerState struct {
 
 	alive      []bool
 	aliveCount int
+	// counted marks every id this peer has ever counted, live or
+	// evicted: the ids Admit refuses.
+	counted []bool
 
 	costs      []float64
 	alphas     []float64
@@ -136,6 +139,7 @@ func NewPeer(id int, x0 []float64, opts ...Option) (*PeerState, error) {
 		localAlpha:  alpha,
 		alive:       alive,
 		aliveCount:  n,
+		counted:     append([]bool(nil), alive...),
 		straggler:   -1,
 		costs:       make([]float64, n),
 		alphas:      make([]float64, n),
@@ -166,6 +170,12 @@ func (p *PeerState) LocalAlpha() float64 { return p.localAlpha }
 // this peer's point of view (out-of-range ids are dead).
 func (p *PeerState) Alive(id int) bool {
 	return id >= 0 && id < p.n && p.alive[id]
+}
+
+// Counted reports whether this peer has ever counted id as a member,
+// live or evicted. Admit refuses exactly these ids.
+func (p *PeerState) Counted(id int) bool {
+	return id >= 0 && id < p.n && p.counted[id]
 }
 
 // AliveCount returns the current number of surviving peers, including
@@ -265,10 +275,11 @@ func (p *PeerState) Evict(id int) ([]PeerOutput, error) {
 // This peer rescales its own share x *= 1-weight; with every incumbent
 // doing the same and the joiner starting at x = weight, the deployment
 // re-enters the simplex exactly (the inverse of the eviction
-// reabsorption rule). Ids are never reused: admitting an id that is
-// alive, or one that was previously evicted, is an error, as is a call
-// outside the round boundary (mid-collection the share and decision
-// targets would change under the consensus).
+// reabsorption rule). Ids are never reused: admitting an id this peer
+// has counted (Counted: live, or evicted) is an error, in whatever
+// order ids arrive, as is a call outside the round boundary
+// (mid-collection the share and decision targets would change under the
+// consensus).
 func (p *PeerState) Admit(id int, weight float64) error {
 	if p.phase != peerPlay {
 		return fmt.Errorf("core: peer %d: admit of %d mid-round %d", p.id, id, p.round)
@@ -279,14 +290,15 @@ func (p *PeerState) Admit(id int, weight float64) error {
 	if !(weight > 0 && weight < 1) {
 		return fmt.Errorf("core: peer %d: admit weight %v outside (0, 1)", p.id, weight)
 	}
-	if id < p.n {
-		if p.alive[id] {
-			return fmt.Errorf("core: peer %d: admit of live peer %d", p.id, id)
-		}
+	if p.Alive(id) {
+		return fmt.Errorf("core: peer %d: admit of live peer %d", p.id, id)
+	}
+	if p.Counted(id) {
 		return fmt.Errorf("core: peer %d: admit would reuse evicted id %d", p.id, id)
 	}
 	p.grow(id + 1)
 	p.alive[id] = true
+	p.counted[id] = true
 	p.aliveCount++
 	p.x *= 1 - weight
 	return nil
@@ -298,6 +310,7 @@ func (p *PeerState) grow(n int) {
 		return
 	}
 	p.alive = append(p.alive, make([]bool, n-p.n)...)
+	p.counted = append(p.counted, make([]bool, n-p.n)...)
 	p.costs = append(p.costs, make([]float64, n-p.n)...)
 	p.alphas = append(p.alphas, make([]float64, n-p.n)...)
 	p.renorms = append(p.renorms, make([]float64, n-p.n)...)
@@ -359,6 +372,7 @@ func NewJoinedPeer(id int, members []int, weight, alpha float64, round int, opts
 		localAlpha:  alpha,
 		alive:       alive,
 		aliveCount:  count,
+		counted:     append([]bool(nil), alive...),
 		straggler:   -1,
 		costs:       make([]float64, n),
 		alphas:      make([]float64, n),

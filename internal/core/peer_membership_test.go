@@ -297,6 +297,32 @@ func TestAdmitRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestAdmitInAnyIDOrder admits ids against their order: a smaller id
+// the peer has never counted is admitted after a larger one, while a
+// live id and an evicted id are still refused.
+func TestAdmitInAnyIDOrder(t *testing.T) {
+	p, err := NewPeer(0, []float64{0.4, 0.6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{10, 7} {
+		if err := p.Admit(id, 0.25); err != nil {
+			t.Fatalf("admit %d: %v", id, err)
+		}
+	}
+	if _, err := p.Evict(7); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{1, 10, 7} {
+		if err := p.Admit(id, 0.25); err == nil {
+			t.Fatalf("admitting counted id %d succeeded, want error", id)
+		}
+	}
+	if s := p.Survivors(); len(s) != 3 || s[0] != 0 || s[1] != 1 || s[2] != 10 || p.Counted(8) || !p.Counted(7) {
+		t.Fatalf("survivors %v, counted 8 %v, counted 7 %v; want [0 1 10], false, true", s, p.Counted(8), p.Counted(7))
+	}
+}
+
 func TestNewJoinedPeerValidates(t *testing.T) {
 	if _, err := NewJoinedPeer(2, []int{0, 1}, 0.25, 0.1, 3); err == nil {
 		t.Fatal("roster omitting self accepted, want error")
