@@ -68,61 +68,11 @@ func SolveLp(funcs []costfn.Func, p, tol float64) (Result, error) {
 		hi = lo
 	}
 
-	if lpAbsorbable(pow, lo, tol) < 1 {
-		for iter := 0; iter < maxIters && hi-lo > tol*(1+math.Abs(hi)); iter++ {
-			mid := lo + (hi-lo)/2
-			if mid <= lo || mid >= hi {
-				break
-			}
-			if lpAbsorbable(pow, mid, tol) >= 1 {
-				hi = mid
-			} else {
-				lo = mid
-			}
-		}
-	} else {
-		hi = lo
-	}
-
-	// Build the assignment at the feasible level hi, then fix the
-	// sum-to-one defect exactly as Solve does: trim surplus in index
-	// order (trimming only decreases costs) or top up the largest
-	// coordinate (its marginal is within the bisection tolerance of mu).
-	x := make([]float64, n)
-	total := 0.0
-	for i := range pow {
-		x[i] = maxLoadAtMarginal(pow[i], hi, tol)
-		total += x[i]
-	}
-	if total < 1 {
-		deficit := 1 - total
-		best := 0
-		for i := 1; i < n; i++ {
-			if x[i] > x[best] {
-				best = i
-			}
-		}
-		x[best] += deficit
-		if x[best] > 1 {
-			over := x[best] - 1
-			x[best] = 1
-			for i := 0; i < n && over > 1e-18; i++ {
-				if i == best {
-					continue
-				}
-				room := 1 - x[i]
-				give := math.Min(room, over)
-				x[i] += give
-				over -= give
-			}
-		}
-	} else if total > 1 {
-		surplus := total - 1
-		for i := 0; i < n && surplus > 0; i++ {
-			cut := math.Min(x[i], surplus)
-			x[i] -= cut
-			surplus -= cut
-		}
+	x, err := waterFill(n, lo, hi, tol, func(i int, mu float64) (float64, error) {
+		return maxLoadAtMarginal(pow[i], mu, tol), nil
+	})
+	if err != nil {
+		return Result{}, err
 	}
 
 	costs := make([]float64, n)
@@ -172,16 +122,4 @@ func maxLoadAtMarginal(g costfn.Func, mu, tol float64) float64 {
 		}
 	}
 	return a
-}
-
-// lpAbsorbable returns sum_i max{x in [0, 1] : marginal(g_i, x) <= mu}.
-func lpAbsorbable(pow []costfn.Pow, mu, tol float64) float64 {
-	var total float64
-	for i := range pow {
-		total += maxLoadAtMarginal(pow[i], mu, tol)
-		if total >= 1 {
-			return total
-		}
-	}
-	return total
 }

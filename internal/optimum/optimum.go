@@ -87,7 +87,48 @@ func Solve(funcs []costfn.Func, tol float64) (Result, error) {
 		hi = lo
 	}
 
-	if absorbable(funcs, lo, tol) >= 1 {
+	x, err := waterFill(n, lo, hi, tol, func(i int, level float64) (float64, error) {
+		xi, _, err := costfn.Inverse(funcs[i], level, 0, 1, tol)
+		return xi, err
+	})
+	if err != nil {
+		return Result{}, err
+	}
+
+	value := math.Inf(-1)
+	for i, f := range funcs {
+		if v := f.Eval(x[i]); v > value {
+			value = v
+		}
+	}
+	return Result{X: x, Value: value}, nil
+}
+
+// waterFill finds the smallest level in [lo, hi] at which the workers
+// absorb the whole unit, where absorb(i, level) is the load worker i
+// takes at that level (a failed probe counts as no load), by bisection
+// to tol; Solve's levels are costs, SolveLp's marginals. It returns the
+// loads at the feasible end of the final bracket with the sum-to-one
+// defect repaired: a surplus is trimmed in index order (trimming only
+// lowers costs), a shortfall goes to the largest coordinate (whose
+// level is within the tolerance of the optimum) and what exceeds the
+// box bound spills over in index order.
+func waterFill(n int, lo, hi, tol float64, absorb func(i int, level float64) (float64, error)) ([]float64, error) {
+	absorbable := func(level float64) float64 {
+		var total float64
+		for i := 0; i < n; i++ {
+			xi, err := absorb(i, level)
+			if err != nil {
+				continue
+			}
+			total += xi
+			if total >= 1 {
+				return total
+			}
+		}
+		return total
+	}
+	if absorbable(lo) >= 1 {
 		hi = lo
 	}
 	for iter := 0; iter < maxIters && hi-lo > tol*(1+math.Abs(hi)); iter++ {
@@ -95,28 +136,24 @@ func Solve(funcs []costfn.Func, tol float64) (Result, error) {
 		if mid <= lo || mid >= hi {
 			break
 		}
-		if absorbable(funcs, mid, tol) >= 1 {
+		if absorbable(mid) >= 1 {
 			hi = mid
 		} else {
 			lo = mid
 		}
 	}
 
-	// Build the assignment at the feasible level hi, then trim the surplus
-	// (trimming only decreases costs, preserving feasibility).
 	x := make([]float64, n)
 	total := 0.0
-	for i, f := range funcs {
-		xi, _, err := costfn.Inverse(f, hi, 0, 1, tol)
+	for i := range x {
+		xi, err := absorb(i, hi)
 		if err != nil {
-			return Result{}, fmt.Errorf("optimum: inverse for worker %d: %w", i, err)
+			return nil, fmt.Errorf("optimum: inverse for worker %d: %w", i, err)
 		}
 		x[i] = xi
 		total += xi
 	}
 	if total < 1 {
-		// Numerical shortfall: top up the worker with the largest headroom
-		// (its cost increase is bounded by the bisection tolerance).
 		deficit := 1 - total
 		best := 0
 		for i := 1; i < n; i++ {
@@ -126,7 +163,6 @@ func Solve(funcs []costfn.Func, tol float64) (Result, error) {
 		}
 		x[best] += deficit
 		if x[best] > 1 {
-			// Redistribute anything over the box bound.
 			over := x[best] - 1
 			x[best] = 1
 			for i := 0; i < n && over > 1e-18; i++ {
@@ -147,28 +183,5 @@ func Solve(funcs []costfn.Func, tol float64) (Result, error) {
 			surplus -= cut
 		}
 	}
-
-	value := math.Inf(-1)
-	for i, f := range funcs {
-		if v := f.Eval(x[i]); v > value {
-			value = v
-		}
-	}
-	return Result{X: x, Value: value}, nil
-}
-
-// absorbable returns sum_i max{x in [0,1] : f_i(x) <= level}.
-func absorbable(funcs []costfn.Func, level, tol float64) float64 {
-	var total float64
-	for _, f := range funcs {
-		xi, _, err := costfn.Inverse(f, level, 0, 1, tol)
-		if err != nil {
-			continue
-		}
-		total += xi
-		if total >= 1 {
-			return total
-		}
-	}
-	return total
+	return x, nil
 }
