@@ -46,6 +46,10 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-policy", "nope"},
 		{"-n", "0"},
 		{"-rounds", "20", "-util", "9"},
+		{"-rounds", "1", "-rate", "Inf"},
+		{"-rounds", "1", "-round-dur", "Inf"},
+		{"-rounds", "1", "-demand", "Inf"},
+		{"-rounds", "1", "-util", "NaN"},
 		{"-http-addr", "127.0.0.1:0", "-batch", "8", "-shed", "block"},
 	} {
 		if err := run(args, io.Discard); err == nil {

@@ -244,9 +244,12 @@ func FuzzDispatcherAdmission(f *testing.F) {
 // tenant configurations: any tenant it accepts must construct a working
 // dispatcher through New, and the accepted enum fields (priority class,
 // shed policy, objective) must round-trip through their text encodings
-// — the same path flag.TextVar and text configs go through.
+// — the same path flag.TextVar and text configs go through. Served next
+// to a weight-1 tenant at the default arrival rate, an accepted tenant
+// must resolve every serving rate to a finite number.
 func FuzzTenantConfig(f *testing.F) {
 	f.Add("gold", 1.0, uint8(0), 100.0, 50.0, 2.0, uint8(0), 0.0, 0.05)
+	f.Add("silver", math.Inf(1), uint8(1), 0.0, 0.0, 1.0, uint8(0), 0.0, 0.1)
 	f.Add("t-1.api", 0.5, uint8(2), 0.0, 0.0, 0.0, uint8(2), 2.0, 0.0)
 	f.Add("bad name!", -1.0, uint8(7), math.Inf(1), math.NaN(), -3.0, uint8(9), 0.5, 2.0)
 	f.Add("", 0.0, uint8(1), 10.0, 10.0, 1.0, uint8(1), 1.5, 1.0)
@@ -279,6 +282,15 @@ func FuzzTenantConfig(f *testing.F) {
 		case Routed, Spilled, Shed, Blocked, Throttled:
 		default:
 			t.Fatalf("unknown outcome %v for tenant %+v", v.Outcome, tc)
+		}
+		sc := DefaultServeConfig()
+		sc.Tenants = []TenantConfig{tc, {Weight: 1}}
+		if sc.Validate() == nil {
+			for _, r := range sc.resolvedServeTenants() {
+				if math.IsNaN(r.Rate) || math.IsInf(r.Rate, 0) {
+					t.Fatalf("tenant %+v served next to a weight-1 tenant resolves rate %v", tc, r.Rate)
+				}
+			}
 		}
 		var pc PriorityClass
 		if err := pc.UnmarshalText([]byte(tc.Priority.String())); err != nil || pc != tc.Priority {

@@ -208,16 +208,16 @@ func (c ServeConfig) Validate() error {
 	if c.Rounds <= 0 {
 		return fmt.Errorf("dispatch: Rounds = %d must be positive", c.Rounds)
 	}
-	if c.RoundDur <= 0 {
-		return fmt.Errorf("dispatch: RoundDur = %v must be positive", c.RoundDur)
+	if !positiveFinite(c.RoundDur) {
+		return fmt.Errorf("dispatch: RoundDur = %v must be positive and finite", c.RoundDur)
 	}
-	if c.ArrivalRate <= 0 {
-		return fmt.Errorf("dispatch: ArrivalRate = %v must be positive", c.ArrivalRate)
+	if !positiveFinite(c.ArrivalRate) {
+		return fmt.Errorf("dispatch: ArrivalRate = %v must be positive and finite", c.ArrivalRate)
 	}
-	if c.DemandMean <= 0 {
-		return fmt.Errorf("dispatch: DemandMean = %v must be positive", c.DemandMean)
+	if !positiveFinite(c.DemandMean) {
+		return fmt.Errorf("dispatch: DemandMean = %v must be positive and finite", c.DemandMean)
 	}
-	if c.Utilization < 0 || c.Utilization >= 1.5 {
+	if !(c.Utilization >= 0 && c.Utilization < 1.5) {
 		return fmt.Errorf("dispatch: Utilization = %v out of (0, 1.5)", c.Utilization)
 	}
 	if c.QueueCap <= 0 {
@@ -248,7 +248,7 @@ func (c ServeConfig) Validate() error {
 	} else if c.GeoBlind {
 		return fmt.Errorf("dispatch: GeoBlind requires a Geo topology")
 	}
-	if c.Alpha1 < 0 || c.Alpha1 > 1 {
+	if !(c.Alpha1 >= 0 && c.Alpha1 <= 1) {
 		return fmt.Errorf("dispatch: Alpha1 = %v out of [0, 1]", c.Alpha1)
 	}
 	for i, t := range c.Tenants {
@@ -261,6 +261,11 @@ func (c ServeConfig) Validate() error {
 	}
 	return Config{N: c.N, QueueCap: c.QueueCap, Shards: c.Shards, BatchSize: c.BatchSize, Shed: c.Shed, Route: RouteWeighted, Tenants: c.Tenants}.Validate()
 }
+
+// positiveFinite reports whether v is a finite number above zero: NaN
+// and +Inf fail, as neither is a rate, duration or demand a run can
+// simulate.
+func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // tenantSeedStride separates per-tenant generator seeds; tenant 0 keeps
 // the run seed itself so the one-tenant run replays the single-stream

@@ -27,12 +27,19 @@ func TestServeConfigValidate(t *testing.T) {
 		func(c *ServeConfig) { c.N = 0 },
 		func(c *ServeConfig) { c.Rounds = 0 },
 		func(c *ServeConfig) { c.RoundDur = 0 },
+		func(c *ServeConfig) { c.RoundDur = math.Inf(1) },
 		func(c *ServeConfig) { c.ArrivalRate = 0 },
+		func(c *ServeConfig) { c.ArrivalRate = math.Inf(1) },
+		func(c *ServeConfig) { c.ArrivalRate = math.NaN() },
 		func(c *ServeConfig) { c.DemandMean = 0 },
+		func(c *ServeConfig) { c.DemandMean = math.Inf(1) },
 		func(c *ServeConfig) { c.Utilization = 2 },
+		func(c *ServeConfig) { c.Utilization = math.NaN() },
 		func(c *ServeConfig) { c.QueueCap = 0 },
 		func(c *ServeConfig) { c.Policy = ControlPolicy(7) },
 		func(c *ServeConfig) { c.Alpha1 = 1.5 },
+		func(c *ServeConfig) { c.Alpha1 = math.NaN() },
+		func(c *ServeConfig) { c.Tenants = []TenantConfig{{Weight: math.Inf(1)}, {Weight: 1}} },
 		func(c *ServeConfig) { c.Shed = ShedPolicy(7) },
 		func(c *ServeConfig) { c.Shards = -1 },
 		func(c *ServeConfig) { c.Shards = c.QueueCap + 1 },

@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"dolbie/internal/optimum"
@@ -91,7 +92,8 @@ type TenantConfig struct {
 	Name string
 	// Weight is the tenant's share of the run-level arrival rate when
 	// Rate is zero (normalized against the other tenants' weights). It
-	// must be non-negative.
+	// must be finite and non-negative, as must Rate, RateLimit and
+	// DemandMean.
 	Weight float64
 	// Priority is the tenant's service tier; lower tiers shed strictly
 	// before higher ones under queue pressure.
@@ -129,20 +131,16 @@ func (t TenantConfig) Validate() error {
 			return fmt.Errorf("dispatch: tenant name %q contains %q (want [A-Za-z0-9_.-])", t.Name, r)
 		}
 	}
-	if t.Weight < 0 || t.Weight != t.Weight {
-		return fmt.Errorf("dispatch: tenant %q has negative weight %v", t.Name, t.Weight)
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"weight", t.Weight}, {"rate", t.Rate}, {"rate limit", t.RateLimit}, {"demand mean", t.DemandMean}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("dispatch: tenant %q has %s %v, want a finite non-negative value", t.Name, f.name, f.v)
+		}
 	}
 	if _, err := t.Priority.MarshalText(); err != nil {
 		return fmt.Errorf("dispatch: tenant %q: %w", t.Name, err)
-	}
-	if t.Rate < 0 || t.Rate != t.Rate {
-		return fmt.Errorf("dispatch: tenant %q has negative rate %v", t.Name, t.Rate)
-	}
-	if t.RateLimit < 0 || t.RateLimit != t.RateLimit {
-		return fmt.Errorf("dispatch: tenant %q has negative rate limit %v", t.Name, t.RateLimit)
-	}
-	if t.DemandMean < 0 || t.DemandMean != t.DemandMean {
-		return fmt.Errorf("dispatch: tenant %q has negative demand mean %v", t.Name, t.DemandMean)
 	}
 	if _, err := t.Shed.MarshalText(); err != nil {
 		return fmt.Errorf("dispatch: tenant %q: %w", t.Name, err)
@@ -150,7 +148,7 @@ func (t TenantConfig) Validate() error {
 	if err := t.Objective.Validate(); err != nil {
 		return fmt.Errorf("dispatch: tenant %q: %w", t.Name, err)
 	}
-	if t.Alpha1 < 0 || t.Alpha1 > 1 {
+	if !(t.Alpha1 >= 0 && t.Alpha1 <= 1) {
 		return fmt.Errorf("dispatch: tenant %q has Alpha1 = %v out of [0, 1]", t.Name, t.Alpha1)
 	}
 	return nil

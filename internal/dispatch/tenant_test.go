@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"math"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -64,14 +65,19 @@ func TestTenantConfigValidate(t *testing.T) {
 		want string
 	}{
 		{"bad name", TenantConfig{Name: "a b"}, "contains"},
-		{"negative weight", TenantConfig{Weight: -1}, "negative weight"},
+		{"negative weight", TenantConfig{Weight: -1}, "weight -1"},
+		{"infinite weight", TenantConfig{Weight: math.Inf(1)}, "weight +Inf"},
 		{"unknown priority", TenantConfig{Priority: PriorityClass(9)}, "priority class"},
-		{"negative rate", TenantConfig{Rate: -1}, "negative rate"},
-		{"negative rate limit", TenantConfig{RateLimit: -1}, "negative rate limit"},
-		{"negative demand", TenantConfig{DemandMean: -1}, "negative demand mean"},
+		{"negative rate", TenantConfig{Rate: -1}, "rate -1"},
+		{"infinite rate", TenantConfig{Rate: math.Inf(1)}, "rate +Inf"},
+		{"negative rate limit", TenantConfig{RateLimit: -1}, "rate limit -1"},
+		{"infinite rate limit", TenantConfig{RateLimit: math.Inf(1)}, "rate limit +Inf"},
+		{"negative demand", TenantConfig{DemandMean: -1}, "demand mean -1"},
+		{"infinite demand", TenantConfig{DemandMean: math.Inf(1)}, "demand mean +Inf"},
 		{"unknown shed", TenantConfig{Shed: ShedPolicy(9)}, "shed policy"},
 		{"bad objective", TenantConfig{Objective: optimum.Lp(0.5)}, "p = 0.5"},
 		{"alpha out of range", TenantConfig{Alpha1: 1.5}, "Alpha1"},
+		{"NaN alpha", TenantConfig{Alpha1: math.NaN()}, "Alpha1"},
 	}
 	for _, c := range bad {
 		err := c.cfg.Validate()
