@@ -19,8 +19,10 @@ build:
 # request admission / policy parsing (arbitrary HTTP ingest traffic and
 # operator flags, batched and per-request), the ingest handler's
 # query parameter lookup (arbitrary client query strings), the
-# /admin/weights and /admin/cap decoders (routing state stays finite,
-# queue rings follow occupancy), and geo topology validation
+# /admin/weights, /admin/cap, /admin/shed and /admin/drain decoders
+# (routing state stays finite, queue rings follow occupancy, an
+# accepted shed or drain takes effect), tenant configs (accepted ones
+# resolve finite serving rates) and geo topology validation
 # (operator-supplied region/RTT configs). One invocation per target:
 # -fuzz matches only one. perfbench is a module of its own, so ./...
 # does not reach it; it is vetted from its directory, since it imports
@@ -58,14 +60,22 @@ docs:
 # live drain storm with keep-alive HTTP clients on a real socket and
 # the batched SubmitBatch/CompleteBatch/SetWeights scrape storm over
 # whole-chunk tenant runs and chunks of one-request tenant runs. The
-# perfbench module's own tests run last (from its directory: ./... stops
+# perfbench module's own tests run next (from its directory: ./... stops
 # at its go.mod); go test rather than go build, which would leave the
-# perfbench binary behind.
+# perfbench binary behind. Last, dolbie-bench -scale regenerates
+# BENCH_scale.json into a temporary file, which must match the committed
+# one byte for byte (about 10 s): the sweep runs the elastic runtime
+# with tree aggregation up to N = 4096, whose epochs are roster
+# versions, and the optimum solver behind its gap columns.
 test:
 	$(GO) test ./...
 	$(GO) test -race ./internal/metrics ./internal/cluster ./internal/wire ./internal/dispatch
 	$(GO) test -race -run 'TestSoakChaosFullyDistributed|TestSoakJoinChurnElastic' .
 	cd perfbench && $(GO) test ./...
+	@out=$$(mktemp); \
+	if $(GO) run ./cmd/dolbie-bench -scale -out $$out >/dev/null && cmp -s $$out BENCH_scale.json; then \
+		rm -f $$out; echo "BENCH_scale.json reproduces byte for byte"; \
+	else rm -f $$out; echo "FAIL: dolbie-bench -scale no longer reproduces BENCH_scale.json"; exit 1; fi
 
 race:
 	$(GO) test -race ./...
