@@ -156,7 +156,7 @@ func (m *elasticMachine) handleAggregate(a core.PeerAggregate) bool {
 // Aggregates outside the window are dropped and are no progress; one
 // behind the version is progress but never processable, so it is not
 // kept. Kept aggregates are thus distinct in (From, Round, Epoch, Down)
-// over known senders, two rounds and epochLead+1 epochs.
+// over counted senders, two rounds and epochLead+1 epochs.
 func (m *elasticMachine) bufferAgg(a core.PeerAggregate) bool {
 	v := m.version
 	if a.Round > m.p.Round()+1 || a.Epoch > v+m.epochLead() {

@@ -249,10 +249,10 @@ func FuzzDispatcherAdmission(f *testing.F) {
 // must resolve every serving rate to a finite number.
 func FuzzTenantConfig(f *testing.F) {
 	f.Add("gold", 1.0, uint8(0), 100.0, 50.0, 2.0, uint8(0), 0.0, 0.05)
-	f.Add("silver", math.Inf(1), uint8(1), 0.0, 0.0, 1.0, uint8(0), 0.0, 0.1)
 	f.Add("t-1.api", 0.5, uint8(2), 0.0, 0.0, 0.0, uint8(2), 2.0, 0.0)
 	f.Add("bad name!", -1.0, uint8(7), math.Inf(1), math.NaN(), -3.0, uint8(9), 0.5, 2.0)
 	f.Add("", 0.0, uint8(1), 10.0, 10.0, 1.0, uint8(1), 1.5, 1.0)
+	f.Add("silver", math.Inf(1), uint8(1), 0.0, 0.0, 1.0, uint8(0), 0.0, 0.1)
 	f.Fuzz(func(t *testing.T, name string, weight float64, prio uint8, rate, rateLimit, demandMean float64, shed uint8, p, alpha float64) {
 		tc := TenantConfig{
 			Name:       name,
