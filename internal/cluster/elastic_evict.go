@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"dolbie/internal/core"
 	"dolbie/internal/wire"
@@ -14,17 +13,12 @@ import (
 // and the eviction itself with its notices.
 
 // arm restarts the progress deadline and the tree's strike count. The
-// deadline runs from armAt, once the input's sends are out, so a
-// round's own Observe and sends never count against its collection.
-// With no RoundTimeout nothing is armed and the loop reads no clock.
+// loop starts the deadline once the input's sends are out, so a round's
+// own Observe and sends never count against its collection. With no
+// RoundTimeout nothing is armed and the loop reads no clock.
 func (m *elasticMachine) arm() {
 	m.strikes = 0
 	m.wait = m.cfg.RoundTimeout
-}
-
-// armAt starts the deadline the latest input asked for from now.
-func (m *elasticMachine) armAt(now time.Time) {
-	m.deadline, m.wait = now.Add(m.wait), 0
 }
 
 // tick reports that the deadline passed without accepted progress. A
