@@ -221,7 +221,10 @@ func (m *elasticMachine) applyAdmissions(r int) error {
 // awaitGrant is a joiner's handling of traffic before its admission:
 // everything but its own roster update is dropped. A denial ends the
 // join; the grant (the copy carrying the member snapshot) seeds
-// core.NewJoinedPeer, and the joiner plays from the granted round.
+// core.NewJoinedPeer, and the joiner plays from the granted round. The
+// incumbents reach that round up to core.AnnounceLead rounds later, so
+// its first collection waits as long as the grant wait; the first frame
+// it accepts re-arms the normal deadline.
 func (m *elasticMachine) awaitGrant(env Envelope) {
 	u, ok := env.Msg.(core.RosterUpdate)
 	switch {
@@ -250,4 +253,5 @@ func (m *elasticMachine) awaitGrant(env Envelope) {
 		return
 	}
 	m.startRound(u.Round)
+	m.wait = joinTimeoutRounds * m.cfg.RoundTimeout
 }
