@@ -5,7 +5,6 @@ import (
 
 	"dolbie/internal/baselines"
 	"dolbie/internal/core"
-	"dolbie/internal/mlsim"
 	"dolbie/internal/optimum"
 	"dolbie/internal/simplex"
 )
@@ -39,11 +38,9 @@ func RegretLp(cfg Config) (Figure, error) {
 	if err != nil {
 		return Figure{}, err
 	}
-	envs := make([]mlsim.Env, cfg.Rounds)
 	optVals := make([]float64, cfg.Rounds)
-	for t := range envs {
-		envs[t] = cl.NextEnv()
-		res, err := obj.Solve(envs[t].Funcs, 0)
+	for t := range optVals {
+		res, err := obj.Solve(cl.NextEnv().Funcs, 0)
 		if err != nil {
 			return Figure{}, err
 		}
@@ -79,8 +76,9 @@ func RegretLp(cfg Config) (Figure, error) {
 	}
 	xs := roundGrid(cfg.Rounds)
 	finals := map[string]float64{}
+	score := func(_ int, latency []float64) float64 { return obj.Global(latency) }
 	for _, alg := range []core.Algorithm{equ, dolbie, lpMax, lp2} {
-		ys, err := cumulativeLpRegret(alg, obj, envs, optVals)
+		ys, err := replayRegret(cfg, alg, optVals, score)
 		if err != nil {
 			return Figure{}, fmt.Errorf("experiments: %s: %w", alg.Name(), err)
 		}
@@ -102,24 +100,4 @@ func RegretLp(cfg Config) (Figure, error) {
 		"the serving API exposes this same choice per tenant: TenantConfig.Objective selects minmax (the paper) "+
 			"or an lp order, and each tenant's controller tracks its own objective's optimum")
 	return fig, nil
-}
-
-// cumulativeLpRegret replays the pre-realized environments through one
-// algorithm, scoring each round under the lp objective.
-func cumulativeLpRegret(alg core.Algorithm, obj optimum.Objective, envs []mlsim.Env, optVals []float64) ([]float64, error) {
-	ys := make([]float64, len(envs))
-	var cum float64
-	for t, env := range envs {
-		x := simplex.Clone(alg.Assignment())
-		rep, err := env.Apply(x)
-		if err != nil {
-			return nil, err
-		}
-		cum += obj.Global(rep.Latency) - optVals[t]
-		ys[t] = cum
-		if err := alg.Update(rep.Observation); err != nil {
-			return nil, err
-		}
-	}
-	return ys, nil
 }
