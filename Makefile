@@ -52,11 +52,15 @@ docs:
 # dispatcher) additionally run under the race detector on every default
 # test pass, as do the chaos and join-churn soaks — fault injection,
 # fail-stop recovery, and roster churn are the most schedule-sensitive
-# paths in the repository. The elastic peer's deadline drills (the
-# symmetric-deadline race, the asymmetric partition, slow-vs-dead and
-# the denied rejoin) run on the virtual-time runner, each under 24
-# scheduler seeds, so they take no wall-clock time; the crash drills
-# keep real timers to cover the loop's deadline path. The dispatcher's race suite includes the
+# paths in the repository. The deadline drills of both algorithms (the
+# elastic peer's symmetric-deadline race, asymmetric partition,
+# slow-vs-dead and denied rejoin; the master's golden crash drills and
+# TestResilientMaster*) run on the virtual-time runner, each under 24
+# scheduler seeds, so they take no wall-clock time. The elastic crash
+# drills (TestResilientPeerCrash, TestElasticTreeCrashRecovery) and the
+# pins of where a deadline starts (TestElasticSlowObserveIsNotTimedOut,
+# TestMasterSlowSendIsNotTimedOut) keep real timers to cover the one
+# driver loop's deadline path. The dispatcher's race suite includes the
 # live drain storm with keep-alive HTTP clients on a real socket and
 # the batched SubmitBatch/CompleteBatch/SetWeights scrape storm over
 # whole-chunk tenant runs and chunks of one-request tenant runs. The
