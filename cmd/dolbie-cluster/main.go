@@ -232,18 +232,25 @@ type deployment struct {
 // runMasterWorker runs Algorithm 1. With a round timeout the master
 // detects crashed workers by deadline, removes them, folds their
 // workload back into the balancing loop and finishes with the
-// survivors; a worker's own exit is then reported, not fatal.
+// survivors; a worker's own exit is then reported, not fatal. Algorithm
+// 1 tells no worker it was evicted, so each worker runs on a context of
+// its own, which is canceled once the master has finished without it: a
+// live worker cut off by a partition would otherwise wait for its next
+// coordinate until the deployment's deadline.
 func (d deployment) runMasterWorker(ctx context.Context, out io.Writer) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var wg sync.WaitGroup
 	workers := make([]cluster.WorkerResult, d.n)
 	workerErrs := make([]error, d.n)
+	stopWorker := make([]context.CancelFunc, d.n)
 	for i := 0; i < d.n; i++ {
+		var wctx context.Context
+		wctx, stopWorker[i] = context.WithCancel(ctx)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			workers[i], workerErrs[i] = cluster.RunWorker(ctx, d.transports[i], i, d.n, d.x0[i], d.rounds, d.sources[i], d.opts...)
+			workers[i], workerErrs[i] = cluster.RunWorker(wctx, d.transports[i], i, d.n, d.x0[i], d.rounds, d.sources[i], d.opts...)
 			if workerErrs[i] != nil && d.roundTimeout == 0 {
 				cancel()
 			}
@@ -256,6 +263,9 @@ func (d deployment) runMasterWorker(ctx context.Context, out io.Writer) error {
 		cancel()
 		wg.Wait()
 		return errors.Join(append([]error{err}, workerErrs...)...)
+	}
+	for _, id := range res.Crashed {
+		stopWorker[id]()
 	}
 	wg.Wait()
 

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"dolbie/internal/core"
 	"dolbie/internal/metrics"
@@ -106,11 +107,23 @@ func TestRunModes(t *testing.T) {
 			[]string{"fully-distributed deployment: 4 peers, 6 rounds", "total traffic: 90 msgs"}, []string{"survivors:", "evicted"}},
 		{"fd deadline", []string{"-mode", "fd", "-n", "4", "-rounds", "12", "-round-timeout", "150ms", "-crash-worker", "1", "-crash-round", "5"},
 			[]string{"peer 1 evicted in round 5", "peer 1 crashed after 4 rounds", "survivors: [0 2 3]"}, nil},
+		// Worker 1 is alive but cut off from the master in rounds 3-4; the
+		// master evicts it and finishes, and the run must not then wait
+		// for it.
+		{"mw partition", []string{"-mode", "mw", "-n", "4", "-rounds", "10", "-round-timeout", "100ms", "-chaos-partition", "1:4:3:4"},
+			[]string{"crashed workers (detected and removed): [1]", "survivors: [0 2 3]", "worker 1 exited"}, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf strings.Builder
-			if err := run(tc.args, &buf); err != nil {
-				t.Fatalf("run(%v): %v\noutput:\n%s", tc.args, err, buf.String())
+			done := make(chan error, 1)
+			go func() { done <- run(tc.args, &buf) }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("run(%v): %v\noutput:\n%s", tc.args, err, buf.String())
+				}
+			case <-time.After(20 * time.Second):
+				t.Fatalf("run(%v) still running after 20s", tc.args)
 			}
 			for _, w := range tc.want {
 				if !strings.Contains(buf.String(), w) {

@@ -132,7 +132,9 @@ func benchTCPSendRecv(b *testing.B, codec wire.Codec) {
 
 // BenchmarkMasterWorkerDeploymentRound measures a full deployed protocol
 // round (all nodes, all messages) on the in-memory network, amortized
-// over a multi-round run.
+// over a multi-round run. Next to the wall time per round it reports the
+// process CPU time per round, which varies less between runs on a
+// shared host.
 func BenchmarkMasterWorkerDeploymentRound(b *testing.B) {
 	const n = 10
 	const roundsPerRun = 50
@@ -142,7 +144,7 @@ func BenchmarkMasterWorkerDeploymentRound(b *testing.B) {
 	}
 	x0 := simplex.Uniform(n)
 	b.ReportAllocs()
-	b.ResetTimer()
+	cpu := startCPU(b)
 	for i := 0; i < b.N; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		net := NewMemNet()
@@ -157,30 +159,77 @@ func BenchmarkMasterWorkerDeploymentRound(b *testing.B) {
 		cancel()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*roundsPerRun), "ns/round")
+	cpu.report(b, b.N*roundsPerRun, "cpu-ns/round")
 }
 
 // BenchmarkFullyDistributedDeploymentRound measures a full Algorithm 2
 // round, the path perfbench's rounds_fd workload times: 8 peers on one
 // MemNet, instrumented on one registry through core.WithMetrics, each
 // fed a seeded affine cost stream. An op is one round at every peer of
-// a b.N-round deployment, so ns/op and allocs/op are per round, with
-// the deployment's setup amortized over it.
+// a b.N-round deployment, so ns/op, cpu-ns/op (process CPU time) and
+// allocs/op are per round, with the deployment's setup amortized over
+// it. The deadline case runs the same peers through ElasticDeployment
+// with a 5 s RoundTimeout, which never fires: what a deadline costs a
+// healthy round.
 func BenchmarkFullyDistributedDeploymentRound(b *testing.B) {
 	const peers = 8
-	reg := metrics.NewRegistry()
-	net := NewMemNet()
-	transports := make([]Transport, peers)
-	sources := make([]CostSource, peers)
-	for i := range transports {
-		transports[i] = net.Node(i)
-		sources[i] = seededAffineSource(int64(i))
+	for _, timeout := range []time.Duration{0, 5 * time.Second} {
+		name := "no-deadline"
+		if timeout > 0 {
+			name = "deadline"
+		}
+		b.Run(name, func(b *testing.B) {
+			reg := metrics.NewRegistry()
+			net := NewMemNet()
+			transports := make([]Transport, peers)
+			sources := make([]CostSource, peers)
+			for i := range transports {
+				transports[i] = net.Node(i)
+				sources[i] = seededAffineSource(int64(i))
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
+			defer cancel()
+			b.ReportAllocs()
+			cpu := startCPU(b)
+			if timeout == 0 {
+				if _, err := FullyDistributedDeployment(ctx, transports, simplex.Uniform(peers), b.N, sources, core.WithMetrics(reg)); err != nil {
+					b.Fatal(err)
+				}
+			} else {
+				res, err := ElasticDeployment(ctx, transports, ElasticDeploymentConfig{
+					X0: simplex.Uniform(peers), Rounds: b.N, Sources: sources, Peer: ElasticPeerConfig{RoundTimeout: timeout},
+				}, core.WithMetrics(reg))
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, r := range res {
+					if r.Rounds != b.N || len(r.Evicted) > 0 {
+						b.Fatalf("peer %d: %d of %d rounds, evicted %v", r.ID, r.Rounds, b.N, r.Evicted)
+					}
+				}
+			}
+			cpu.report(b, b.N, "cpu-ns/op")
+		})
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
-	defer cancel()
-	b.ReportAllocs()
+}
+
+// cpuClock is the process CPU time when a benchmark's timed part began.
+type cpuClock struct {
+	start time.Duration
+	ok    bool
+}
+
+// startCPU resets b's timer and reads the process CPU time.
+func startCPU(b *testing.B) cpuClock {
 	b.ResetTimer()
-	if _, err := FullyDistributedDeployment(ctx, transports, simplex.Uniform(peers), b.N, sources, core.WithMetrics(reg)); err != nil {
-		b.Fatal(err)
+	start, ok := processCPU()
+	return cpuClock{start, ok}
+}
+
+// report reports the process CPU time since c per op of ops, in unit.
+func (c cpuClock) report(b *testing.B, ops int, unit string) {
+	if end, ok := processCPU(); c.ok && ok {
+		b.ReportMetric(float64(end-c.start)/float64(ops), unit)
 	}
 }
 

@@ -34,7 +34,7 @@ func (m *elasticMachine) tick() {
 	if m.timeouts != nil && len(missing) > 0 {
 		m.timeouts.Inc()
 	}
-	m.evicting.push(missing...)
+	m.evicting.pushAll(missing)
 	m.redrain = true
 	m.wait = m.cfg.RoundTimeout
 }
@@ -107,7 +107,7 @@ func (m *elasticMachine) evictPeer(target int, broadcast bool) {
 		// (if any) is over.
 		m.sharePhase = false
 	}
-	m.outs.push(outs...)
+	m.outs.pushAll(outs)
 	if m.tree != nil {
 		m.pruneAggs()
 		m.rebuildTree()

@@ -93,7 +93,9 @@ type fifo[T any] struct {
 
 func (q *fifo[T]) len() int { return len(q.items) - q.head }
 
-func (q *fifo[T]) push(v ...T) { q.items = append(q.items, v...) }
+func (q *fifo[T]) push(v T) { q.items = append(q.items, v) }
+
+func (q *fifo[T]) pushAll(vs []T) { q.items = append(q.items, vs...) }
 
 func (q *fifo[T]) pop() T {
 	v := q.items[q.head]
@@ -180,7 +182,7 @@ func (m *elasticMachine) sendFailed(s outSend, err error) {
 		rest := append([]outSend(nil), m.out.items[m.out.head:]...)
 		m.out = fifo[outSend]{items: m.out.items[:0]}
 		m.evictPeer(s.to, true)
-		m.out.push(rest...)
+		m.out.pushAll(rest)
 	}
 }
 
@@ -294,7 +296,7 @@ func (m *elasticMachine) startRound(r int) {
 		}
 		m.redrain = true
 	} else {
-		m.outs.push(obs...)
+		m.outs.pushAll(obs)
 	}
 	m.arm()
 }
@@ -351,7 +353,7 @@ func (m *elasticMachine) progress(outs []core.PeerOutput, err error) (bool, erro
 	case err != nil:
 		return false, fmt.Errorf("cluster: peer %d: %w", m.id, err)
 	}
-	m.outs.push(outs...)
+	m.outs.pushAll(outs)
 	return true, nil
 }
 

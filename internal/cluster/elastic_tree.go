@@ -97,7 +97,7 @@ func (m *elasticMachine) applyDownAggregate(a core.PeerAggregate) {
 		m.fail(fmt.Errorf("cluster: peer %d: %w", m.id, err))
 		return
 	}
-	m.outs.push(outs...)
+	m.outs.pushAll(outs)
 	m.sharePhase = false
 	fwd := a
 	fwd.From = m.id

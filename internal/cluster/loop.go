@@ -55,10 +55,17 @@ func (l *loopState) finish(err error) {
 // drive runs m over tr until it finishes: the one driver loop, and the
 // only driver code that reads the clock, for the deadline. It sends and
 // receives on a child of the caller's context that only this node uses,
-// so a blocking receive locks no channel another node locks too.
-// started, when non-nil, runs once the first sends are out (a joiner's
-// request).
+// so a blocking receive locks no channel another node locks, and
+// detaches tr from its registry when it returns. started, when non-nil,
+// runs once the first sends are out (a joiner's request).
+//
+// A deadline is carried by one receive context, reused while the
+// machine's deadline is no earlier than the context's. Progress only
+// moves a deadline later, so when the context expires before the
+// machine's deadline, drive arms a new one for the rest of the wait and
+// does not tick.
 func drive(ctx context.Context, tr *Meter, m machine, started func()) {
+	defer tr.detach()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	l := m.state()
@@ -71,19 +78,22 @@ func drive(ctx context.Context, tr *Meter, m machine, started func()) {
 	if started != nil {
 		started()
 	}
+	rc := recvContext{parent: ctx, ctx: ctx}
+	defer rc.release()
 	for !l.finished {
-		recvCtx, cancel := ctx, context.CancelFunc(nil)
-		if !l.deadline.IsZero() {
-			recvCtx, cancel = context.WithDeadline(ctx, l.deadline)
+		if !l.deadline.IsZero() && (rc.deadline.IsZero() || l.deadline.Before(rc.deadline)) {
+			rc.arm(l.deadline)
 		}
-		env, _, err := tr.Recv(recvCtx)
-		if cancel != nil {
-			cancel()
-		}
+		env, _, err := tr.Recv(rc.ctx)
 		switch {
 		case err == nil:
 			m.handle(env)
-		case ctx.Err() == nil && !l.deadline.IsZero() && errors.Is(err, context.DeadlineExceeded):
+		case ctx.Err() == nil && !rc.deadline.IsZero() && errors.Is(err, context.DeadlineExceeded):
+			expired := rc.deadline
+			rc.release()
+			if !expired.Equal(l.deadline) {
+				continue // the machine's deadline is later: wait on
+			}
 			m.tick()
 		default:
 			m.stop(err, ctx.Err() != nil)
@@ -91,6 +101,29 @@ func drive(ctx context.Context, tr *Meter, m machine, started func()) {
 		}
 		flush(ctx, m, send, time.Now)
 	}
+}
+
+// recvContext is drive's receive context: its parent, or a child of it
+// carrying the deadline armed.
+type recvContext struct {
+	parent, ctx context.Context
+	deadline    time.Time // zero: none armed
+	cancel      context.CancelFunc
+}
+
+// arm replaces the receive context with one that expires at deadline.
+func (r *recvContext) arm(deadline time.Time) {
+	r.release()
+	r.ctx, r.cancel = context.WithDeadline(r.parent, deadline)
+	r.deadline = deadline
+}
+
+// release cancels an armed deadline and receives on the parent again.
+func (r *recvContext) release() {
+	if r.cancel != nil {
+		r.cancel()
+	}
+	r.ctx, r.deadline, r.cancel = r.parent, time.Time{}, nil
 }
 
 // flush hands every pending send of m to send, in emission order, and

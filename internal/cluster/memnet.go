@@ -11,7 +11,10 @@ import (
 
 // delivery is an in-flight MemNet message: the envelope plus its frame
 // size under the hub's codec, computed once at send so both ends meter
-// identical byte counts without re-encoding.
+// identical byte counts without re-encoding. A delivery with a nil
+// payload is a wake, which no real frame can be, since FrameSize
+// refuses one: it only makes a blocked receive look again at its node
+// and its context.
 type delivery struct {
 	env Envelope
 	n   int
@@ -33,6 +36,15 @@ type delivery struct {
 // must not be negative, and the table is as long as the largest one
 // registered, so they are meant to be dense (0..n).
 //
+// A message costs one channel handoff. A Recv that finds its inbox
+// empty waits on the inbox alone: Close, and the end of the context the
+// Recv waits on, each put a wake into the inbox without blocking. The
+// wake of a context is armed when a Recv is about to block, once per
+// distinct context, so a driver that receives on one context until its
+// deadline pays for it once. A Recv skips wakes, including those an
+// earlier context left behind. A node's receives must therefore come
+// from one goroutine at a time, or a wake could reach the wrong one.
+//
 // A canceled context wins over a ready message or a free inbox slot:
 // Send and Recv then return the context's error. Closing a node makes
 // its pending and later Recv calls return ErrClosed.
@@ -43,12 +55,20 @@ type MemNet struct {
 	codec  wire.Codec
 }
 
-// memNode is one registered endpoint of a MemNet. Closing it sets
-// closed and closes done, once, which unblocks a pending recv.
+// memNode is one registered endpoint of a MemNet.
 type memNode struct {
 	inbox  chan delivery
-	done   chan struct{}
 	closed atomic.Bool
+}
+
+// wake puts a wake into n's inbox unless it is full; a full inbox has a
+// message for the receiver, which looks at its node and its context
+// again before it next waits.
+func (n *memNode) wake() {
+	select {
+	case n.inbox <- delivery{}:
+	default:
+	}
 }
 
 // MemNetOption configures a MemNet.
@@ -107,7 +127,7 @@ func (m *MemNet) Node(id int) Transport {
 	}
 	node := slots[id].Load()
 	if node == nil {
-		node = &memNode{inbox: make(chan delivery, m.buffer), done: make(chan struct{})}
+		node = &memNode{inbox: make(chan delivery, m.buffer)}
 		slots[id].Store(node)
 	}
 	return &memTransport{net: m, id: id, node: node}
@@ -127,6 +147,10 @@ type memTransport struct {
 	net  *MemNet
 	id   int
 	node *memNode
+	// armed is the Done channel of the context whose end wakes node, and
+	// disarm stops that; only Recv touches them.
+	armed  <-chan struct{}
+	disarm func() bool
 }
 
 var _ Transport = (*memTransport)(nil)
@@ -170,34 +194,46 @@ func (t *memTransport) Send(ctx context.Context, to int, env Envelope) (int, err
 
 func (t *memTransport) Recv(ctx context.Context) (Envelope, int, error) {
 	node := t.node
-	if node.closed.Load() {
-		return Envelope{}, 0, fmt.Errorf("%w (node %d)", ErrClosed, t.id)
+	for {
+		// Same order as Send: the node and the context, then the inbox
+		// without blocking, and the blocking wait only when it is empty.
+		if node.closed.Load() {
+			return Envelope{}, 0, fmt.Errorf("%w (node %d)", ErrClosed, t.id)
+		}
+		select {
+		case <-ctx.Done():
+			return Envelope{}, 0, fmt.Errorf("cluster: recv on %d: %w", t.id, ctx.Err())
+		default:
+		}
+		var d delivery
+		select {
+		case d = <-node.inbox:
+		default:
+			t.arm(ctx)
+			d = <-node.inbox
+		}
+		if d.env.Msg != nil {
+			return d.env, d.n, nil
+		}
 	}
-	// Same order as Send: the context, then the inbox without blocking,
-	// and the blocking select only when the inbox is empty.
-	select {
-	case <-ctx.Done():
-		return Envelope{}, 0, fmt.Errorf("cluster: recv on %d: %w", t.id, ctx.Err())
-	default:
+}
+
+// arm makes the end of ctx wake this node, unless it already does or
+// ctx never ends.
+func (t *memTransport) arm(ctx context.Context) {
+	done := ctx.Done()
+	if done == nil || done == t.armed {
+		return
 	}
-	select {
-	case d := <-node.inbox:
-		return d.env, d.n, nil
-	default:
+	if t.disarm != nil {
+		t.disarm()
 	}
-	select {
-	case d := <-node.inbox:
-		return d.env, d.n, nil
-	case <-node.done:
-		return Envelope{}, 0, fmt.Errorf("%w (node %d)", ErrClosed, t.id)
-	case <-ctx.Done():
-		return Envelope{}, 0, fmt.Errorf("cluster: recv on %d: %w", t.id, ctx.Err())
-	}
+	t.armed, t.disarm = done, context.AfterFunc(ctx, t.node.wake)
 }
 
 func (t *memTransport) Close() error {
 	if t.node.closed.CompareAndSwap(false, true) {
-		close(t.node.done)
+		t.node.wake()
 	}
 	return nil
 }

@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"sync/atomic"
+	"sync"
 
 	"dolbie/internal/metrics"
 	"dolbie/internal/wire"
@@ -61,77 +61,75 @@ const (
 	MetricRosterAggDepth = "dolbie_cluster_roster_aggregation_depth"
 )
 
-// numKinds sizes a Meter's per-kind counter cache: one slot per wire
-// kind up to the last valid one. A kind past it still counts, through
-// the family lookup.
+// numKinds sizes a tally: one slot per wire kind up to the last valid
+// one, which covers every kind Envelope.Kind returns.
 const numKinds = int(wire.KindAggregate) + 1
 
-// kindCounters caches one direction's dolbie_cluster_messages_total
-// series, indexed by kind. A slot is resolved on the kind's first
-// message, so the exposition lists exactly the kinds that were sent or
-// received; after that a message costs one atomic load, with no label
-// key built and no family lock taken.
-type kindCounters [numKinds]atomic.Pointer[metrics.Counter]
+// dirLabels are the dir label values of dolbie_cluster_messages_total.
+var dirLabels = [2]string{dirSent: "sent", dirReceived: "received"}
 
-// netMetrics is the per-node instrument set behind an instrumented
-// Meter. A nil *netMetrics records nothing.
+// netMetrics publishes one meter's tally to a registry's
+// dolbie_cluster_* series. publish, the registry's scrape hook, advances
+// each series by what the tally gained since it last ran, the pattern
+// of the dispatcher's hook (DESIGN §9). It holds the tally and series
+// handles, never the Meter or its transport.
 type netMetrics struct {
-	msgsSent  *metrics.Counter
-	msgsRecv  *metrics.Counter
-	bytesSent *metrics.Counter
-	bytesRecv *metrics.Counter
-	byKind    *metrics.CounterVec
-	sent      kindCounters
-	recv      kindCounters
+	t      *tally
+	byKind *metrics.CounterVec
+	mu     sync.Mutex // serializes a scrape's publish with the run's last one
+	dirs   [2]dirSeries
 }
 
-// newNetMetrics binds the cluster traffic instruments for one node.
-// Registration is idempotent, so every node of a deployment shares the
-// same families, distinguished by the node label.
-func newNetMetrics(reg *metrics.Registry, node string) *netMetrics {
-	if reg == nil {
-		return nil
-	}
-	return &netMetrics{
-		msgsSent:  reg.CounterVec(MetricMsgsSent, "Protocol messages sent.", "node").WithLabelValues(node),
-		msgsRecv:  reg.CounterVec(MetricMsgsReceived, "Protocol messages received.", "node").WithLabelValues(node),
-		bytesSent: reg.CounterVec(MetricBytesSent, "Protocol wire bytes sent.", "node").WithLabelValues(node),
-		bytesRecv: reg.CounterVec(MetricBytesReceived, "Protocol wire bytes received.", "node").WithLabelValues(node),
-		byKind:    reg.CounterVec(MetricMessages, "Protocol messages by kind and direction.", "kind", "dir"),
-	}
+// dirSeries is one direction's series and what was last published to
+// them.
+type dirSeries struct {
+	msgs, bytes *metrics.Counter
+	// kinds[k] is kind k's messages_total series, resolved when the first
+	// message of k is published, so the exposition lists exactly the
+	// kinds that were sent or received.
+	kinds     [numKinds]*metrics.Counter
+	lastMsgs  [numKinds]uint64
+	lastBytes uint64
 }
 
-// kindCounter returns the messages_total series of kind k in direction
-// dir, resolving and caching it on first use. Concurrent first uses may
-// both resolve it; the family returns the same series to each.
-func (nm *netMetrics) kindCounter(cache *kindCounters, k wire.Kind, dir string) *metrics.Counter {
-	if int(k) >= len(cache) {
-		return nm.byKind.WithLabelValues(k.String(), dir)
-	}
-	if c := cache[k].Load(); c != nil {
-		return c
-	}
-	c := nm.byKind.WithLabelValues(k.String(), dir)
-	cache[k].Store(c)
-	return c
+// newNetMetrics binds the cluster traffic instruments for one node's
+// tally t. Registration is idempotent, so every node of a deployment
+// shares the same families, distinguished by the node label.
+func newNetMetrics(reg *metrics.Registry, node string, t *tally) *netMetrics {
+	nm := &netMetrics{t: t, byKind: reg.CounterVec(MetricMessages, "Protocol messages by kind and direction.", "kind", "dir")}
+	nm.dirs[dirSent].msgs = reg.CounterVec(MetricMsgsSent, "Protocol messages sent.", "node").WithLabelValues(node)
+	nm.dirs[dirReceived].msgs = reg.CounterVec(MetricMsgsReceived, "Protocol messages received.", "node").WithLabelValues(node)
+	nm.dirs[dirSent].bytes = reg.CounterVec(MetricBytesSent, "Protocol wire bytes sent.", "node").WithLabelValues(node)
+	nm.dirs[dirReceived].bytes = reg.CounterVec(MetricBytesReceived, "Protocol wire bytes received.", "node").WithLabelValues(node)
+	return nm
 }
 
-// recordSend accounts one sent envelope of n wire bytes.
-func (nm *netMetrics) recordSend(env Envelope, n int) {
-	if nm == nil {
-		return
+// publish advances every series by its tally's gain since the last
+// publication.
+func (nm *netMetrics) publish() {
+	nm.mu.Lock()
+	defer nm.mu.Unlock()
+	for dir := range nm.dirs {
+		s, d := &nm.dirs[dir], &nm.t[dir]
+		var msgs uint64
+		for k := range s.kinds {
+			n := d.msgs[k].Load()
+			gain := n - s.lastMsgs[k]
+			if gain == 0 {
+				continue
+			}
+			if s.kinds[k] == nil {
+				s.kinds[k] = nm.byKind.WithLabelValues(wire.Kind(k).String(), dirLabels[dir])
+			}
+			s.kinds[k].Add(float64(gain))
+			s.lastMsgs[k], msgs = n, msgs+gain
+		}
+		if msgs > 0 {
+			s.msgs.Add(float64(msgs))
+		}
+		if n := d.bytes.Load(); n > s.lastBytes {
+			s.bytes.Add(float64(n - s.lastBytes))
+			s.lastBytes = n
+		}
 	}
-	nm.msgsSent.Inc()
-	nm.bytesSent.Add(float64(n))
-	nm.kindCounter(&nm.sent, env.Kind(), "sent").Inc()
-}
-
-// recordRecv accounts one received envelope of n wire bytes.
-func (nm *netMetrics) recordRecv(env Envelope, n int) {
-	if nm == nil {
-		return
-	}
-	nm.msgsRecv.Inc()
-	nm.bytesRecv.Add(float64(n))
-	nm.kindCounter(&nm.recv, env.Kind(), "received").Inc()
 }

@@ -69,6 +69,93 @@ func TestMeterFeedsRegistry(t *testing.T) {
 	}
 }
 
+// TestDeploymentsLeaveNoCollectHooks runs 20 instrumented deployments
+// one after another on one registry, alternating the two algorithms,
+// then closes a directly built meter on it. Each run's meters publish
+// their counts through a scrape hook and remove it when the run ends,
+// and Close does the same, so the registry must hold no hook afterwards
+// while its exposition still counts every message of every node.
+func TestDeploymentsLeaveNoCollectHooks(t *testing.T) {
+	const n, rounds = 4, 5
+	reg := metrics.NewRegistry()
+	opts := []core.Option{core.WithMetrics(reg)}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	want := map[string]TrafficStats{}
+	count := func(node string, s TrafficStats) {
+		w := want[node]
+		w.MsgsSent += s.MsgsSent
+		w.MsgsReceived += s.MsgsReceived
+		w.BytesSent += s.BytesSent
+		w.BytesRecv += s.BytesRecv
+		want[node] = w
+	}
+	for d := 0; d < 20; d++ {
+		if d%2 == 0 {
+			res, err := FullyDistributedDeployment(ctx, memTransports(NewMemNet(), n), simplex.Uniform(n), rounds, affineSources(n), opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range res {
+				count(fmt.Sprintf("peer-%d", p.ID), p.Traffic)
+			}
+			continue
+		}
+		master, workers, err := MasterWorkerDeployment(ctx, memTransports(NewMemNet(), n+1), simplex.Uniform(n), rounds, affineSources(n), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		count("master", master.Traffic)
+		for i, w := range workers {
+			count(fmt.Sprintf("worker-%d", i), w.Traffic)
+		}
+	}
+	direct := NewInstrumentedMeter(NewMemNet().Node(0), reg, "direct")
+	if _, err := direct.Send(ctx, 0, wire.NewEnvelope(0, 0, core.PeerShare{Round: 1, From: 0, Cost: 1, LocalAlpha: 0.01})); err != nil {
+		t.Fatal(err)
+	}
+	count("direct", direct.Stats())
+	if err := direct.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if got := reg.CollectHooks(); got != 0 {
+		t.Errorf("registry holds %d collect hooks after every run ended, want 0", got)
+	}
+	var sb strings.Builder
+	if err := reg.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	expo := sb.String()
+	total := 0
+	for node, w := range want {
+		total += w.MsgsSent
+		for _, line := range []string{
+			fmt.Sprintf("%s{node=%q} %d\n", MetricMsgsSent, node, w.MsgsSent),
+			fmt.Sprintf("%s{node=%q} %d\n", MetricMsgsReceived, node, w.MsgsReceived),
+			fmt.Sprintf("%s{node=%q} %d\n", MetricBytesSent, node, w.BytesSent),
+			fmt.Sprintf("%s{node=%q} %d\n", MetricBytesReceived, node, w.BytesRecv),
+		} {
+			if !strings.Contains(expo, line) {
+				t.Errorf("exposition lacks %q", strings.TrimSpace(line))
+			}
+		}
+	}
+	sent := 0
+	for _, line := range strings.Split(expo, "\n") {
+		if strings.HasPrefix(line, MetricMessages+"{") && strings.Contains(line, `dir="sent"`) {
+			var v int
+			if _, err := fmt.Sscan(line[strings.LastIndexByte(line, ' ')+1:], &v); err != nil {
+				t.Fatalf("%q: %v", line, err)
+			}
+			sent += v
+		}
+	}
+	if sent != total || total == 0 {
+		t.Errorf("%s counts %d messages sent by kind, want %d", MetricMessages, sent, total)
+	}
+}
+
 // TestDeploymentMetricsEndToEnd runs a real master-worker deployment on
 // a memnet with a shared registry, serves it over HTTP, and scrapes
 // /metrics like a Prometheus server would — verifying that families

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -86,15 +87,28 @@ func (l *loopback) Recv(context.Context) (Envelope, int, error) {
 
 func (l *loopback) Close() error { return nil }
 
+// sink is a Transport that accepts every send, sized at frameBytes, and
+// never delivers anything; any number of goroutines may send on it.
+type sink struct{}
+
+func (sink) Send(context.Context, int, Envelope) (int, error) { return frameBytes, nil }
+
+func (sink) Recv(ctx context.Context) (Envelope, int, error) {
+	<-ctx.Done()
+	return Envelope{}, 0, ctx.Err()
+}
+
+func (sink) Close() error { return nil }
+
 // TestConcurrentMetersCountExactly runs eight meters, each on its own
 // goroutine, into one registry; every meter sends and receives a real
-// payload of every kind reps times, so each kind's first message races
-// to resolve its series. Every goroutine also records each send into
-// one shared node's instruments, straight into its per-kind cache with
-// no Meter lock in between, so -race sees the cache filled and read
-// concurrently. The exposition must count every message exactly, per
-// kind and per node, and meters on a second registry must count only
-// there.
+// payload of every kind reps times. Every goroutine also sends each
+// message through one shared node's Meter, and the registry is scraped
+// throughout, so -race sees one meter's tallies added to from eight
+// goroutines while the scrape hooks publish them and resolve each
+// kind's first series. The exposition must count every message
+// exactly, per kind and per node, and meters on a second registry must
+// count only there.
 func TestConcurrentMetersCountExactly(t *testing.T) {
 	const meters, reps = 8, 50
 	var envs []Envelope
@@ -109,7 +123,23 @@ func TestConcurrentMetersCountExactly(t *testing.T) {
 		t.Fatalf("%d payload kinds, want %d", len(envs), numKinds-1)
 	}
 	run := func(reg *metrics.Registry, prefix string) {
-		shared := newNetMetrics(reg, prefix+"-shared")
+		shared := NewInstrumentedMeter(sink{}, reg, prefix+"-shared")
+		stop := make(chan struct{})
+		scraped := make(chan struct{})
+		go func() {
+			defer close(scraped)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := reg.WriteText(io.Discard); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
 		var wg sync.WaitGroup
 		for i := 0; i < meters; i++ {
 			wg.Add(1)
@@ -123,7 +153,10 @@ func TestConcurrentMetersCountExactly(t *testing.T) {
 							t.Error(err)
 							return
 						}
-						shared.recordSend(env, frameBytes)
+						if _, err := shared.Send(ctx, 0, env); err != nil {
+							t.Error(err)
+							return
+						}
 						if _, _, err := m.Recv(ctx); err != nil {
 							t.Error(err)
 							return
@@ -133,6 +166,8 @@ func TestConcurrentMetersCountExactly(t *testing.T) {
 			}(i)
 		}
 		wg.Wait()
+		close(stop)
+		<-scraped
 	}
 	reg, other := metrics.NewRegistry(), metrics.NewRegistry()
 	run(reg, "peer")
@@ -276,6 +311,92 @@ func TestMemNetCloseUnblocksRecv(t *testing.T) {
 	}
 	if err := node.Close(); err != nil {
 		t.Errorf("second Close = %v, want nil", err)
+	}
+}
+
+// TestMemNetRecvWakesOnContextEnd pins the wakes of a blocked receive:
+// a Recv waiting on an empty inbox returns its context's error promptly
+// once the context is canceled, or once its deadline passes, and the
+// node still delivers what is sent to it afterwards.
+func TestMemNetRecvWakesOnContextEnd(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ctx  func() (context.Context, context.CancelFunc)
+		end  func(cancel context.CancelFunc) // ends the context of a blocked Recv
+		want error
+	}{
+		{"canceled", func() (context.Context, context.CancelFunc) { return context.WithCancel(context.Background()) },
+			func(cancel context.CancelFunc) { cancel() }, context.Canceled},
+		{"deadline", func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), 20*time.Millisecond)
+		}, func(context.CancelFunc) {}, context.DeadlineExceeded},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := NewMemNet()
+			a, b := net.Node(0), net.Node(1)
+			ctx, cancel := tc.ctx()
+			defer cancel()
+			done := make(chan error, 1)
+			go func() {
+				_, _, err := b.Recv(ctx)
+				done <- err
+			}()
+			// Let Recv block on the empty inbox; if tc.end wins the race,
+			// Recv finds the context ended before it waits.
+			time.Sleep(10 * time.Millisecond)
+			tc.end(cancel)
+			select {
+			case err := <-done:
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("blocked Recv returned %v, want %v", err, tc.want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("blocked Recv still waiting 5s after its context ended")
+			}
+			env := wire.NewEnvelope(0, 1, core.PeerShare{Round: 1, From: 0, Cost: 1, LocalAlpha: 0.01})
+			if _, err := a.Send(context.Background(), 1, env); err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := b.Recv(context.Background())
+			if err != nil || got.Msg != env.Msg {
+				t.Fatalf("Recv after the wake = %+v, %v; want the share sent", got, err)
+			}
+		})
+	}
+}
+
+// TestMemNetSkipsStaleWakes pins what a wake left in an inbox does. A
+// context that ends after its receive has returned leaves one there
+// (here put there directly), and later receives skip it: they return
+// the real deliveries around it in send order, and leave nothing behind.
+func TestMemNetSkipsStaleWakes(t *testing.T) {
+	net := NewMemNet()
+	a, b := net.Node(0), net.Node(1)
+	node := b.(*memTransport).node
+	ctx := context.Background()
+	share := func(round int) Envelope {
+		return wire.NewEnvelope(0, 1, core.PeerShare{Round: round, From: 0, Cost: 1, LocalAlpha: 0.01})
+	}
+	node.wake()
+	for round := 1; round <= 3; round++ {
+		if _, err := a.Send(ctx, 1, share(round)); err != nil {
+			t.Fatal(err)
+		}
+		if round == 1 {
+			node.wake()
+		}
+	}
+	for round := 1; round <= 3; round++ {
+		env, _, err := b.Recv(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s, ok := env.Msg.(core.PeerShare); !ok || s.Round != round {
+			t.Fatalf("receive %d returned %+v, want the share of round %d", round, env.Msg, round)
+		}
+	}
+	if n := len(node.inbox); n != 0 {
+		t.Errorf("%d deliveries left in the inbox, want 0", n)
 	}
 }
 

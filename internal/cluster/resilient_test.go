@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dolbie/internal/core"
+	"dolbie/internal/costfn"
 	"dolbie/internal/metrics"
 	"dolbie/internal/simplex"
 	"dolbie/internal/wire"
@@ -251,6 +252,68 @@ func TestMasterSlowSendIsNotTimedOut(t *testing.T) {
 			t.Errorf("worker %d: %v", i, err)
 		}
 	}
+}
+
+// TestMasterPacedProgressIsNotTimedOut pins, on real timers, how drive
+// carries a deadline: one receive context, kept while progress moves
+// the deadline later. Every worker takes half the RoundTimeout to
+// observe its cost, so the master completes a phase about every
+// RoundTimeout/2 for about 3 RoundTimeouts, and each one moves its
+// deadline past the receive context drive armed. When that context
+// expires, drive must arm a new one and wait on rather than tick, so no
+// worker is evicted. A worker that fail-stops is still evicted once the
+// master's own deadline passes.
+func TestMasterPacedProgressIsNotTimedOut(t *testing.T) {
+	const n, rounds, timeout = 3, 6, 200 * time.Millisecond
+	for _, tc := range []struct {
+		name    string
+		crashAt map[int]int
+		crashed []int
+	}{
+		{"paced", nil, nil},
+		{"silent", map[int]int{2: 3}, []int{2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			ts := memTransports(NewMemNet(), n+1)
+			x0 := simplex.Uniform(n)
+			srcs := crashingSources(n, tc.crashAt)
+			var wg sync.WaitGroup
+			errs := make([]error, n)
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					_, errs[i] = RunWorker(ctx, ts[i], i, n, x0[i], rounds, pacedSource{srcs[i], timeout / 2})
+				}(i)
+			}
+			res, err := RunMaster(ctx, ts[n], x0, rounds, MasterConfig{RoundTimeout: timeout})
+			if err != nil || res.Rounds != rounds || !reflect.DeepEqual(res.Crashed, tc.crashed) {
+				cancel() // evicted workers wait for a coordinate that never comes
+				wg.Wait()
+				t.Fatalf("master: %d rounds, crashed %v, err %v; want %d rounds and crashed %v", res.Rounds, res.Crashed, err, rounds, tc.crashed)
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if _, crashes := tc.crashAt[i]; (err != nil) != crashes {
+					t.Errorf("worker %d: %v", i, err)
+				}
+			}
+		})
+	}
+}
+
+// pacedSource takes pace to observe each cost of its inner source.
+type pacedSource struct {
+	inner CostSource
+	pace  time.Duration
+}
+
+func (p pacedSource) Observe(round int, x float64) (float64, costfn.Func, error) {
+	time.Sleep(p.pace)
+	return p.inner.Observe(round, x)
 }
 
 // TestMasterFailedSend pins the master's rule for a send that fails to

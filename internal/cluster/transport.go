@@ -3,7 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
-	"sync"
+	"sync/atomic"
 
 	"dolbie/internal/metrics"
 )
@@ -41,9 +41,9 @@ var ErrUnknownNode = errors.New("cluster: unknown node")
 
 // TrafficStats counts a node's protocol traffic. All counters are totals
 // since construction. It remains the per-run snapshot embedded in the
-// deployment results; live scraping goes through the registry-backed
-// counters of an instrumented Meter (see NewInstrumentedMeter and the
-// README's Observability section).
+// deployment results; live scraping goes through the dolbie_cluster_*
+// counters an instrumented Meter publishes (see NewInstrumentedMeter and
+// the README's Observability section).
 type TrafficStats struct {
 	MsgsSent     int
 	MsgsReceived int
@@ -51,31 +51,38 @@ type TrafficStats struct {
 	BytesRecv    int
 }
 
-// Meter wraps a Transport and counts messages and bytes in both
-// directions — always into a TrafficStats snapshot, and additionally
-// into registry-backed dolbie_cluster_* counter families when
-// constructed with NewInstrumentedMeter. Byte counts come from the
-// frame sizes the wrapped transport reports, so metering adds no
-// marshaling work. It is safe for concurrent use.
+// Meter wraps a Transport and counts messages per kind, and bytes, in
+// each direction, in atomic tallies of its own. Stats reads them, and a
+// meter built with NewInstrumentedMeter also publishes them to the
+// registry's dolbie_cluster_* counter families at every scrape, so a
+// message updates no series that other nodes share. Byte counts come
+// from the frame sizes the wrapped transport reports, so metering adds
+// no marshaling work. It is safe for concurrent use.
 type Meter struct {
-	inner Transport
-	nm    *netMetrics // nil when not registry-backed
-
-	mu    sync.Mutex
-	stats TrafficStats
+	inner  Transport
+	t      *tally
+	nm     *netMetrics // nil when not registry-backed
+	unhook func()      // removes nm's scrape hook
 }
 
 var _ Transport = (*Meter)(nil)
 
 // NewMeter wraps a transport with snapshot-only traffic accounting.
-func NewMeter(inner Transport) *Meter { return &Meter{inner: inner} }
+func NewMeter(inner Transport) *Meter { return &Meter{inner: inner, t: new(tally)} }
 
 // NewInstrumentedMeter wraps a transport with traffic accounting that
 // additionally feeds the registry-backed dolbie_cluster_* counters,
-// labeling per-node families with node (e.g. "master", "worker-3").
-// A nil registry degrades to NewMeter.
+// labeling per-node families with node (e.g. "master", "worker-3"). The
+// meter publishes its tallies through a registry scrape hook, which
+// Close removes after publishing them once more. A nil registry
+// degrades to NewMeter.
 func NewInstrumentedMeter(inner Transport, reg *metrics.Registry, node string) *Meter {
-	return &Meter{inner: inner, nm: newNetMetrics(reg, node)}
+	m := NewMeter(inner)
+	if reg != nil {
+		m.nm = newNetMetrics(reg, node, m.t)
+		m.unhook = reg.OnCollect(m.nm.publish)
+	}
+	return m
 }
 
 // Send implements Transport.
@@ -84,11 +91,7 @@ func (m *Meter) Send(ctx context.Context, to int, env Envelope) (int, error) {
 	if err != nil {
 		return n, err
 	}
-	m.mu.Lock()
-	m.stats.MsgsSent++
-	m.stats.BytesSent += n
-	m.mu.Unlock()
-	m.nm.recordSend(env, n)
+	m.t[dirSent].add(env, n)
 	return n, nil
 }
 
@@ -98,20 +101,66 @@ func (m *Meter) Recv(ctx context.Context) (Envelope, int, error) {
 	if err != nil {
 		return env, n, err
 	}
-	m.mu.Lock()
-	m.stats.MsgsReceived++
-	m.stats.BytesRecv += n
-	m.mu.Unlock()
-	m.nm.recordRecv(env, n)
+	m.t[dirReceived].add(env, n)
 	return env, n, nil
 }
 
-// Close implements Transport.
-func (m *Meter) Close() error { return m.inner.Close() }
+// Close implements Transport: it detaches an instrumented meter from
+// its registry, then closes the wrapped transport.
+func (m *Meter) Close() error {
+	m.detach()
+	return m.inner.Close()
+}
+
+// detach removes an instrumented meter's scrape hook and publishes its
+// tallies a last time, so the registry keeps the final counts and no
+// hook of a meter that is done. The drivers detach their meters when
+// their run ends, leaving the transport to its caller.
+func (m *Meter) detach() {
+	if m.nm != nil {
+		m.unhook()
+		m.nm.publish()
+	}
+}
 
 // Stats returns a snapshot of the counters.
 func (m *Meter) Stats() TrafficStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
+	return TrafficStats{
+		MsgsSent:     int(m.t[dirSent].count()),
+		MsgsReceived: int(m.t[dirReceived].count()),
+		BytesSent:    int(m.t[dirSent].bytes.Load()),
+		BytesRecv:    int(m.t[dirReceived].bytes.Load()),
+	}
+}
+
+// Directions of a tally.
+const (
+	dirSent = iota
+	dirReceived
+)
+
+// tally is a meter's traffic in each direction. It is allocated apart
+// from its Meter, so the registry hook that reads it keeps neither the
+// Meter nor the transport alive.
+type tally [2]dirTally
+
+// dirTally counts one direction's messages per wire kind, and bytes.
+type dirTally struct {
+	msgs  [numKinds]atomic.Uint64
+	bytes atomic.Uint64
+}
+
+// add counts one envelope of n wire bytes.
+func (d *dirTally) add(env Envelope, n int) {
+	d.msgs[env.Kind()].Add(1)
+	d.bytes.Add(uint64(n))
+}
+
+// count is the number of messages of every kind.
+func (d *dirTally) count() uint64 {
+	var n uint64
+	for i := range d.msgs {
+		n += d.msgs[i].Load()
+	}
+	return n
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,10 +18,10 @@ func (r *Registry) WriteText(w io.Writer) error {
 	r.scrape.Lock()
 	defer r.scrape.Unlock()
 	r.mu.Lock()
-	hooks := append([]func(){}, r.hooks...)
+	hooks := slices.Clone(r.hooks)
 	r.mu.Unlock()
-	for _, hook := range hooks {
-		hook()
+	for _, h := range hooks {
+		h.fn()
 	}
 	r.mu.Lock()
 	fams := make([]*family, 0, len(r.families))

@@ -26,6 +26,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -58,7 +59,7 @@ func (k metricKind) String() string {
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
-	hooks    []func()
+	hooks    []*hook
 	// scrape serializes WriteText: an overlapping scrape's hooks would
 	// otherwise advance counters while this one renders, so one
 	// exposition could mix two snapshots.
@@ -71,20 +72,42 @@ func NewRegistry() *Registry {
 }
 
 // OnCollect registers fn to run at the start of every WriteText call,
-// before any family is snapshotted. Subsystems that keep hot-path
-// counters in their own storage (for example sharded or per-goroutine
-// tallies) use the hook to refresh their registry series to one
-// consistent snapshot per scrape instead of paying a registry update on
-// every event. Hooks run in registration order on the scraping
-// goroutine; WriteText calls are serialized, so hooks never overlap and
-// each exposition renders exactly the snapshot its hooks published.
-func (r *Registry) OnCollect(fn func()) {
+// before any family is snapshotted, and returns a function that removes
+// it. Subsystems that keep hot-path counters in their own storage (for
+// example sharded or per-goroutine tallies) use the hook to refresh
+// their registry series to one consistent snapshot per scrape instead
+// of paying a registry update on every event; one whose tallies end
+// before the registry does (a driver run) removes its hook once it has
+// published them for the last time, so hooks do not pile up. Hooks run
+// in registration order on the scraping goroutine; WriteText calls are
+// serialized, so hooks never overlap and each exposition renders
+// exactly the snapshot its hooks published. Removing a hook twice is
+// harmless.
+func (r *Registry) OnCollect(fn func()) (remove func()) {
 	if fn == nil {
 		panic("metrics: nil OnCollect hook")
 	}
+	h := &hook{fn: fn}
 	r.mu.Lock()
-	r.hooks = append(r.hooks, fn)
+	r.hooks = append(r.hooks, h)
 	r.mu.Unlock()
+	return func() {
+		r.mu.Lock()
+		r.hooks = slices.DeleteFunc(r.hooks, func(o *hook) bool { return o == h })
+		r.mu.Unlock()
+	}
+}
+
+// hook is one registered OnCollect function; its address identifies it
+// for removal.
+type hook struct{ fn func() }
+
+// CollectHooks returns how many OnCollect hooks are registered, so a
+// subsystem that removes its hooks when it is done can check it does.
+func (r *Registry) CollectHooks() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.hooks)
 }
 
 // family is one named metric family: a type, a help string, a label

@@ -276,6 +276,31 @@ func TestOnCollectHook(t *testing.T) {
 	}()
 }
 
+// TestOnCollectRemove checks that a removed hook no longer runs, that
+// the others keep their order, and that removing a hook twice is
+// harmless.
+func TestOnCollectRemove(t *testing.T) {
+	reg := NewRegistry()
+	var calls []int
+	reg.OnCollect(func() { calls = append(calls, 1) })
+	remove := reg.OnCollect(func() { calls = append(calls, 2) })
+	reg.OnCollect(func() { calls = append(calls, 3) })
+	if got := reg.CollectHooks(); got != 3 {
+		t.Fatalf("%d hooks registered, want 3", got)
+	}
+	remove()
+	remove()
+	if got := reg.CollectHooks(); got != 2 {
+		t.Fatalf("%d hooks after removing one twice, want 2", got)
+	}
+	if err := reg.WriteText(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{1, 3}; fmt.Sprint(calls) != fmt.Sprint(want) {
+		t.Errorf("hook calls after removal = %v, want %v", calls, want)
+	}
+}
+
 // TestHistogramMerge checks that Merge folds a pre-binned batch into
 // the histogram exactly as the equivalent Observe sequence would, and
 // that a bucket-count mismatch panics.

@@ -53,8 +53,9 @@ func (binaryCodec) Name() string { return "binary" }
 const binHeader = 10 // version + kind + from + to
 
 // binPayloadSize gives the fixed payload width per kind (reliable
-// frames and roster updates are variable and handled separately).
-var binPayloadSize = map[Kind]int{
+// frames and roster updates are variable and handled separately). It
+// is an array indexed by kind, so sizing a frame looks nothing up.
+var binPayloadSize = [kindCount]int{
 	KindCost:         12,
 	KindCoordinate:   24,
 	KindDecision:     12,
