@@ -193,7 +193,9 @@ func NewMeter(inner Transport) *Meter { return cluster.NewMeter(inner) }
 
 // NewInstrumentedMeter wraps a transport with traffic accounting that
 // additionally feeds registry-backed dolbie_cluster_* counters, labeling
-// per-node families with node.
+// per-node families with node. The counts reach the registry at every
+// scrape; Close publishes them a last time and removes the meter's
+// scrape hook.
 func NewInstrumentedMeter(inner Transport, reg *MetricsRegistry, node string) *Meter {
 	return cluster.NewInstrumentedMeter(inner, reg, node)
 }
